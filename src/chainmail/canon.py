@@ -37,7 +37,7 @@ class CanonResult:
 
 
 def _popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list) -> list:

@@ -62,7 +62,7 @@ def _load_structure(args) -> object:
         return named_fixture(args.fixture)
     if getattr(args, "input", None):
         obj = _read_json_input(args.input)
-        if "connectivity" in obj:
+        if isinstance(obj, dict) and "connectivity" in obj:
             poset, members = connectivity_from_json(obj)
             violation = poset.validate()
             if violation is not None:
@@ -252,3 +252,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .config import DEFAULT_MAX_TMD_SETS
 from .errors import GuardExceeded, PreconditionError
@@ -34,6 +34,7 @@ from .poset import (
     bits_of,
     component_masks,
     join_mask,
+    least_of_upset,
     mask_of,
     reduced_mail_scan,
     set_of,
@@ -110,7 +111,7 @@ def _subchainmail_violation(p: FinitePoset, cmask: int) -> Optional[int]:
                 continue
             newmask = mask | (1 << b)
             newub = ubs & up[b]
-            j = _least(newub, up)
+            j = least_of_upset(newub, up)
             if j is not None and not cmask >> j & 1:
                 return newmask
             above_b = full & ~((1 << (b + 1)) - 1)
@@ -124,15 +125,6 @@ def _subchainmail_violation(p: FinitePoset, cmask: int) -> Optional[int]:
         hit = extend(1 << a, down[a] & cmask, up[a], incomp[a] & above_a & cmask)
         if hit is not None:
             return hit
-    return None
-
-
-def _least(upset_mask: int, up: Sequence[int]) -> Optional[int]:
-    if not upset_mask:
-        return None
-    for u in bits_of(upset_mask):
-        if upset_mask & ~up[u] == 0:
-            return u
     return None
 
 

@@ -105,8 +105,6 @@ def meet_mask(n: int, down: Sequence[int], xmask: int) -> Optional[int]:
         lb &= down[x]
         if not lb:
             return None
-    if not lb:
-        return None
     for u in sorted(bits_of(lb), reverse=True):
         if lb & ~down[u] == 0:
             return u
@@ -520,10 +518,9 @@ class FinitePoset:
         transitively closed (validate() reports if it is not)."""
         if not isinstance(obj, dict):
             raise FormatError("poset JSON must be an object")
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError):
-            raise FormatError('poset JSON needs an integer field "n"') from None
+        n = obj.get("n")
+        if not _is_json_int(n):
+            raise FormatError('poset JSON needs an integer field "n"')
         pairs = obj.get("leq", [])
         if not isinstance(pairs, list):
             raise FormatError('"leq" must be a list of [a, b] pairs')
@@ -534,10 +531,17 @@ class FinitePoset:
         close = obj.get("closure") == "reflexive-transitive"
         cleaned = []
         for p in pairs:
-            if not (isinstance(p, (list, tuple)) and len(p) == 2):
+            if not (isinstance(p, (list, tuple)) and len(p) == 2
+                    and _is_json_int(p[0]) and _is_json_int(p[1])):
                 raise FormatError(f"bad leq pair: {p!r}")
-            cleaned.append((int(p[0]), int(p[1])))
+            cleaned.append((p[0], p[1]))
         return FinitePoset.from_leq_pairs(n, cleaned, close=close)
+
+
+def _is_json_int(value) -> bool:
+    """A JSON integer: an int that is not a bool (floats and strings are
+    rejected rather than truncated or parsed)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def connectivity_from_json(obj: dict) -> tuple:
@@ -547,7 +551,12 @@ def connectivity_from_json(obj: dict) -> tuple:
     raw = obj.get("connectivity")
     if raw is None:
         raise FormatError('missing "connectivity" field')
-    members = frozenset(int(x) for x in raw)
+    if not isinstance(raw, list):
+        raise FormatError('"connectivity" must be a list of elements')
+    for x in raw:
+        if not _is_json_int(x):
+            raise FormatError(f"connectivity element {x!r} is not an integer")
+    members = frozenset(raw)
     for x in members:
         if not 0 <= x < poset.n:
             raise FormatError(f"connectivity element {x} out of range")

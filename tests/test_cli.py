@@ -5,10 +5,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import chainmail
 from chainmail.cli import export_dot, run
 from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset
@@ -78,6 +82,38 @@ class TestClassify:
         code, out, _ = invoke(["classify", "--fixture", "exaW", "--pretty"])
         assert code == 0
         assert re.search(r"^separated\s+True$", out, re.M)
+
+
+class TestJsonIntegers:
+    """Only JSON integers name elements: anything else exits 1 with a
+    message, never a traceback, a truncation or a bool read as 0/1."""
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"n": 2, "leq": [[0, "x"]], "connectivity": [0]}, "bad leq pair"),
+            ({"n": 2, "leq": [[0, None]], "connectivity": [0]}, "bad leq pair"),
+            ({"n": 2, "leq": [[0, 1.7]], "connectivity": [0]}, "bad leq pair"),
+            ({"n": 2.9, "leq": [], "connectivity": [0]}, '"n"'),
+            ({"n": True, "leq": [], "connectivity": [0]}, '"n"'),
+            ({"n": 2, "leq": [[0, 1]], "connectivity": [True]}, "not an integer"),
+            ({"n": 2, "leq": [[0, 1]], "connectivity": [0.0]}, "not an integer"),
+            ({"n": 2, "leq": [[0, 1]], "connectivity": 5}, "must be a list"),
+            (5, "must be an object"),
+        ],
+        ids=["string", "null", "float-pair", "float-n", "bool-n", "bool-member",
+             "float-member", "scalar-connectivity", "scalar-document"],
+    )
+    def test_classify_rejects(self, payload, message):
+        code, out, err = invoke(["classify", "--input", "-"], json.dumps(payload))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_validate_rejects_float_n(self):
+        code, _, err = invoke(["validate"], json.dumps({"n": 2.9, "leq": []}))
+        assert code == 1
+        assert '"n"' in err
 
 
 class TestExterior:
@@ -186,3 +222,14 @@ class TestByteStability:
         second = invoke(list(argv))
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
+
+
+class TestModuleEntry:
+    def test_python_dash_m_prints_usage(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chainmail.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", "chainmail", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: chainmail")

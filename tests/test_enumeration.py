@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+
+from chainmail import canon
 
 from chainmail.enumeration import (
     brute_force_poset_count,
@@ -13,7 +17,7 @@ from chainmail.enumeration import (
 )
 from chainmail.errors import GuardExceeded
 from chainmail.generators import forest_poset_check
-from chainmail.poset import FinitePoset
+from chainmail.poset import FinitePoset, reduced_mail_scan
 
 POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 CHAINMAIL_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 303}
@@ -33,6 +37,10 @@ SHAPE_PARTITION = {
 }
 
 LATTICE_COUNTS_BY_SIZE = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+
+# SHA-256 of the JSON lines of the n = 7 chainmail catalog, as written by
+# `chainmail enumerate --n 7 --catalog FILE`
+N7_CATALOG_SHA256 = "b0b5453937d00ed7a567b44d6cfe13065050cbc53504eb93ed6309608b87a762"
 
 
 class TestPosetCounts:
@@ -73,6 +81,46 @@ class TestChainmailCounts:
             enumerate_connected_chainmails(9)
         with pytest.raises(GuardExceeded):
             enumerate_connected_chainmails(11, deep=True)
+
+
+def with_top(n: int, rows) -> tuple:
+    top = 1 << n
+    return tuple(r | top for r in rows) + (top,)
+
+
+def completable_classes(corpus, n: int) -> list:
+    """Canonical posets on n elements in which every reduced mail with an
+    upper bound has a least one, in canonical-key order."""
+    return [p for p in corpus[n]
+            if reduced_mail_scan(n, p.up, p.down, allow_unbounded=True) is None]
+
+
+class TestTopAddition:
+    """Connected chainmails on n + 1 elements are completable posets on n
+    elements with a top added, and so are their canonical forms."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_canonical_form_gains_the_top_and_keeps_key_order(self, n, poset_corpus):
+        completable = completable_classes(poset_corpus, n)
+        assert len(completable) == CHAINMAIL_COUNTS[n + 1]
+        keys = []
+        for p in completable:
+            rows = with_top(n, p.up)
+            result = canon.canonicalize(n + 1, rows, FinitePoset(n + 1, rows).down)
+            assert result.relabeled_up == rows
+            keys.append(result.key)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_catalog_is_completable_classes_with_a_top(self, poset_corpus):
+        for n in range(7):
+            catalog = enumerate_connected_chainmails(n + 1, want_catalog=True).catalog
+            assert [p.up for p in catalog] == [with_top(n, p.up)
+                                               for p in completable_classes(poset_corpus, n)]
+
+    def test_n7_catalog_bytes_are_pinned(self):
+        catalog = enumerate_connected_chainmails(7, want_catalog=True).catalog
+        text = "".join(p.to_json_line() + "\n" for p in catalog)
+        assert hashlib.sha256(text.encode()).hexdigest() == N7_CATALOG_SHA256
 
 
 class TestCatalogs:
