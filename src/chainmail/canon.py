@@ -26,14 +26,18 @@ class CanonResult:
     _parent: list = field(default_factory=list, repr=False)
 
     def orbit_of(self, v: int) -> int:
-        p = self._parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
+        return _find(self._parent, v)
 
     def same_orbit(self, a: int, b: int) -> bool:
         return self.orbit_of(a) == self.orbit_of(b)
+
+
+def _find(parent: list, v: int) -> int:
+    """Union-find root of v, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 def _popcount(x: int) -> int:
@@ -81,14 +85,8 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
 
     parent = list(range(n))
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     def union(a, b):
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             if ra > rb:
                 ra, rb = rb, ra

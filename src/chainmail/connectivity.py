@@ -33,8 +33,8 @@ from .poset import (
     FinitePoset,
     bits_of,
     component_masks,
+    first_mail,
     join_mask,
-    least_of_upset,
     mask_of,
     reduced_mail_scan,
     set_of,
@@ -100,32 +100,13 @@ def is_subchainmail_of(p: FinitePoset, members: Iterable[int]) -> bool:
 def _subchainmail_violation(p: FinitePoset, cmask: int) -> Optional[int]:
     """First (lex) antichain in C with a connected lower bound whose join in
     p exists but escapes C, as a bitmask."""
-    n, up, down = p.n, p.up, p.down
-    full = (1 << n) - 1
-    incomp = [full & ~(up[a] | down[a]) for a in range(n)]
+    return first_mail(p.n, p.up, p.down, cmask, cmask, _join_escapes(p.up, cmask))
 
-    def extend(mask: int, lows: int, ubs: int, cand: int) -> Optional[int]:
-        for b in bits_of(cand):
-            newlow = lows & down[b] & cmask
-            if not newlow:
-                continue
-            newmask = mask | (1 << b)
-            newub = ubs & up[b]
-            j = least_of_upset(newub, up)
-            if j is not None and not cmask >> j & 1:
-                return newmask
-            above_b = full & ~((1 << (b + 1)) - 1)
-            hit = extend(newmask, newlow, newub, cand & incomp[b] & above_b)
-            if hit is not None:
-                return hit
-        return None
 
-    for a in bits_of(cmask):
-        above_a = full & ~((1 << (a + 1)) - 1)
-        hit = extend(1 << a, down[a] & cmask, up[a], incomp[a] & above_a & cmask)
-        if hit is not None:
-            return hit
-    return None
+def _join_escapes(up, cmask: int):
+    """``bad`` for :func:`first_mail`: the join exists and lies outside C,
+    that is, the upper bounds are the up-set of an element outside C."""
+    return {row for j, row in enumerate(up) if not cmask >> j & 1}.__contains__
 
 
 def _induced_connected_poset(pair: ConnectivityPair) -> Tuple[FinitePoset, list]:
@@ -214,33 +195,9 @@ def _cl1_violation(pair: ConnectivityPair) -> Optional[int]:
     """First (lex) antichain in C with a lower bound above bottom whose join
     leaves C."""
     lat = pair.lattice
-    n, up, down = lat.n, lat.up, lat.down
-    cmask = pair.cmask
     nonzero = lat.full_mask & ~(1 << lat.bottom())
-    full = lat.full_mask
-    incomp = [full & ~(up[a] | down[a]) for a in range(n)]
-
-    def extend(mask: int, lows: int, cand: int) -> Optional[int]:
-        for b in bits_of(cand):
-            newlow = lows & down[b]
-            if not newlow:
-                continue
-            newmask = mask | (1 << b)
-            j = join_mask(n, up, newmask)
-            if not cmask >> j & 1:
-                return newmask
-            above_b = full & ~((1 << (b + 1)) - 1)
-            hit = extend(newmask, newlow, cand & incomp[b] & above_b)
-            if hit is not None:
-                return hit
-        return None
-
-    for a in bits_of(cmask):
-        above_a = full & ~((1 << (a + 1)) - 1)
-        hit = extend(1 << a, down[a] & nonzero, incomp[a] & above_a & cmask)
-        if hit is not None:
-            return hit
-    return None
+    cmask = pair.cmask
+    return first_mail(lat.n, lat.up, lat.down, cmask, nonzero, _join_escapes(lat.up, cmask))
 
 
 def cl1_prime(pair: ConnectivityPair) -> bool:

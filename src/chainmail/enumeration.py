@@ -256,27 +256,6 @@ def enumerate_connected_chainmails(n: int, want_catalog: bool = False, threads: 
     return EnumerationResult(n, count, catalog, time.perf_counter() - t0)
 
 
-def brute_force_poset_count(n: int) -> int:
-    """Count posets up to isomorphism by filtering every reflexive relation;
-    the independent oracle for the augmentation search (n <= 4 is
-    practical)."""
-    if n == 0:
-        return 1
-    if n > 4:
-        raise GuardExceeded("the brute-force oracle enumerates 2^(n^2-n) relations")
-    keys = set()
-    offdiag = [(a, b) for a in range(n) for b in range(n) if a != b]
-    for pick in range(1 << len(offdiag)):
-        rows = [1 << a for a in range(n)]
-        for i, (a, b) in enumerate(offdiag):
-            if pick >> i & 1:
-                rows[a] |= 1 << b
-        p = FinitePoset(n, tuple(rows))
-        if p.validate() is None:
-            keys.add(p.canonical_key())
-    return len(keys)
-
-
 def enumerate_complete_lattices(max_size: int) -> List[FinitePoset]:
     """Canonical complete lattices with 1..max_size elements, smaller sizes
     first, canonical-key order inside a size."""

@@ -42,7 +42,6 @@ def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
             extend(mask | (1 << b), cand & ~mates[b] & above_b)
 
     extend(0, full)
-    out.sort(key=lambda m: tuple(bits_of(m)))
     return tuple(out)
 
 
@@ -106,13 +105,15 @@ def _require_chainmail(p: FinitePoset) -> None:
         raise PreconditionError("operation requires a chainmail")
 
 
-def _reduced_mail_joins(p: FinitePoset) -> list:
-    """(mask, join) for every reduced mail; joins exist in a chainmail."""
+def _mail_pair_joins(p: FinitePoset) -> list:
+    """(mask, join) for every two-element antichain with a common lower
+    bound; joins exist in a chainmail."""
     out = []
-    for mail in p.reduced_mails():
-        m = mask_of(mail)
-        j = join_mask(p.n, p.up, m)
-        out.append((m, j))
+    for a in range(p.n):
+        for b in range(a + 1, p.n):
+            if p.down[a] & p.down[b] and not p.up[a] >> b & 1 and not p.up[b] >> a & 1:
+                m = (1 << a) | (1 << b)
+                out.append((m, join_mask(p.n, p.up, m)))
     return out
 
 
@@ -122,18 +123,20 @@ def downclosed_subchainmails(p: FinitePoset) -> list:
 
     For a down-closed set the lower bounds of any subset already lie inside
     it, so its mails are exactly the mails of the ambient poset it contains;
-    closure therefore reduces to: every ambient reduced mail inside the set
-    has its join inside the set.
+    closure therefore reduces to: every ambient two-element mail inside the
+    set has its join inside the set.  Larger mails follow by induction: the
+    join j of two members of a mail lies in the set, and swapping them for
+    j leaves the lower bound and the upper bounds unchanged.
     """
     _require_chainmail(p)
     if p.n > 20:
         raise GuardExceeded("down-set enumeration is capped at 2^20 subsets")
-    rms = _reduced_mail_joins(p)
+    pairs = _mail_pair_joins(p)
     out = []
     for x in range(1 << p.n):
         if any(p.down[a] & ~x for a in bits_of(x)):
             continue
-        if any(m & ~x == 0 and not x >> j & 1 for m, j in rms):
+        if any(m & ~x == 0 and not x >> j & 1 for m, j in pairs):
             continue
         out.append(set_of(x))
     out.sort(key=sorted)

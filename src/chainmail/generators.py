@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence
 from .config import DEFAULT_VERTEX_CAP
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .connectivity import ConnectivityPair
-from .poset import FinitePoset, bits_of, mask_of
+from .poset import FinitePoset, bits_of, component_masks, mask_of
 
 
 @dataclass(frozen=True)
@@ -49,20 +49,7 @@ class Graph:
         return adj
 
     def is_connected_set(self, vmask: int) -> bool:
-        if not vmask:
-            return False
-        adj = self.adjacency()
-        start = vmask & -vmask
-        comp = start
-        frontier = start
-        while frontier:
-            grown = 0
-            for v in bits_of(frontier):
-                grown |= adj[v]
-            grown &= vmask & ~comp
-            comp |= grown
-            frontier = grown
-        return comp == vmask
+        return len(component_masks(self.n, self.adjacency(), vmask)) == 1
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import FormatError
 from . import canon
@@ -111,6 +111,84 @@ def meet_mask(n: int, down: Sequence[int], xmask: int) -> Optional[int]:
     return None
 
 
+def first_mail(
+    n: int,
+    up: Sequence[int],
+    down: Sequence[int],
+    members: int,
+    lows: int,
+    bad: Callable[[int], bool],
+) -> Optional[int]:
+    """First antichain S of ``members`` with |S| >= 2, a common lower bound
+    in ``lows`` and ``bad(upper-bound mask of S)``, as a bitmask, or None.
+
+    "First" is lexicographic order of sorted member tuples, a prefix before
+    its extensions.  ``bad`` must be false on ``up[m]`` for every member m.
+
+    Fast exit: no such S exists when every such pair has the upper bounds
+    of a member, or none while ``bad(0)`` is false.  By induction on |S|:
+    if a, b in S have the upper bounds of member m, then m is above their
+    common lower bound, and S with a, b swapped for m has the upper bounds
+    of S; its maximal elements are a smaller antichain of members.
+
+    Lex descent: otherwise the search follows sorted prefixes and enters a
+    child only when ``ahead`` finds a bad mail among its extensions, so it
+    never backtracks.  ``bad`` depends on upper bounds only, and the
+    maximal elements of any extension have the same upper bounds and more
+    lower bounds, so ``ahead`` may add candidates freely: it searches the
+    masks reachable from ``ub`` by intersecting with ``up[t]``, for t among
+    the candidates above one minimal lower bound at a time.  When every
+    reached mask that is not bad is principal or empty (always, for the
+    chainmail tests, and for the join tests on lattices), each search
+    visits at most n + 1 masks.
+    """
+    full = (1 << n) - 1
+    incomp = [full & ~(up[a] | down[a]) for a in range(n)]
+    clean = {up[m] for m in range(n) if members >> m & 1}
+    if not bad(0):
+        clean.add(0)
+    if all(
+        not down[a] & down[b] & lows or up[a] & up[b] in clean
+        for a in bits_of(members)
+        for b in bits_of(members & incomp[a] & ~((2 << a) - 1))
+    ):
+        return None
+
+    def ahead(ub: int, lo: int, cand: int) -> bool:
+        for low in bits_of(lo):
+            if down[low] & lo != 1 << low:
+                continue
+            rows = [up[t] for t in bits_of(cand & up[low])]
+            seen = {ub}
+            stack = [ub]
+            while stack:
+                u = stack.pop()
+                for row in rows:
+                    v = u & row
+                    if v not in seen:
+                        if bad(v):
+                            return True
+                        seen.add(v)
+                        stack.append(v)
+        return False
+
+    mask, lo, ub, cand = 0, lows, full, members
+    while True:
+        for b in bits_of(cand):
+            newlo = lo & down[b]
+            if not newlo:
+                continue
+            newub = ub & up[b]
+            if mask and bad(newub):
+                return mask | 1 << b
+            newcand = cand & incomp[b] & ~((2 << b) - 1)
+            if ahead(newub, newlo, newcand):
+                mask, lo, ub, cand = mask | 1 << b, newlo, newub, newcand
+                break
+        else:
+            return None
+
+
 def reduced_mail_scan(
     n: int,
     up: Sequence[int],
@@ -125,32 +203,13 @@ def reduced_mail_scan(
     enumerator (a future maximal element can still provide the join).
     Returns None when no violating mail exists.
     """
+    principal = set(up)   # an upper-bound set has a least element iff it is a row
+
+    def bad(ub: int) -> bool:
+        return ub not in principal and (ub != 0 or not allow_unbounded)
+
     full = (1 << n) - 1
-    incomp = [full & ~(up[a] | down[a]) for a in range(n)]
-    above = [full & ~((1 << (a + 1)) - 1) for a in range(n)]
-
-    def extend(mask: int, lows: int, ubs: int, cand: int) -> Optional[int]:
-        for b in bits_of(cand):
-            newlow = lows & down[b]
-            if not newlow:
-                continue
-            newmask = mask | (1 << b)
-            newub = ubs & up[b]
-            if newub:
-                if least_of_upset(newub, up) is None:
-                    return newmask
-            elif not allow_unbounded:
-                return newmask
-            hit = extend(newmask, newlow, newub, cand & incomp[b] & above[b])
-            if hit is not None:
-                return hit
-        return None
-
-    for a in range(n):
-        hit = extend(1 << a, down[a], up[a], incomp[a] & above[a])
-        if hit is not None:
-            return hit
-    return None
+    return first_mail(n, up, down, full, full, bad)
 
 
 def component_masks(n: int, adjacency: Sequence[int], within: int) -> list:
@@ -437,18 +496,6 @@ class FinitePoset:
         size one or with a maximum are trivial, and every other mail has the
         same upper bounds as the antichain of its maximal elements."""
         return reduced_mail_scan(self.n, self.up, self.down, allow_unbounded=False) is None
-
-    def is_chainmail_bruteforce(self) -> bool:
-        """Oracle variant: check every non-empty subset that is a mail.
-        Exponential; for tests on small posets."""
-        for m in range(1, 1 << self.n):
-            lb = ub = self.full_mask
-            for x in bits_of(m):
-                lb &= self.down[x]
-                ub &= self.up[x]
-            if lb and least_of_upset(ub, self.up) is None:
-                return False
-        return True
 
     def is_complete_lattice(self) -> bool:
         """Every subset has a join.  For a finite poset this reduces to a

@@ -121,6 +121,60 @@ def oracle_every_upset_complete(p: FinitePoset) -> bool:
     return True
 
 
+def lex_subsets(elems):
+    """Every non-empty subset of the sorted list ``elems`` as a tuple, in
+    lexicographic order (a prefix before its extensions)."""
+    def extend(prefix, start):
+        for i in range(start, len(elems)):
+            t = prefix + (elems[i],)
+            yield t
+            yield from extend(t, i + 1)
+    return extend((), 0)
+
+
+def oracle_first_mail(p: FinitePoset, members: int, lows: int, bad):
+    """The first antichain of ``members`` (lexicographic order) with at
+    least two elements, a common lower bound in ``lows`` and
+    ``bad(upper-bound mask)``, as a bitmask; None when there is none.
+    Scans every subset."""
+    for s in lex_subsets([x for x in range(p.n) if members >> x & 1]):
+        if len(s) < 2 or any(p.leq(a, b) for a in s for b in s if a != b):
+            continue
+        lb = ub = p.full_mask
+        for x in s:
+            lb &= p.down[x]
+            ub &= p.up[x]
+        if lb & lows and bad(ub):
+            return sum(1 << x for x in s)
+    return None
+
+
+def oracle_least(p: FinitePoset, mask: int):
+    """The least element of the set ``mask``, or None."""
+    for u in range(p.n):
+        if mask >> u & 1 and all(p.leq(u, v) for v in range(p.n) if mask >> v & 1):
+            return u
+    return None
+
+
+def brute_force_poset_count(n: int) -> int:
+    """Count posets up to isomorphism by filtering every reflexive relation
+    (2^(n^2-n) of them; n <= 4 is practical)."""
+    if n == 0:
+        return 1
+    keys = set()
+    offdiag = [(a, b) for a in range(n) for b in range(n) if a != b]
+    for pick in range(1 << len(offdiag)):
+        rows = [1 << a for a in range(n)]
+        for i, (a, b) in enumerate(offdiag):
+            if pick >> i & 1:
+                rows[a] |= 1 << b
+        p = FinitePoset(n, tuple(rows))
+        if p.validate() is None:
+            keys.add(p.canonical_key())
+    return len(keys)
+
+
 def relabel(p: FinitePoset, perm) -> FinitePoset:
     rows = [0] * p.n
     for a in range(p.n):

@@ -224,12 +224,31 @@ class TestByteStability:
         assert first[1] == second[1]
 
 
+def _module_env() -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainmail.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestModuleEntry:
     def test_python_dash_m_prints_usage(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(chainmail.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         done = subprocess.run([sys.executable, "-m", "chainmail", "--help"],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=_module_env(), timeout=60)
         assert done.returncode == 0
         assert done.stdout.startswith("usage: chainmail")
+
+    def test_closed_stdout_exits_1_with_one_error_line(self):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "chainmail", "fixtures"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=_module_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "BrokenPipeError" not in done.stderr
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")

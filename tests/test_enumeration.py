@@ -9,7 +9,6 @@ import pytest
 from chainmail import canon
 
 from chainmail.enumeration import (
-    brute_force_poset_count,
     enumerate_complete_lattices,
     enumerate_connected_chainmails,
     enumerate_connectivity_pairs,
@@ -18,6 +17,8 @@ from chainmail.enumeration import (
 from chainmail.errors import GuardExceeded
 from chainmail.generators import forest_poset_check
 from chainmail.poset import FinitePoset, reduced_mail_scan
+
+from conftest import brute_force_poset_count
 
 POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 CHAINMAIL_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 303}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from chainmail.connectivity import absolutely_connected_elements, classify
@@ -17,9 +19,9 @@ from chainmail.exterior import (
     tmd_to_downset,
 )
 from chainmail.generators import named_fixture
-from chainmail.poset import FinitePoset
+from chainmail.poset import FinitePoset, bits_of
 
-from conftest import subsets
+from conftest import relabel, subsets
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,14 @@ class TestExterior:
                 fam = exterior(p)
                 assert set(fam.sets) == tmd_family_oracle(p)
                 assert fam.order.validate() is None
+
+    def test_tmd_masks_come_in_lex_order(self, poset_corpus):
+        rng = random.Random(3)
+        for posets in poset_corpus.values():
+            for p in posets:
+                for q in (p, relabel(p, rng.sample(range(p.n), p.n))):
+                    masks = tmd_set_masks(q)
+                    assert list(masks) == sorted(masks, key=lambda m: tuple(bits_of(m)))
 
     def test_singleton_base(self):
         fam = exterior(FinitePoset(1, (1,)))

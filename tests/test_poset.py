@@ -11,6 +11,7 @@ from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset
 
 from conftest import (
+    oracle_is_chainmail_all_mails,
     oracle_is_mail_connected,
     oracle_join,
     oracle_meet,
@@ -176,7 +177,7 @@ class TestReducedMails:
 class TestChainmail:
     def test_exa_a_is_chainmail(self, exa_a):
         assert exa_a.is_chainmail()
-        assert exa_a.is_chainmail_bruteforce()
+        assert oracle_is_chainmail_all_mails(exa_a)
 
     def test_two_minimal_upper_bounds_break_it(self):
         p = FinitePoset.from_cover_pairs(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
