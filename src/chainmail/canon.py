@@ -40,10 +40,6 @@ def _find(parent: list, v: int) -> int:
     return v
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list) -> list:
     """Equitable refinement of an ordered partition; split fragments are
     ordered by signature, which keeps the result isomorphism-invariant."""
@@ -65,7 +61,7 @@ def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list) -> list
                 dv = down[v]
                 uv = up[v]
                 sig = tuple(
-                    (_popcount(dv & m), _popcount(uv & m)) for m in masks
+                    ((dv & m).bit_count(), (uv & m).bit_count()) for m in masks
                 )
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:

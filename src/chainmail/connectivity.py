@@ -24,17 +24,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Union
 
-from .config import DEFAULT_MAX_TMD_SETS
 from .errors import GuardExceeded, PreconditionError
-from .exterior import tmd_set_masks
+from .exterior import dominated_mask, tmd_masks
 from .poset import (
     FinitePoset,
     bits_of,
     component_masks,
     first_mail,
     join_mask,
+    least_of_upset,
+    mail_mates,
     mask_of,
     reduced_mail_scan,
     set_of,
@@ -109,31 +110,27 @@ def _join_escapes(up, cmask: int):
     return {row for j, row in enumerate(up) if not cmask >> j & 1}.__contains__
 
 
-def _induced_connected_poset(pair: ConnectivityPair) -> Tuple[FinitePoset, list]:
-    elems = sorted(pair.connected)
-    return FinitePoset.induced(pair.lattice, elems), elems
+def _tmd_family(lat: FinitePoset, within: int) -> tuple:
+    """(masks, joins): the subsets of ``within`` in which no two members
+    share a lower bound inside ``within``, as ambient bitmasks in
+    lexicographic order, with their joins in ``lat``."""
+    masks = tmd_masks(mail_mates(lat.n, lat.down, within), within)
+    return masks, tuple(join_mask(lat.n, lat.up, m) for m in masks)
 
 
 @lru_cache(maxsize=None)
-def _dc_family(pair: ConnectivityPair, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
-    """D(C) as ambient bitmasks, deterministic order.
+def _dc_family(pair: ConnectivityPair) -> tuple:
+    """D(C) and its joins, as :func:`_tmd_family` returns them.
 
     TMD is taken inside the induced order on C: two connected elements are
     mail-mates only via a *connected* common lower bound.
     """
-    induced, elems = _induced_connected_poset(pair)
-    out = []
-    for m in tmd_set_masks(induced, limit):
-        amb = 0
-        for i in bits_of(m):
-            amb |= 1 << elems[i]
-        out.append(amb)
-    return tuple(out)
+    return _tmd_family(pair.lattice, pair.cmask)
 
 
 def dc_sets(pair: ConnectivityPair) -> list:
     """D(C) as frozensets of ambient elements."""
-    return [set_of(m) for m in _dc_family(pair)]
+    return [set_of(m) for m in _dc_family(pair)[0]]
 
 
 def _right_adjoint_table(pair: ConnectivityPair):
@@ -147,14 +144,8 @@ def _right_adjoint_table(pair: ConnectivityPair):
     honest.
     """
     lat = pair.lattice
-    fam = _dc_family(pair)
-    joins = [join_mask(lat.n, lat.up, m) for m in fam]
-    doms = []
-    for m in fam:
-        d = 0
-        for a in bits_of(m):
-            d |= lat.down[a]
-        doms.append(d)
+    fam, joins = _dc_family(pair)
+    doms = [dominated_mask(lat, m) for m in fam]
     table = []
     for x in range(lat.n):
         maxima: list = []
@@ -217,7 +208,7 @@ def _cl1_prime_violation(pair: ConnectivityPair) -> Optional[tuple]:
             slice_mask = cmask & lat.up[x] & lat.down[y]
             if not slice_mask:
                 continue
-            if not any(slice_mask & ~lat.down[c] == 0 for c in bits_of(slice_mask)):
+            if least_of_upset(slice_mask, lat.down) is None:
                 return (x, y)
     return None
 
@@ -257,9 +248,7 @@ def cl3(pair: ConnectivityPair) -> bool:
 
 
 def _cl3_violation(pair: ConnectivityPair) -> Optional[frozenset]:
-    lat = pair.lattice
-    for m in _dc_family(pair):
-        j = join_mask(lat.n, lat.up, m)
+    for m, j in zip(*_dc_family(pair)):
         if mask_of(components(pair, j)) != m:
             return set_of(m)
     return None
@@ -279,18 +268,10 @@ def is_absolute(pair: ConnectivityPair) -> bool:
 
 def _absolute_raw(pair: ConnectivityPair) -> bool:
     lat = pair.lattice
-    fam = _dc_family(pair)
-    if len(fam) != lat.n:
+    fam, joins = _dc_family(pair)
+    if len(fam) != lat.n or len(set(joins)) != lat.n:
         return False
-    joins = [join_mask(lat.n, lat.up, m) for m in fam]
-    if len(set(joins)) != lat.n:
-        return False
-    doms = []
-    for m in fam:
-        d = 0
-        for a in bits_of(m):
-            d |= lat.down[a]
-        doms.append(d)
+    doms = [dominated_mask(lat, m) for m in fam]
     for i in range(len(fam)):
         for j in range(len(fam)):
             if (fam[i] & ~doms[j] == 0) != bool(lat.up[joins[i]] >> joins[j] & 1):
@@ -313,39 +294,12 @@ def _lattice_of(pair_or_lattice: Union[ConnectivityPair, FinitePoset]) -> Finite
     return pair_or_lattice
 
 
-@lru_cache(maxsize=None)
-def _disjoint_families(lat: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
-    """TMD subsets of L+ (pairwise meets equal bottom), with their joins.
-
-    Returns (masks, joins).  Shared by e3/e4 and the frame checks; cached
-    per lattice because many predicates walk the same family.
-    """
+def _disjoint_families(lat: FinitePoset) -> tuple:
+    """TMD subsets of L+ (pairwise meets equal bottom), with their joins,
+    as :func:`_tmd_family` returns them."""
     if not lat.is_complete_lattice():
         raise PreconditionError("E conditions are defined over complete lattices")
-    n = lat.n
-    bot = lat.bottom()
-    botbit = 1 << bot
-    compat = []
-    for a in range(n):
-        m = 0
-        for b in range(n):
-            if a != b and b != bot and lat.down[a] & lat.down[b] == botbit:
-                m |= 1 << b
-        compat.append(m)
-    full = lat.full_mask & ~botbit
-    out = [0]
-
-    def extend(mask: int, cand: int) -> None:
-        for b in bits_of(cand):
-            out.append(mask | (1 << b))
-            if len(out) > limit:
-                raise GuardExceeded("disjoint-family enumeration exceeded its cap")
-            above_b = lat.full_mask & ~((1 << (b + 1)) - 1)
-            extend(mask | (1 << b), cand & compat[b] & above_b)
-
-    extend(0, full)
-    joins = tuple(join_mask(n, lat.up, m) for m in out)
-    return tuple(out), joins
+    return _tmd_family(lat, lat.full_mask & ~(1 << lat.bottom()))
 
 
 def e1(pair_or_lattice, a: int) -> bool:
@@ -383,29 +337,35 @@ def e2(pair_or_lattice, a: int) -> bool:
 
 def e3(pair_or_lattice, a: int) -> bool:
     """a is the join of a TMD subset of L+ only when a belongs to it."""
-    lat = _lattice_of(pair_or_lattice)
-    masks, joins = _disjoint_families(lat)
-    for m, j in zip(masks, joins):
-        if j == a and not m >> a & 1:
-            return False
-    return True
+    return a in _e3_elements(_lattice_of(pair_or_lattice))
+
+
+def _e3_elements(lat: FinitePoset) -> frozenset:
+    """The elements satisfying E3, from one L+ family: a fails when a TMD
+    subset of L+ without a has join a."""
+    fails = 0
+    for m, j in zip(*_disjoint_families(lat)):
+        if not m >> j & 1:
+            fails |= 1 << j
+    return set_of(lat.full_mask & ~fails)
 
 
 def e4(pair_or_lattice, a: int) -> bool:
     """a below the join of a TMD subset of L+ is below one of its members;
     the absolutely connected elements are those satisfying this."""
-    lat = _lattice_of(pair_or_lattice)
-    masks, joins = _disjoint_families(lat)
-    ua = lat.up[a]
-    for m, j in zip(masks, joins):
-        if ua >> j & 1 and not m & ua:
-            return False
-    return True
+    return a in absolutely_connected_elements(_lattice_of(pair_or_lattice))
 
 
 @lru_cache(maxsize=None)
 def absolutely_connected_elements(lat: FinitePoset) -> frozenset:
-    return frozenset(a for a in range(lat.n) if e4(lat, a))
+    """The elements satisfying E4, each tested against one L+ family."""
+    masks, joins = _disjoint_families(lat)
+    out = []
+    for a in range(lat.n):
+        ua = lat.up[a]
+        if not any(ua >> j & 1 and not m & ua for m, j in zip(masks, joins)):
+            out.append(a)
+    return frozenset(out)
 
 
 def frame_equivalence_check(lat: FinitePoset) -> bool:
@@ -413,8 +373,10 @@ def frame_equivalence_check(lat: FinitePoset) -> bool:
     agree pointwise; this evaluates all four independently and compares."""
     if not lat.is_distributive():
         raise PreconditionError("frame equivalence is asserted for distributive lattices only")
+    e3_set = _e3_elements(lat)
+    e4_set = absolutely_connected_elements(lat)
     for a in range(lat.n):
-        verdicts = {e1(lat, a), e2(lat, a), e3(lat, a), e4(lat, a)}
+        verdicts = {e1(lat, a), e2(lat, a), a in e3_set, a in e4_set}
         if len(verdicts) != 1:
             return False
     return True
@@ -478,7 +440,8 @@ class TaxonomyReport:
 
 def _preconnectivity_violation(pair: ConnectivityPair) -> Optional[frozenset]:
     """First induced mail of C with no join inside the induced order."""
-    induced, elems = _induced_connected_poset(pair)
+    elems = sorted(pair.connected)
+    induced = FinitePoset.induced(pair.lattice, elems)
     hit = reduced_mail_scan(induced.n, induced.up, induced.down, allow_unbounded=False)
     if hit is None:
         return None
@@ -551,9 +514,7 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
         right_inverse = all(
             join_mask(lat.n, lat.up, table[x]) == x for x in range(lat.n)
         )
-        left_inverse = all(
-            table[join_mask(lat.n, lat.up, m)] == m for m in _dc_family(pair)
-        )
+        left_inverse = all(table[j] == m for m, j in zip(*_dc_family(pair)))
         adjoint_view = {
             "right_adjoint_preserves_bottom": preserves_bottom,
             "right_adjoint_reflects_bottom": reflects_bottom,
@@ -653,8 +614,12 @@ def is_orthogonal(p: FinitePoset, c: int, x: int, sink_members: Iterable[int]) -
     bmask = mask_of(sink_members)
     if bmask & ~p.down[x]:
         raise PreconditionError("sink members must lie below the sink vertex")
-    below_count = bin(p.up[c] & bmask).count("1")
-    return (p.up[c] >> x & 1) == (below_count == 1)
+    return _orthogonal(p, c, x, bmask)
+
+
+def _orthogonal(p: FinitePoset, c: int, x: int, bmask: int) -> bool:
+    """c <= x exactly when c is below a unique member of ``bmask``."""
+    return (p.up[c] >> x & 1) == ((p.up[c] & bmask).bit_count() == 1)
 
 
 def is_multicoreflective(p: FinitePoset, members: Iterable[int]) -> bool:
@@ -668,10 +633,8 @@ def is_multicoreflective(p: FinitePoset, members: Iterable[int]) -> bool:
         below = cmask & p.down[x]
         b = [c for c in bits_of(below) if p.up[c] & below & ~(1 << c) == 0]
         bmask = mask_of(b)
-        for c in bits_of(cmask):
-            below_count = bin(p.up[c] & bmask).count("1")
-            if (p.up[c] >> x & 1) != (below_count == 1):
-                return False
+        if not all(_orthogonal(p, c, x, bmask) for c in bits_of(cmask)):
+            return False
     return True
 
 
@@ -739,7 +702,7 @@ def borger_implication_check(p: FinitePoset, members: Iterable[int]) -> SinkClos
     cond_i = is_multicoreflective(p, members)
 
     # sinks orthogonal to every element of C
-    total = sum(1 << bin(p.down[x]).count("1") for x in range(p.n))
+    total = sum(1 << p.down[x].bit_count() for x in range(p.n))
     if total > (1 << 20):
         raise GuardExceeded("too many sinks for the orthogonality-closure check")
     good_sinks = []
@@ -750,22 +713,13 @@ def borger_implication_check(p: FinitePoset, members: Iterable[int]) -> SinkClos
             for i, e in enumerate(below):
                 if pick >> i & 1:
                     bmask |= 1 << e
-            ok = True
-            for c in bits_of(cmask):
-                if (p.up[c] >> x & 1) != (bin(p.up[c] & bmask).count("1") == 1):
-                    ok = False
-                    break
-            if ok:
+            if all(_orthogonal(p, c, x, bmask) for c in bits_of(cmask)):
                 good_sinks.append((x, bmask))
     cond_ii = True
     for a in range(p.n):
         if cmask >> a & 1:
             continue
-        orthogonal_to_all = all(
-            (p.up[a] >> x & 1) == (bin(p.up[a] & bmask).count("1") == 1)
-            for x, bmask in good_sinks
-        )
-        if orthogonal_to_all:
+        if all(_orthogonal(p, a, x, bmask) for x, bmask in good_sinks):
             cond_ii = False
             break
 

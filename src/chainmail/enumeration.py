@@ -61,7 +61,7 @@ from .config import (
 )
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
-from .poset import FinitePoset, bits_of, reduced_mail_scan, transpose
+from .poset import FinitePoset, bits_of, downset_masks, reduced_mail_scan, transpose
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,6 @@ class EnumerationResult:
 # ---------------------------------------------------------------------------
 # search primitives
 # ---------------------------------------------------------------------------
-
-def _downclosed_masks(n: int, down: Sequence[int]) -> List[int]:
-    out = []
-    for m in range(1 << n):
-        ok = True
-        mm = m
-        while mm:
-            low = mm & -mm
-            if down[low.bit_length() - 1] & ~m:
-                ok = False
-                break
-            mm ^= low
-        if ok:
-            out.append(m)
-    return out
-
 
 def _is_completable(n: int, up: Sequence[int], down: Sequence[int]) -> bool:
     return reduced_mail_scan(n, up, down, allow_unbounded=True) is None
@@ -120,7 +104,7 @@ def _children(k: int, up: Tuple[int, ...], completable: bool):
     k1 = k + 1
     newbit = 1 << k
     seen = set()
-    for dmask in _downclosed_masks(k, down):
+    for dmask in downset_masks(k, down):
         up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
         down1 = _down_of_child(k, down, dmask)
         if completable and not _is_completable(k1, up1, down1):

@@ -15,20 +15,18 @@ from typing import Iterable, Sequence
 
 from .config import DEFAULT_MAX_TMD_SETS
 from .errors import GuardExceeded, PreconditionError
-from .poset import FinitePoset, bits_of, join_mask, mask_of, set_of
+from .poset import FinitePoset, bits_of, downset_masks, join_mask, mask_of, set_of
 
 
-@lru_cache(maxsize=None)
-def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
-    """All totally mail-disconnected subsets of p as bitmasks, in
-    lexicographic order of sorted member tuples (the empty set first).
+def tmd_masks(mates: Sequence[int], within: int, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
+    """Every subset of ``within`` with no member in another member's
+    ``mates`` row, as bitmasks in lexicographic order of sorted member
+    tuples (the empty set first).
 
-    The search only ever extends a TMD set by a larger element that shares
-    no lower bound with any member, so no non-TMD set is visited.
+    The search only ever extends such a set by a larger element outside
+    the mates of its newest member, so no other set is visited.  With mail
+    mates as rows these are the totally mail-disconnected sets.
     """
-    n = p.n
-    mates = p.mail_mates
-    full = p.full_mask
     out = [0]
 
     def extend(mask: int, cand: int) -> None:
@@ -38,11 +36,16 @@ def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
                 raise GuardExceeded(
                     f"TMD family exceeds {limit} sets; raise the limit explicitly"
                 )
-            above_b = full & ~((1 << (b + 1)) - 1)
-            extend(mask | (1 << b), cand & ~mates[b] & above_b)
+            extend(mask | (1 << b), cand & ~mates[b] & ~((2 << b) - 1))
 
-    extend(0, full)
+    extend(0, within)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
+    """All totally mail-disconnected subsets of p, as :func:`tmd_masks`."""
+    return tmd_masks(p.mail_mates, p.full_mask, limit)
 
 
 def dominated_mask(p: FinitePoset, members_mask: int) -> int:
@@ -133,9 +136,7 @@ def downclosed_subchainmails(p: FinitePoset) -> list:
         raise GuardExceeded("down-set enumeration is capped at 2^20 subsets")
     pairs = _mail_pair_joins(p)
     out = []
-    for x in range(1 << p.n):
-        if any(p.down[a] & ~x for a in bits_of(x)):
-            continue
+    for x in downset_masks(p.n, p.down):
         if any(m & ~x == 0 and not x >> j & 1 for m, j in pairs):
             continue
         out.append(set_of(x))

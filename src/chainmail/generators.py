@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence
 from .config import DEFAULT_VERTEX_CAP
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .connectivity import ConnectivityPair
-from .poset import FinitePoset, bits_of, component_masks, mask_of
+from .poset import FinitePoset, bits_of, component_masks, downset_masks, mask_of
 
 
 @dataclass(frozen=True)
@@ -73,30 +73,16 @@ class Hypergraph:
     def is_connected_set(self, vmask: int) -> bool:
         """Non-empty, and one chain-component of the hyperedges inside the
         set covers all of it.  Chains are sequences of hyperedges lying in
-        the set in which consecutive edges intersect."""
-        if not vmask:
-            return False
-        inside = [mask_of(e) for e in self.hyperedges if mask_of(e) & ~vmask == 0]
-        if not inside:
-            return False
-        k = len(inside)
-        parent = list(range(k))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(k):
-            for j in range(i + 1, k):
-                if inside[i] & inside[j]:
-                    parent[find(i)] = find(j)
-        unions: Dict[int, int] = {}
-        for i in range(k):
-            r = find(i)
-            unions[r] = unions.get(r, 0) | inside[i]
-        return any(u & ~vmask == 0 and vmask & ~u == 0 for u in unions.values())
+        the set in which consecutive edges intersect; so the set is
+        connected when those hyperedges cover it and link its vertices."""
+        adjacency = [0] * self.n
+        covered = 0
+        for e in map(mask_of, self.hyperedges):
+            if e & ~vmask == 0:
+                covered |= e
+                for v in bits_of(e):
+                    adjacency[v] |= e
+        return covered == vmask != 0 and len(component_masks(self.n, adjacency, vmask)) == 1
 
 
 def _check_cap(vertices: int, cap: int) -> None:
@@ -135,7 +121,7 @@ def is_k_connected_set(g: Graph, vmask: int, k: int) -> bool:
         return False
     members = list(bits_of(vmask))
     for pick in range(1, 1 << len(members)):
-        if bin(pick).count("1") > k - 1:
+        if pick.bit_count() > k - 1:
             continue
         removed = 0
         for i, v in enumerate(members):
@@ -241,11 +227,8 @@ def downset_lattice_pair(p: FinitePoset) -> ConnectivityPair:
     connectivity, hence absolute."""
     if p.n > 20:
         raise GuardExceeded("down-set lattice construction is capped at 2^20 subsets")
-    downsets = []
-    for x in range(1 << p.n):
-        if all(p.down[a] & ~x == 0 for a in bits_of(x)):
-            downsets.append(x)
-    downsets.sort(key=lambda m: (bin(m).count("1"), tuple(bits_of(m))))
+    downsets = downset_masks(p.n, p.down)
+    downsets.sort(key=lambda m: (m.bit_count(), tuple(bits_of(m))))
     index = {m: i for i, m in enumerate(downsets)}
     k = len(downsets)
     rows = []
@@ -363,7 +346,7 @@ _register("exaI", lambda: topology_pair(2, [[], [0], [0, 1]]), "two-point topolo
 _register("sierpinski", lambda: topology_pair(2, [[], [0], [0, 1]]), "alias of exaI")
 _register("exaJ", lambda: k_connectivity_pair(_two_diamond_graph(), 2, cap=7), "2-connected sets of two diamonds glued at a vertex")
 _register("exaK", lambda: downset_lattice_pair(_exa_g_forest()), "down-set lattice of a forest with principal down-sets as connectivity")
-_register("exaM", lambda: ConnectivityPair(FinitePoset.powerset_lattice(3), frozenset(m for m in range(8) if bin(m & ~1).count("1") == 1)), "sets whose part outside a fixed subset is a singleton")
+_register("exaM", lambda: ConnectivityPair(FinitePoset.powerset_lattice(3), frozenset(m for m in range(8) if (m & ~1).bit_count() == 1)), "sets whose part outside a fixed subset is a singleton")
 _register("exaN", _exa_n_pair, "chainmail inside a lattice that is not a subchainmail of it")
 _register("exaT", lambda: ConnectivityPair(divisor_lattice(360), prime_power_divisor_indices(360)), "divisors of 360 under divisibility with prime powers as connectivity")
 _register("exaU", lambda: ConnectivityPair(FinitePoset.powerset_lattice(3), frozenset({1, 2, 4})), "Boolean lattice with its atoms as connectivity")

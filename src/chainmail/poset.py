@@ -76,16 +76,13 @@ def transpose(n: int, rows: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def least_of_upset(mask: int, up: Sequence[int]) -> Optional[int]:
-    """Least element of an up-closed set ``mask``, or None.
-
-    An up-closed set has a least element iff it has exactly one minimal
-    element, which is then below everything in the set.
+def least_of_upset(mask: int, rows: Sequence[int]) -> Optional[int]:
+    """Least element of ``mask`` under ``rows``, or None: the member whose
+    row holds all of ``mask``.  Under the up-rows this is the least element,
+    under the down-rows the greatest.
     """
-    if not mask:
-        return None
     for u in bits_of(mask):
-        if mask & ~up[u] == 0:
+        if mask & ~rows[u] == 0:
             return u
     return None
 
@@ -105,10 +102,31 @@ def meet_mask(n: int, down: Sequence[int], xmask: int) -> Optional[int]:
         lb &= down[x]
         if not lb:
             return None
-    for u in sorted(bits_of(lb), reverse=True):
-        if lb & ~down[u] == 0:
-            return u
-    return None
+    return least_of_upset(lb, down)
+
+
+def mail_mates(n: int, down: Sequence[int], lows: int) -> tuple:
+    """Row a: the b such that a and b share a lower bound in ``lows``."""
+    return tuple(
+        mask_of(b for b in range(n) if down[a] & down[b] & lows) for a in range(n)
+    )
+
+
+def downset_masks(n: int, down: Sequence[int]) -> list:
+    """Every down-closed subset of ``0..n-1`` as a bitmask, ascending."""
+    out = []
+    for m in range(1 << n):
+        ok = True
+        mm = m
+        while mm:
+            low = mm & -mm
+            if down[low.bit_length() - 1] & ~m:
+                ok = False
+                break
+            mm ^= low
+        if ok:
+            out.append(m)
+    return out
 
 
 def first_mail(
@@ -335,11 +353,7 @@ class FinitePoset:
     @cached_property
     def mail_mates(self) -> tuple:
         """mail_mates[a] = bitmask of b such that {a, b} is a mail."""
-        down = self.down
-        return tuple(
-            mask_of(b for b in range(self.n) if down[a] & down[b])
-            for a in range(self.n)
-        )
+        return mail_mates(self.n, self.down, self.full_mask)
 
     @cached_property
     def covers(self) -> tuple:
@@ -416,12 +430,7 @@ class FinitePoset:
         return join_mask(self.n, self.up, 0)
 
     def top(self) -> Optional[int]:
-        if self.n == 0:
-            return None
-        for a in range(self.n):
-            if self.up[a] == 1 << a and self.down[a] == self.full_mask:
-                return a
-        return None
+        return least_of_upset(self.full_mask, self.down)
 
     def maximal_elements(self, within: Optional[Iterable[int]] = None) -> frozenset:
         w = self.full_mask if within is None else mask_of(within)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from chainmail.poset import FinitePoset
+from chainmail.exterior import tmd_set_masks
+from chainmail.poset import FinitePoset, bits_of, mask_of
 from chainmail.enumeration import enumerate_posets
 
 
@@ -155,6 +156,58 @@ def oracle_least(p: FinitePoset, mask: int):
         if mask >> u & 1 and all(p.leq(u, v) for v in range(p.n) if mask >> v & 1):
             return u
     return None
+
+
+def oracle_hypergraph_connected(h, vmask: int) -> bool:
+    """Chain-cover definition of a connected vertex set: non-empty, and one
+    chain-component of the hyperedges inside the set (edges linked when
+    they intersect, joined by union-find) has the set as its union."""
+    if not vmask:
+        return False
+    inside = [mask_of(e) for e in h.hyperedges if mask_of(e) & ~vmask == 0]
+    parent = list(range(len(inside)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(inside)):
+        for j in range(i + 1, len(inside)):
+            if inside[i] & inside[j]:
+                parent[find(i)] = find(j)
+    unions = {}
+    for i, e in enumerate(inside):
+        unions[find(i)] = unions.get(find(i), 0) | e
+    return vmask in unions.values()
+
+
+def oracle_dc_family(pair) -> tuple:
+    """D(C) by the induced route: the TMD sets of the subposet on C, mapped
+    back to the lattice's indices, in order."""
+    elems = sorted(pair.connected)
+    induced = FinitePoset.induced(pair.lattice, elems)
+    return tuple(mask_of(elems[i] for i in bits_of(m)) for m in tmd_set_masks(induced))
+
+
+def oracle_l_plus_families(lat: FinitePoset) -> list:
+    """(members, join) for every subset of L+ whose members pairwise meet
+    in the bottom, by a scan of every subset."""
+    bot = lat.bottom()
+    return [
+        (members, oracle_join(lat, members)) for members in subsets(lat.n)
+        if bot not in members
+        and all(oracle_meet(lat, [x, y]) == bot for x in members for y in members if x != y)
+    ]
+
+
+def oracle_absolutely_connected(lat: FinitePoset) -> frozenset:
+    """E4: a below the join of an L+ family is below one of its members."""
+    families = oracle_l_plus_families(lat)
+    return frozenset(
+        a for a in range(lat.n)
+        if all(any(lat.leq(a, x) for x in members) for members, j in families if lat.leq(a, j))
+    )
 
 
 def brute_force_poset_count(n: int) -> int:

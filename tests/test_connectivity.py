@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import pytest
 
+from chainmail import connectivity
 from chainmail.connectivity import (
     ConnectivityPair,
+    _dc_family,
+    _disjoint_families,
     absolutely_connected_elements,
     borger_implication_check,
     cl0,
@@ -41,7 +44,15 @@ from chainmail.generators import (
     named_fixture,
     topology_pair,
 )
-from chainmail.poset import FinitePoset
+from chainmail.enumeration import enumerate_complete_lattices, enumerate_connectivity_pairs
+from chainmail.poset import FinitePoset, bits_of
+
+from conftest import (
+    oracle_absolutely_connected,
+    oracle_dc_family,
+    oracle_join,
+    oracle_l_plus_families,
+)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +229,46 @@ class TestEConditions:
     def test_accepts_pair_argument(self):
         pair = named_fixture("exaU")
         assert e4(pair, 1)
+
+
+class TestTmdFamilies:
+    def test_dc_family_matches_the_induced_route(self):
+        count = 0
+        for pair in enumerate_connectivity_pairs(6):
+            masks, joins = _dc_family(pair)
+            assert masks == oracle_dc_family(pair)
+            assert joins == tuple(oracle_join(pair.lattice, list(bits_of(m))) for m in masks)
+            count += 1
+        assert count == 1166
+
+    def test_l_plus_family_is_the_dc_family_of_l_plus(self):
+        for lat in enumerate_complete_lattices(6):
+            l_plus = frozenset(range(lat.n)) - {lat.bottom()}
+            assert _disjoint_families(lat) == _dc_family(ConnectivityPair(lat, l_plus))
+
+    def test_e3_e4_match_the_subset_scan(self):
+        for lat in enumerate_complete_lattices(6):
+            assert absolutely_connected_elements(lat) == oracle_absolutely_connected(lat)
+            assert {a for a in range(lat.n) if e4(lat, a)} == oracle_absolutely_connected(lat)
+            families = oracle_l_plus_families(lat)
+            e3_set = {a for a in range(lat.n) if all(a in members for members, j in families if j == a)}
+            assert {a for a in range(lat.n) if e3(lat, a)} == e3_set
+
+    def test_l_plus_family_is_built_once(self, ps3, monkeypatch):
+        built = []
+        real = connectivity._tmd_family
+
+        def counting(lat, within):
+            built.append(within)
+            return real(lat, within)
+
+        monkeypatch.setattr(connectivity, "_tmd_family", counting)
+        assert absolutely_connected_elements.__wrapped__(ps3) == {1, 2, 4}
+        assert built == [ps3.full_mask & ~1]
+
+    def test_e3_e4_outside_the_lattice_are_false(self, ps3):
+        for a in (ps3.n, -1):
+            assert not e3(ps3, a) and not e4(ps3, a)
 
 
 class TestFrameEquivalence:

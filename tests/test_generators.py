@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,8 @@ from chainmail.generators import (
     topology_pair,
 )
 from chainmail.poset import FinitePoset
+
+from conftest import oracle_hypergraph_connected
 
 
 def brute_connected(g: Graph, members) -> bool:
@@ -101,6 +104,20 @@ class TestHypergraphPairs:
     def test_no_hyperedges(self):
         pair = hypergraph_connectivity_pair(Hypergraph(2, ()))
         assert pair.connected == frozenset()
+
+    def test_connected_sets_match_chain_cover_oracle(self):
+        rng = random.Random(7)
+        cases = 0
+        for _ in range(400):
+            n = rng.randint(0, 6)
+            density = rng.random()
+            edges = [[v for v in range(n) if rng.random() < density]
+                     for _ in range(rng.randint(0, 6))]
+            h = Hypergraph(n, tuple(map(tuple, edges)))
+            for vmask in range(1 << n):
+                assert h.is_connected_set(vmask) == oracle_hypergraph_connected(h, vmask), (h, vmask)
+                cases += 1
+        assert cases > 5000
 
     def test_typical_on_sample_hypergraphs(self):
         samples = [

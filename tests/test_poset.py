@@ -8,12 +8,13 @@ import pytest
 
 from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import named_fixture
-from chainmail.poset import FinitePoset
+from chainmail.poset import FinitePoset, downset_masks, mail_mates, mask_of
 
 from conftest import (
     oracle_is_chainmail_all_mails,
     oracle_is_mail_connected,
     oracle_join,
+    oracle_lower_bounds,
     oracle_meet,
     subsets,
 )
@@ -84,6 +85,34 @@ class TestBounds:
                     assert p.join(members) == oracle_join(p, members)
                     if members:
                         assert p.meet(members) == oracle_meet(p, members)
+
+
+class TestHelpers:
+    def test_mail_mates_share_a_lower_bound_in_lows(self, small_poset_corpus):
+        for posets in small_poset_corpus.values():
+            for p in posets:
+                for lows in range(1 << p.n):
+                    rows = mail_mates(p.n, p.down, lows)
+                    for a in range(p.n):
+                        expected = mask_of(
+                            b for b in range(p.n)
+                            if any(lows >> u & 1 for u in oracle_lower_bounds(p, [a, b]))
+                        )
+                        assert rows[a] == expected
+
+    def test_downset_masks_are_the_down_closed_subsets(self, small_poset_corpus):
+        for posets in small_poset_corpus.values():
+            for p in posets:
+                expected = [
+                    mask_of(members) for members in subsets(p.n)
+                    if all(y in members for x in members for y in range(p.n) if p.leq(y, x))
+                ]
+                assert downset_masks(p.n, p.down) == expected
+
+    def test_top_is_the_greatest_element(self, small_poset_corpus):
+        for posets in small_poset_corpus.values():
+            for p in posets:
+                assert p.top() == oracle_meet(p, [])
 
 
 class TestMails:
