@@ -49,11 +49,13 @@ def _read_json_input(path: str) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a decode error, or an integer literal past Python's
+        # digit limit; RecursionError: arrays or objects nested too deeply
         raise FormatError(f"malformed JSON: {exc}") from None
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, List, Optional, Union
 
 from .errors import GuardExceeded, PreconditionError
@@ -113,9 +114,32 @@ def _join_escapes(up, cmask: int):
 def _tmd_family(lat: FinitePoset, within: int) -> tuple:
     """(masks, joins): the subsets of ``within`` in which no two members
     share a lower bound inside ``within``, as ambient bitmasks in
-    lexicographic order, with their joins in ``lat``."""
+    lexicographic order, with their joins in ``lat``.
+
+    Each join is read off the set's prefix.  Let S be a k-set with largest
+    member b.  Its prefix S - {b} is also in the family, and it is the last
+    (k-1)-set emitted before S: the lex order puts a set before its
+    extensions, and every set emitted between the prefix and S extends
+    the prefix, so it has at least k members.  So a stack indexed by size
+    holds the prefix's upper-bound mask when S arrives, and the upper
+    bounds of S are that mask & ``up[b]``.  In a lattice the upper bounds
+    of S are ``up[join S]``, and distinct elements have distinct up-rows,
+    so the join is one lookup of that mask.  The empty set's upper-bound
+    mask is the full mask, and its join is the bottom.
+    """
     masks = tmd_masks(mail_mates(lat.n, lat.down, within), within)
-    return masks, tuple(join_mask(lat.n, lat.up, m) for m in masks)
+    up = lat.up
+    join_of = {row: j for j, row in enumerate(up)}
+
+    def joins():
+        ubs = [lat.full_mask] * (lat.n + 1)
+        yield join_of[lat.full_mask]
+        for m in islice(masks, 1, None):
+            k = m.bit_count()
+            ubs[k] = ubs[k - 1] & up[m.bit_length() - 1]
+            yield join_of[ubs[k]]
+
+    return masks, tuple(joins())
 
 
 @lru_cache(maxsize=None)

@@ -23,20 +23,30 @@ def tmd_masks(mates: Sequence[int], within: int, limit: int = DEFAULT_MAX_TMD_SE
     ``mates`` row, as bitmasks in lexicographic order of sorted member
     tuples (the empty set first).
 
-    The search only ever extends such a set by a larger element outside
-    the mates of its newest member, so no other set is visited.  With mail
+    Invariant of the search: ``extend(mask, cand)`` is entered with
+    ``mask`` such a set and ``cand`` the members of ``within`` above its
+    largest member and outside the mates of every member.  Taking the
+    lowest candidate b leaves in ``cand`` exactly the larger ones, so
+    ``cand & ~mates[b]`` is the candidate set of ``mask | b``, and the
+    search recurses only when it is not empty.  No other set is visited.
+    Candidates are taken in increasing order and each set is emitted
+    before its extensions, which is the lexicographic order.  With mail
     mates as rows these are the totally mail-disconnected sets.
     """
     out = [0]
 
     def extend(mask: int, cand: int) -> None:
-        for b in bits_of(cand):
-            out.append(mask | (1 << b))
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            out.append(mask | low)
             if len(out) > limit:
                 raise GuardExceeded(
                     f"TMD family exceeds {limit} sets; raise the limit explicitly"
                 )
-            extend(mask | (1 << b), cand & ~mates[b] & ~((2 << b) - 1))
+            rest = cand & ~mates[low.bit_length() - 1]
+            if rest:
+                extend(mask | low, rest)
 
     extend(0, within)
     return tuple(out)

@@ -518,7 +518,8 @@ class FinitePoset:
         if not self.is_complete_lattice():
             raise PreconditionError("distributivity is defined here for complete lattices")
         n = self.n
-        jt, mt = _join_meet_tables(self)
+        jt = [[join_mask(n, self.up, (1 << a) | (1 << b)) for b in range(n)] for a in range(n)]
+        mt = [[meet_mask(n, self.down, (1 << a) | (1 << b)) for b in range(n)] for a in range(n)]
         for x in range(n):
             for y in range(n):
                 for z in range(y, n):
@@ -634,22 +635,6 @@ def _is_complete_lattice(p: FinitePoset) -> bool:
             if join_mask(p.n, p.up, (1 << a) | (1 << b)) is None:
                 return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _join_meet_tables(p: FinitePoset) -> tuple:
-    n = p.n
-    jt = [[0] * n for _ in range(n)]
-    mt = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            j = join_mask(n, p.up, (1 << a) | (1 << b))
-            m = meet_mask(n, p.down, (1 << a) | (1 << b))
-            if j is None or m is None:
-                raise ValueError("join/meet tables need a lattice")
-            jt[a][b] = j
-            mt[a][b] = m
-    return tuple(map(tuple, jt)), tuple(map(tuple, mt))
 
 
 @lru_cache(maxsize=1 << 16)

@@ -228,6 +228,13 @@ def brute_force_poset_count(n: int) -> int:
     return len(keys)
 
 
+def mk(k):
+    """M_k: a bottom, k atoms and a top."""
+    n = k + 2
+    covers = [(0, a) for a in range(1, k + 1)] + [(a, n - 1) for a in range(1, k + 1)]
+    return FinitePoset.from_cover_pairs(n, covers)
+
+
 def relabel(p: FinitePoset, perm) -> FinitePoset:
     rows = [0] * p.n
     for a in range(p.n):

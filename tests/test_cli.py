@@ -11,11 +11,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import chainmail
 from chainmail.cli import export_dot, run
 from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset
+
+from conftest import mk
 
 
 def invoke(argv, stdin_text=""):
@@ -68,6 +71,15 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["connectivity"] is False
 
+    def test_wide_l_plus_family_exits_2_at_the_guard(self, tmp_path):
+        # M_21 with C = the bottom and the atoms: every set of atoms is a
+        # TMD family of L+, 2^21 of them
+        path = tmp_path / "m21.json"
+        path.write_text(json.dumps(mk(21).to_json(connectivity=range(22))), encoding="utf-8")
+        code, out, err = invoke(["classify", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "resource guard: TMD family exceeds 1048576 sets; raise the limit explicitly\n"
+
     def test_unknown_fixture(self):
         code, _, err = invoke(["classify", "--fixture", "bogus"])
         assert code == 1
@@ -114,6 +126,60 @@ class TestJsonIntegers:
         code, _, err = invoke(["validate"], json.dumps({"n": 2.9, "leq": []}))
         assert code == 1
         assert '"n"' in err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 7) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_leq_entries = st.tuples(st.integers(-1, 6), st.integers(-1, 6)).map(list) | _json_values
+# sorted pairs close to a partial order, so these documents get past
+# validation and reach the computations behind it
+_posets = st.integers(1, 6).flatmap(lambda n: st.fixed_dictionaries({
+    "n": st.just(n),
+    "leq": st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted), max_size=10),
+    "closure": st.just("reflexive-transitive"),
+    "connectivity": st.lists(st.integers(0, n - 1), max_size=n),
+}))
+_documents = _posets | st.fixed_dictionaries(
+    {"n": st.integers(-2, 6) | _json_values, "leq": st.lists(_leq_entries, max_size=12) | _json_values},
+    optional={
+        "connectivity": st.lists(st.integers(-1, 6), max_size=6) | _json_values,
+        "closure": st.just("reflexive-transitive"),
+    },
+) | _json_values
+
+
+class TestUntrustedInput:
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            (b"[" * 100000 + b"]" * 100000, "malformed JSON"),
+            (b'{"n": 1' + b"0" * 5000 + b', "leq": []}', "malformed JSON"),
+            (b"\xff\xfe{}", "cannot read"),
+        ],
+        ids=["deep-nesting", "huge-integer", "not-utf8"],
+    )
+    def test_unreadable_documents_exit_1(self, tmp_path, raw, message):
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        for command in ("validate", "classify", "exterior"):
+            code, out, err = invoke([command, "--input", str(path)])
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and message in err and "\n" not in err[:-1]
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["validate", "classify", "exterior"]), doc=_documents)
+    def test_any_document_exits_0_1_or_2(self, tmp_path, command, doc):
+        # the file is rewritten for every example, so one tmp_path serves them all
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke([command, "--input", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
 
 
 class TestExterior:

@@ -3,6 +3,8 @@ join closure, sink machinery."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from chainmail import connectivity
@@ -45,9 +47,11 @@ from chainmail.generators import (
     topology_pair,
 )
 from chainmail.enumeration import enumerate_complete_lattices, enumerate_connectivity_pairs
-from chainmail.poset import FinitePoset, bits_of
+from chainmail.exterior import tmd_masks
+from chainmail.poset import FinitePoset, bits_of, join_mask, mail_mates, mask_of
 
 from conftest import (
+    mk,
     oracle_absolutely_connected,
     oracle_dc_family,
     oracle_join,
@@ -231,7 +235,36 @@ class TestEConditions:
         assert e4(pair, 1)
 
 
+def closure_lattice(rng: random.Random, k: int) -> FinitePoset:
+    """Inclusion order on a closure system of k points: the empty set, the
+    full set, the singletons and three random subsets, closed under
+    intersection."""
+    family = {0, (1 << k) - 1} | {1 << i for i in range(k)} | {rng.getrandbits(k) for _ in range(3)}
+    while True:
+        grown = family | {a & b for a in family for b in family}
+        if grown == family:
+            break
+        family = grown
+    sets = sorted(family)
+    return FinitePoset(len(sets), tuple(
+        mask_of(j for j, t in enumerate(sets) if s & ~t == 0) for s in sets
+    ))
+
+
 class TestTmdFamilies:
+    def test_joins_are_read_off_the_prefixes(self):
+        rng = random.Random(11)
+        lattices = [FinitePoset.powerset_lattice(k) for k in (3, 4, 5)]
+        lattices += [mk(k) for k in range(1, 9)]
+        lattices += [named_fixture("M3"), named_fixture("N5")]
+        lattices += [closure_lattice(rng, k) for k in range(8, 13)]
+        for lat in lattices:
+            l_plus = lat.full_mask & ~(1 << lat.bottom())
+            for within in (l_plus, *(rng.getrandbits(lat.n) for _ in range(3))):
+                masks, joins = connectivity._tmd_family(lat, within)
+                assert masks == tmd_masks(mail_mates(lat.n, lat.down, within), within)
+                assert joins == tuple(join_mask(lat.n, lat.up, m) for m in masks)
+
     def test_dc_family_matches_the_induced_route(self):
         count = 0
         for pair in enumerate_connectivity_pairs(6):

@@ -15,6 +15,7 @@ from chainmail.exterior import (
     exterior_as_absolute,
     exterior_is_complete,
     inclusion_poset,
+    tmd_masks,
     tmd_set_masks,
     tmd_to_downset,
 )
@@ -109,6 +110,15 @@ class TestExterior:
     def test_size_guard(self):
         with pytest.raises(GuardExceeded):
             tmd_set_masks.__wrapped__(FinitePoset.antichain(12), 100)
+
+    def test_guard_fires_one_set_past_the_limit(self, exa_a):
+        for p in (FinitePoset.antichain(5), exa_a, FinitePoset.powerset_lattice(3)):
+            masks = tmd_set_masks(p)
+            s = len(masks)
+            assert tmd_masks(p.mail_mates, p.full_mask, limit=s) == masks
+            with pytest.raises(GuardExceeded) as caught:
+                tmd_masks(p.mail_mates, p.full_mask, limit=s - 1)
+            assert str(caught.value) == f"TMD family exceeds {s - 1} sets; raise the limit explicitly"
 
 
 class TestCompleteness:

@@ -21,7 +21,7 @@ from chainmail.connectivity import (
 from chainmail.enumeration import enumerate_connectivity_pairs, enumerate_posets
 from chainmail.poset import FinitePoset, bits_of, reduced_mail_scan
 
-from conftest import oracle_first_mail, oracle_least, relabel
+from conftest import mk, oracle_first_mail, oracle_least, relabel
 
 
 def joinless(p, allow_unbounded):
@@ -58,13 +58,6 @@ def check_pair(pair):
     hit = oracle_first_mail(induced, induced.full_mask, induced.full_mask, joinless(induced, False))
     expected = None if hit is None else frozenset(elems[i] for i in bits_of(hit))
     assert _preconnectivity_violation(pair) == expected
-
-
-def mk(k):
-    """M_k: a bottom, k atoms and a top."""
-    n = k + 2
-    covers = [(0, a) for a in range(1, k + 1)] + [(a, n - 1) for a in range(1, k + 1)]
-    return FinitePoset.from_cover_pairs(n, covers)
 
 
 class TestReducedMailScan:
