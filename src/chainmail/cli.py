@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .connectivity import ConnectivityPair, classify, report_to_json_text
@@ -191,7 +192,10 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing does not change it, and building it
+    takes about a millisecond per call."""
     parser = argparse.ArgumentParser(
         prog="chainmail",
         description="finite posets, chainmails, exteriors, connectivity taxonomy, enumeration",
@@ -241,8 +245,7 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except GuardExceeded as exc:

@@ -38,8 +38,10 @@ from .poset import (
     least_of_upset,
     mail_mates,
     mask_of,
+    maximal_mask,
     reduced_mail_scan,
     set_of,
+    submasks,
 )
 
 
@@ -72,19 +74,18 @@ class ConnectivityPair:
 
 def components(pair: ConnectivityPair, x: int) -> List[int]:
     """Maximal connected elements below x, ascending."""
+    return list(bits_of(_component_mask(pair, x)))
+
+
+def _component_mask(pair: ConnectivityPair, x: int) -> int:
     lat = pair.lattice
-    below = pair.cmask & lat.down[x]
-    out = []
-    for c in bits_of(below):
-        if lat.up[c] & below & ~(1 << c) == 0:
-            out.append(c)
-    return out
+    return maximal_mask(lat.up, pair.cmask & lat.down[x])
 
 
 def kernel(pair: ConnectivityPair, x: int) -> int:
     """Join of the components of x; the interior when C is a topology."""
     lat = pair.lattice
-    return join_mask(lat.n, lat.up, mask_of(components(pair, x)))
+    return join_mask(lat.n, lat.up, _component_mask(pair, x))
 
 
 def is_subchainmail_of(p: FinitePoset, members: Iterable[int]) -> bool:
@@ -273,7 +274,7 @@ def cl3(pair: ConnectivityPair) -> bool:
 
 def _cl3_violation(pair: ConnectivityPair) -> Optional[frozenset]:
     for m, j in zip(*_dc_family(pair)):
-        if mask_of(components(pair, j)) != m:
+        if _component_mask(pair, j) != m:
             return set_of(m)
     return None
 
@@ -553,7 +554,7 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
         )
         if not consistent:
             raise RuntimeError("internal inconsistency: adjoint view disagrees with CL conditions")
-        if any(mask_of(components(pair, x)) != table[x] for x in range(lat.n)):
+        if any(_component_mask(pair, x) != table[x] for x in range(lat.n)):
             raise RuntimeError("internal inconsistency: right adjoint is not the component map")
 
     report = TaxonomyReport(
@@ -654,9 +655,7 @@ def is_multicoreflective(p: FinitePoset, members: Iterable[int]) -> bool:
     """
     cmask = mask_of(members)
     for x in range(p.n):
-        below = cmask & p.down[x]
-        b = [c for c in bits_of(below) if p.up[c] & below & ~(1 << c) == 0]
-        bmask = mask_of(b)
+        bmask = maximal_mask(p.up, cmask & p.down[x])
         if not all(_orthogonal(p, c, x, bmask) for c in bits_of(cmask)):
             return False
     return True
@@ -701,14 +700,9 @@ class SinkClosureReport:
 
 def _order_connected_subsets(p: FinitePoset, within: int) -> Iterable[int]:
     comparability = tuple(p.up[a] | p.down[a] for a in range(p.n))
-    members = list(bits_of(within))
-    if len(members) > 20:
+    if within.bit_count() > 20:
         raise GuardExceeded("too many subsets for the sink-closure checks")
-    for pick in range(1, 1 << len(members)):
-        m = 0
-        for i, e in enumerate(members):
-            if pick >> i & 1:
-                m |= 1 << e
+    for m in submasks(within):
         if len(component_masks(p.n, comparability, m)) == 1:
             yield m
 
@@ -731,12 +725,7 @@ def borger_implication_check(p: FinitePoset, members: Iterable[int]) -> SinkClos
         raise GuardExceeded("too many sinks for the orthogonality-closure check")
     good_sinks = []
     for x in range(p.n):
-        below = list(bits_of(p.down[x]))
-        for pick in range(1 << len(below)):
-            bmask = 0
-            for i, e in enumerate(below):
-                if pick >> i & 1:
-                    bmask |= 1 << e
+        for bmask in submasks(p.down[x]):
             if all(_orthogonal(p, c, x, bmask) for c in bits_of(cmask)):
                 good_sinks.append((x, bmask))
     cond_ii = True

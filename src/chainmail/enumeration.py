@@ -1,4 +1,4 @@
-"""Isomorph-free exhaustive generation of posets and connected chainmails.
+"""Isomorph-free exhaustive generation of posets, connected chainmails and lattices.
 
 Search shape: a poset on k+1 elements is always a poset on k elements plus
 one new maximal element whose strict down-set is a down-closed subset of
@@ -33,6 +33,18 @@ isomorphism classes correspond one to one.
     forms the mail {x, t} with t, so P + t is mail-connected.
   * A top is the unique element above all others, so an isomorphism of
     the completed posets maps top to top and restricts to one of P.
+
+Lattices.  For n >= 2, the lattices on n elements are exactly the
+completable posets with a bottom on n - 1 elements with a top added.
+  * Remove the top t of a lattice L.  In P = L - t every antichain has the
+    bottom as a lower bound, and its join in L lies below each of its upper
+    bounds, so when it has one in P the join is the least one in P.
+  * Conversely, P + t is a mail-connected chainmail by the bijection, and
+    with a bottom every non-empty set is a mail, so every set has a join.
+The search is the completable one with one more rule: once the parent has
+an element, the new element's down-set is non-empty, so it holds the
+bottom.  Deleting a maximal element of a poset with a bottom and two or
+more elements keeps the bottom, so canonical ancestry survives.
 
 Canonical form with a top.  canon.canonicalize(P + t) gives the canonical
 up-rows of P with bit n - 1 set in each and the row 1 << (n - 1) appended,
@@ -73,12 +85,8 @@ class EnumerationResult:
 
 
 # ---------------------------------------------------------------------------
-# search primitives
+# search
 # ---------------------------------------------------------------------------
-
-def _is_completable(n: int, up: Sequence[int], down: Sequence[int]) -> bool:
-    return reduced_mail_scan(n, up, down, allow_unbounded=True) is None
-
 
 def _accepted(k1: int, up1: Tuple[int, ...], down1: Tuple[int, ...]):
     """McKay acceptance for the child that added element k1-1; returns the
@@ -97,54 +105,50 @@ def _accepted(k1: int, up1: Tuple[int, ...], down1: Tuple[int, ...]):
     return None
 
 
-def _children(k: int, up: Tuple[int, ...], completable: bool):
-    """Accepted, deduplicated children of a parent, only completable ones
-    when ``completable``; yields (k+1, up-rows, canon-result)."""
+def _children(k: int, up: Tuple[int, ...], completable: bool, bottom: bool):
+    """Accepted, deduplicated children of a parent, as search nodes
+    (k + 1, up-rows, (canonical key, canonical up-rows)).  ``completable``
+    keeps the completable children only; ``bottom`` keeps, once the parent
+    has an element, only new elements with a non-empty strict down-set."""
     down = transpose(k, up)
     k1 = k + 1
     newbit = 1 << k
     seen = set()
     for dmask in downset_masks(k, down):
+        if bottom and k and not dmask:
+            continue
         up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
-        down1 = _down_of_child(k, down, dmask)
-        if completable and not _is_completable(k1, up1, down1):
+        down1 = down + (dmask | newbit,)
+        if completable and reduced_mail_scan(k1, up1, down1, allow_unbounded=True) is not None:
             continue
         result = _accepted(k1, up1, down1)
-        if result is None:
-            continue
-        if result.key in seen:
+        if result is None or result.key in seen:
             continue
         seen.add(result.key)
-        yield k1, up1, result
+        yield k1, up1, (result.key, result.relabeled_up)
 
 
-def _down_of_child(k: int, down: Sequence[int], dmask: int) -> Tuple[int, ...]:
-    newbit = 1 << k
-    return tuple(down[a] for a in range(k)) + (dmask | newbit,)
+# the empty poset, root of every search
+_ROOT = (0, (), (canon.canonicalize(0, (), ()).key, ()))
 
 
-def _expand(k: int, up: Tuple[int, ...], completable: bool, target: int,
-            want_catalog: bool, sink: list) -> int:
-    """Depth-first expansion; returns the number of classes found at the
-    target level underneath this node."""
-    found = 0
-    for k1, up1, result in _children(k, up, completable):
-        if k1 == target:
-            found += 1
-            if want_catalog:
-                sink.append((result.key, result.relabeled_up))
-        else:
-            found += _expand(k1, up1, completable, target, want_catalog, sink)
-    return found
+def _grow(node, rule: tuple, target: int, want_catalog: bool, sink: list) -> int:
+    """Depth-first: the number of classes on ``target`` elements at or under
+    ``node``; their (key, canonical up-rows) go to ``sink`` when
+    ``want_catalog``."""
+    k, up, entry = node
+    if k == target:
+        if want_catalog:
+            sink.append(entry)
+        return 1
+    return sum(_grow(child, rule, target, want_catalog, sink) for child in _children(k, up, *rule))
 
 
 def _worker(payload):
-    completable, target, want_catalog, roots = payload
+    rule, target, want_catalog, roots = payload
     sink: list = []
-    total = 0
-    for k, up in roots:
-        total += _expand(k, tuple(up), completable, target, want_catalog, sink)
-    return total, sink
+    count = sum(_grow(root, rule, target, want_catalog, sink) for root in roots)
+    return count, sink
 
 
 def _with_top(k: int, rows: Sequence[int]) -> tuple:
@@ -153,52 +157,39 @@ def _with_top(k: int, rows: Sequence[int]) -> tuple:
     return tuple(r | top for r in rows) + (top,)
 
 
-# ---------------------------------------------------------------------------
-# public entry points
-# ---------------------------------------------------------------------------
-
-def _enumerate(completable: bool, target: int, want_catalog: bool, threads: int):
+def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
     """(count, [(key, canonical up-rows)] sorted by key) of the classes on
-    ``target`` elements, only completable ones when ``completable``."""
-    entries: list = []
-    root_level = max(0, target - 3) if threads > 1 else 0
-    frontier: list = [(0, ())]
-    level = 0
-    while level < root_level:
-        nxt = []
-        for k, up in frontier:
-            for k1, up1, _result in _children(k, up, completable):
-                nxt.append((k1, up1))
-        frontier = nxt
-        level += 1
+    ``target`` elements, where ``rule`` is the (completable, bottom) pair
+    passed to :func:`_children`.
 
-    if threads > 1 and len(frontier) > 1:
-        import multiprocessing as mp
+    The tree is grown breadth-first to ``target - 3`` elements, those nodes
+    are dealt round-robin into chunks, and ``_worker`` searches each chunk:
+    in this process, or in a pool of ``threads`` processes.
+    """
+    frontier = [_ROOT]
+    for _ in range(target - 3):
+        frontier = [child for k, up, _entry in frontier for child in _children(k, up, *rule)]
+    nchunks = min(4 * max(threads, 1), len(frontier))
+    payloads = [(rule, target, want_catalog, frontier[i::nchunks]) for i in range(nchunks)]
+    if threads > 1 and nchunks > 1:
+        import multiprocessing
 
-        chunks = [[] for _ in range(min(threads * 4, len(frontier)))]
-        for i, root in enumerate(frontier):
-            chunks[i % len(chunks)].append(root)
-        payloads = [(completable, target, want_catalog, chunk) for chunk in chunks]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=threads) as pool:
+        with multiprocessing.Pool(processes=threads) as pool:
             results = pool.map(_worker, payloads)
-        count = sum(c for c, _ in results)
-        for _, sink in results:
-            entries.extend(sink)
     else:
-        count = 0
-        for k, up in frontier:
-            if k == target:
-                # root level reached the target already
-                result = canon.canonicalize(k, up, transpose(k, up))
-                count += 1
-                if want_catalog:
-                    entries.append((result.key, result.relabeled_up))
-            else:
-                count += _expand(k, up, completable, target, want_catalog, entries)
+        results = map(_worker, payloads)
+    count = 0
+    entries: list = []
+    for found, sink in results:
+        count += found
+        entries.extend(sink)
     entries.sort(key=lambda e: e[0])
     return count, entries
 
+
+# ---------------------------------------------------------------------------
+# public entry points
+# ---------------------------------------------------------------------------
 
 def enumerate_posets(n: int, want_catalog: bool = False, threads: int = 1,
                      cap: int = DEFAULT_POSET_ENUM_CAP) -> EnumerationResult:
@@ -208,7 +199,7 @@ def enumerate_posets(n: int, want_catalog: bool = False, threads: int = 1,
     if n > cap:
         raise GuardExceeded(f"poset enumeration capped at n={cap}")
     t0 = time.perf_counter()
-    count, entries = _enumerate(False, n, want_catalog, threads)
+    count, entries = _enumerate((False, False), n, want_catalog, threads)
     catalog = tuple(FinitePoset(n, rows) for _key, rows in entries) if want_catalog else None
     return EnumerationResult(n, count, catalog, time.perf_counter() - t0)
 
@@ -233,7 +224,7 @@ def enumerate_connected_chainmails(n: int, want_catalog: bool = False, threads: 
     if n == 0:
         catalog = (FinitePoset(0, ()),) if want_catalog else None
         return EnumerationResult(0, 1, catalog, time.perf_counter() - t0)
-    count, entries = _enumerate(True, n - 1, want_catalog, threads)
+    count, entries = _enumerate((True, False), n - 1, want_catalog, threads)
     catalog = None
     if want_catalog:
         catalog = tuple(FinitePoset(n, _with_top(n - 1, rows)) for _key, rows in entries)
@@ -242,11 +233,19 @@ def enumerate_connected_chainmails(n: int, want_catalog: bool = False, threads: 
 
 def enumerate_complete_lattices(max_size: int) -> List[FinitePoset]:
     """Canonical complete lattices with 1..max_size elements, smaller sizes
-    first, canonical-key order inside a size."""
+    first, canonical-key order inside a size.
+
+    For n >= 2 the lattices on n elements are the completable posets with
+    a bottom on n - 1 elements with a top added (see the module docstring);
+    the search with the bottom rule returns them, and at n = 1 the empty
+    poset, its root.
+    """
+    if max_size > DEFAULT_POSET_ENUM_CAP:
+        raise GuardExceeded(f"poset enumeration capped at n={DEFAULT_POSET_ENUM_CAP}")
     out = []
     for size in range(1, max_size + 1):
-        result = enumerate_posets(size, want_catalog=True)
-        out.extend(p for p in result.catalog if p.is_complete_lattice())
+        _count, entries = _enumerate((True, True), size - 1, True, 1)
+        out.extend(FinitePoset(size, _with_top(size - 1, rows)) for _key, rows in entries)
     return out
 
 

@@ -49,6 +49,9 @@ def tmd_masks(mates: Sequence[int], within: int, limit: int = DEFAULT_MAX_TMD_SE
                 extend(mask | low, rest)
 
     extend(0, within)
+    # extend refers to itself through its closure; unbinding it breaks that
+    # cycle, so ``out`` is freed on return, not at some later collection
+    del extend
     return tuple(out)
 
 

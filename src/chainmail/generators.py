@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence
 from .config import DEFAULT_VERTEX_CAP
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .connectivity import ConnectivityPair
-from .poset import FinitePoset, bits_of, component_masks, downset_masks, mask_of
+from .poset import FinitePoset, bits_of, component_masks, downset_masks, mask_of, submasks
 
 
 @dataclass(frozen=True)
@@ -117,20 +117,9 @@ def is_k_connected_set(g: Graph, vmask: int, k: int) -> bool:
     """
     if k < 1:
         raise PreconditionError("k must be a positive integer")
-    if not g.is_connected_set(vmask):
-        return False
-    members = list(bits_of(vmask))
-    for pick in range(1, 1 << len(members)):
-        if pick.bit_count() > k - 1:
-            continue
-        removed = 0
-        for i, v in enumerate(members):
-            if pick >> i & 1:
-                removed |= 1 << v
-        rest = vmask & ~removed
-        if not rest or not g.is_connected_set(rest):
-            return False
-    return True
+    adjacency = g.adjacency()
+    return all(len(component_masks(g.n, adjacency, vmask & ~removed)) == 1
+               for removed in submasks(vmask) if removed.bit_count() < k)
 
 
 def k_connectivity_pair(g: Graph, k: int, cap: int = DEFAULT_VERTEX_CAP) -> ConnectivityPair:

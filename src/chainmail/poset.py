@@ -47,6 +47,16 @@ def set_of(mask: int) -> frozenset:
     return frozenset(bits_of(mask))
 
 
+def submasks(mask: int) -> Iterator[int]:
+    """Every subset of ``mask`` as a bitmask, from ``mask`` down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 @dataclass(frozen=True)
 class Violation:
     """A failed poset axiom together with a witness pair or triple."""
@@ -103,6 +113,15 @@ def meet_mask(n: int, down: Sequence[int], xmask: int) -> Optional[int]:
         if not lb:
             return None
     return least_of_upset(lb, down)
+
+
+def maximal_mask(up: Sequence[int], within: int) -> int:
+    """The maximal elements of ``within`` under the up-rows ``up``."""
+    out = 0
+    for a in bits_of(within):
+        if up[a] & within == 1 << a:
+            out |= 1 << a
+    return out
 
 
 def mail_mates(n: int, down: Sequence[int], lows: int) -> tuple:
@@ -434,11 +453,7 @@ class FinitePoset:
 
     def maximal_elements(self, within: Optional[Iterable[int]] = None) -> frozenset:
         w = self.full_mask if within is None else mask_of(within)
-        out = 0
-        for a in bits_of(w):
-            if self.up[a] & w & ~(1 << a) == 0:
-                out |= 1 << a
-        return set_of(out)
+        return set_of(maximal_mask(self.up, w))
 
     # -- mails and connectivity -----------------------------------------
 

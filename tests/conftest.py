@@ -228,6 +228,15 @@ def brute_force_poset_count(n: int) -> int:
     return len(keys)
 
 
+def lattices_by_filtering_all_posets(max_size: int) -> list:
+    """Complete lattices with 1..max_size elements, by filtering the catalog
+    of every poset of each size; the route the enumerator took before it
+    searched for lattices directly."""
+    return [p for size in range(1, max_size + 1)
+            for p in enumerate_posets(size, want_catalog=True).catalog
+            if p.is_complete_lattice()]
+
+
 def mk(k):
     """M_k: a bottom, k atoms and a top."""
     n = k + 2

@@ -289,6 +289,18 @@ class TestByteStability:
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
 
+    def test_usage_errors_repeat_byte_for_byte(self):
+        outcomes = []
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as caught:
+                run(["enumerate", "--kind", "lattices", "--n", "3"])
+            outcomes.append((caught.value.code, err.getvalue()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2
+        assert outcomes[0][1].startswith("usage: chainmail enumerate")
+        assert "invalid choice: 'lattices'" in outcomes[0][1]
+
 
 def _module_env() -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainmail.__file__)))

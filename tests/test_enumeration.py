@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import json
+from collections import Counter
+import os
+import subprocess
+import sys
 
 import pytest
 
-from chainmail import canon
+from chainmail import canon, enumeration
 
 from chainmail.enumeration import (
     enumerate_complete_lattices,
@@ -18,7 +23,7 @@ from chainmail.errors import GuardExceeded
 from chainmail.generators import forest_poset_check
 from chainmail.poset import FinitePoset, reduced_mail_scan
 
-from conftest import brute_force_poset_count
+from conftest import brute_force_poset_count, lattices_by_filtering_all_posets
 
 POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 CHAINMAIL_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 303}
@@ -37,7 +42,11 @@ SHAPE_PARTITION = {
     7: (1, 47, 52, 203),
 }
 
-LATTICE_COUNTS_BY_SIZE = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+# OEIS A006966 (Heitzig & Reinhold, "Counting finite lattices", Algebra
+# Universalis 48, 2002), and A006982 for the distributive ones
+LATTICE_COUNTS_BY_SIZE = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
+DEEP_LATTICE_COUNTS = {10: 5994, 11: 37622}
+DISTRIBUTIVE_COUNTS_BY_SIZE = {2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8, 8: 15}
 
 # SHA-256 of the JSON lines of the n = 7 chainmail catalog, as written by
 # `chainmail enumerate --n 7 --catalog FILE`
@@ -206,17 +215,73 @@ class TestDeterminism:
             assert [p.up for p in parallel.catalog] == [p.up for p in serial.catalog]
 
 
+@pytest.fixture(scope="module")
+def lattices():
+    return enumerate_complete_lattices(9)
+
+
 class TestLatticeCorpus:
-    def test_lattice_counts_by_size(self):
-        lattices = enumerate_complete_lattices(6)
-        by_size = {}
-        for lat in lattices:
-            by_size[lat.n] = by_size.get(lat.n, 0) + 1
-        assert by_size == LATTICE_COUNTS_BY_SIZE
+    def test_lattice_counts_by_size(self, lattices):
+        assert Counter(p.n for p in lattices) == LATTICE_COUNTS_BY_SIZE
+
+    def test_distributive_counts_by_size(self, lattices):
+        distributive = Counter(p.n for p in lattices if 2 <= p.n <= 8 and p.is_distributive())
+        assert distributive == DISTRIBUTIVE_COUNTS_BY_SIZE
+
+    def test_sizes_past_the_oracle_are_canonical_lattices(self, lattices):
+        for p in lattices:
+            if p.n > 7:
+                assert p.is_complete_lattice()
+                assert p == p.canonical_form()
 
     def test_size_five_matches_filtering(self, poset_corpus):
         filtered = [p for p in poset_corpus[5] if p.is_complete_lattice()]
         assert len(filtered) == LATTICE_COUNTS_BY_SIZE[5]
+
+    def test_same_list_as_filtering_all_posets(self, lattices):
+        assert [p for p in lattices if p.n <= 7] == lattices_by_filtering_all_posets(7)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_chainmails_with_a_bottom_are_the_lattices(self, n, lattices):
+        catalog = enumerate_connected_chainmails(n, want_catalog=True).catalog
+        assert [p for p in catalog if p.bottom() is not None] == [p for p in lattices if p.n == n]
+
+    def test_guard_fires_before_any_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(enumeration, "_enumerate", search)
+        with pytest.raises(GuardExceeded):
+            enumerate_complete_lattices(10)
+
+    @pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                        reason="set CHM_ACCEPT_DEEP=1 for lattice sizes 10 and 11")
+    @pytest.mark.parametrize("n,expected", sorted(DEEP_LATTICE_COUNTS.items()))
+    def test_deep_lattice_counts(self, n, expected):
+        # the lattices on n elements are the completable posets with a bottom
+        # on n - 1 elements, counted here without the public size guard
+        count, entries = enumeration._enumerate((True, True), n - 1, False, 2)
+        assert (count, entries) == (expected, [])
+
+
+SPAWN_SCRIPT = """
+import json, multiprocessing
+from chainmail.enumeration import enumerate_posets
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    result = enumerate_posets(6, want_catalog=True, threads=2)
+    print(json.dumps([p.up for p in result.catalog]))
+"""
+
+
+def test_pool_runs_under_spawn():
+    src = os.path.dirname(os.path.dirname(enumeration.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", SPAWN_SCRIPT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    serial = enumerate_posets(6, want_catalog=True).catalog
+    assert json.loads(proc.stdout) == [list(p.up) for p in serial]
 
 
 class TestPairCorpus:
@@ -231,7 +296,8 @@ class TestPairCorpus:
 
     def test_total_count(self):
         total = sum(1 for _ in enumerate_connectivity_pairs(6))
-        expected = sum(count * (1 << size) for size, count in LATTICE_COUNTS_BY_SIZE.items())
+        expected = sum(count * (1 << size) for size, count in LATTICE_COUNTS_BY_SIZE.items()
+                       if size <= 6)
         assert total == expected
 
     def test_stream_is_deterministic(self):

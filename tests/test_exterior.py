@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -119,6 +120,17 @@ class TestExterior:
             with pytest.raises(GuardExceeded) as caught:
                 tmd_masks(p.mail_mates, p.full_mask, limit=s - 1)
             assert str(caught.value) == f"TMD family exceeds {s - 1} sets; raise the limit explicitly"
+
+    def test_search_leaves_no_reference_cycle(self):
+        # the family is freed when tmd_masks returns, not at a later
+        # collection; a wide classify builds tens of thousands of sets
+        gc.collect()
+        gc.disable()
+        try:
+            tmd_masks(FinitePoset.antichain(6).mail_mates, 63)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCompleteness:
