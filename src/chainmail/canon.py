@@ -153,6 +153,9 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
 
     start = _refine(n, up, down, [list(range(n))])
     search(start, ())
+    # search refers to itself through its closure; unbinding it breaks that
+    # cycle, so the search state is freed on return, not at a later collection
+    del search
 
     perm = best_enc["perm"]
     enc = best_enc["value"]

@@ -143,7 +143,6 @@ def _tmd_family(lat: FinitePoset, within: int) -> tuple:
     return masks, tuple(joins())
 
 
-@lru_cache(maxsize=None)
 def _dc_family(pair: ConnectivityPair) -> tuple:
     """D(C) and its joins, as :func:`_tmd_family` returns them.
 
@@ -153,14 +152,22 @@ def _dc_family(pair: ConnectivityPair) -> tuple:
     return _tmd_family(pair.lattice, pair.cmask)
 
 
+def _dc_tables(pair: ConnectivityPair) -> tuple:
+    """(masks, joins, doms): D(C), its joins, and each set's down-set, so
+    that S <= T componentwise exactly when ``S & ~dom(T) == 0``."""
+    masks, joins = _dc_family(pair)
+    return masks, joins, [dominated_mask(pair.lattice, m) for m in masks]
+
+
 def dc_sets(pair: ConnectivityPair) -> list:
     """D(C) as frozensets of ambient elements."""
     return [set_of(m) for m in _dc_family(pair)[0]]
 
 
-def _right_adjoint_table(pair: ConnectivityPair):
+def _right_adjoint_table(lat: FinitePoset, fam: tuple, joins: tuple, doms: list):
     """For each x, the greatest TMD set whose join sits below x (as an
-    ambient mask), or None when some x has no greatest such set.
+    ambient mask), or None when some x has no greatest such set.  The sets
+    are D(C) as :func:`_dc_tables` returns it.
 
     Built from first principles: the join map is monotone, so it has a
     right adjoint exactly when each of these greatest elements exists.
@@ -168,9 +175,6 @@ def _right_adjoint_table(pair: ConnectivityPair):
     with ``is_subchainmail_of`` and the classifier's cross-view assertion
     honest.
     """
-    lat = pair.lattice
-    fam, joins = _dc_family(pair)
-    doms = [dominated_mask(lat, m) for m in fam]
     table = []
     for x in range(lat.n):
         maxima: list = []
@@ -189,7 +193,7 @@ def _right_adjoint_table(pair: ConnectivityPair):
 
 def galois_adjunction_holds(pair: ConnectivityPair) -> bool:
     """Whether the join map D(C) -> L has a right Galois adjoint."""
-    return _right_adjoint_table(pair) is not None
+    return _right_adjoint_table(pair.lattice, *_dc_tables(pair)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +273,11 @@ def _cl2_violation(pair: ConnectivityPair) -> Optional[int]:
 
 def cl3(pair: ConnectivityPair) -> bool:
     """Every TMD set in C is the component set of its own join."""
-    return _cl3_violation(pair) is None
+    return _cl3_violation(pair, *_dc_family(pair)) is None
 
 
-def _cl3_violation(pair: ConnectivityPair) -> Optional[frozenset]:
-    for m, j in zip(*_dc_family(pair)):
+def _cl3_violation(pair: ConnectivityPair, fam: tuple, joins: tuple) -> Optional[frozenset]:
+    for m, j in zip(fam, joins):
         if _component_mask(pair, j) != m:
             return set_of(m)
     return None
@@ -281,22 +285,18 @@ def _cl3_violation(pair: ConnectivityPair) -> Optional[frozenset]:
 
 def is_separated(pair: ConnectivityPair) -> bool:
     """The component map is a left inverse of the join map."""
-    _require_adjunction(pair)
-    return cl3(pair)
+    fam, joins, _doms = _require_adjunction(pair)
+    return _cl3_violation(pair, fam, joins) is None
 
 
 def is_absolute(pair: ConnectivityPair) -> bool:
     """The connectivity adjunction is an order isomorphism D(C) -> L."""
-    _require_adjunction(pair)
-    return _absolute_raw(pair)
+    return _absolute_raw(pair.lattice, *_require_adjunction(pair))
 
 
-def _absolute_raw(pair: ConnectivityPair) -> bool:
-    lat = pair.lattice
-    fam, joins = _dc_family(pair)
+def _absolute_raw(lat: FinitePoset, fam: tuple, joins: tuple, doms: list) -> bool:
     if len(fam) != lat.n or len(set(joins)) != lat.n:
         return False
-    doms = [dominated_mask(lat, m) for m in fam]
     for i in range(len(fam)):
         for j in range(len(fam)):
             if (fam[i] & ~doms[j] == 0) != bool(lat.up[joins[i]] >> joins[j] & 1):
@@ -304,9 +304,12 @@ def _absolute_raw(pair: ConnectivityPair) -> bool:
     return True
 
 
-def _require_adjunction(pair: ConnectivityPair) -> None:
-    if not galois_adjunction_holds(pair):
+def _require_adjunction(pair: ConnectivityPair) -> tuple:
+    """:func:`_dc_tables` of a pair whose join map has a right adjoint."""
+    dc = _dc_tables(pair)
+    if _right_adjoint_table(pair.lattice, *dc) is None:
         raise PreconditionError("the pair does not admit the connectivity adjunction")
+    return dc
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +493,8 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
     v_cl1p = _cl1_prime_violation(pair)
     v_cl1h = _cl1_half_violation(pair)
     v_cl2 = _cl2_violation(pair)
-    v_cl3 = _cl3_violation(pair)
+    fam, joins, _doms = dc = _dc_tables(pair)
+    v_cl3 = _cl3_violation(pair, fam, joins)
     v_pre = _preconnectivity_violation(pair)
     v_sub = _subchainmail_violation(lat, pair.cmask)
 
@@ -502,7 +506,8 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
     has_cl3 = v_cl3 is None
     is_pre = v_pre is None
     is_conn = v_sub is None
-    adjunction = galois_adjunction_holds(pair)
+    table = _right_adjoint_table(lat, *dc)
+    adjunction = table is not None
 
     if not has_cl0:
         witnesses["cl0"] = lat.bottom()
@@ -524,22 +529,21 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
     if adjunction != is_conn:
         raise RuntimeError("internal inconsistency: adjunction existence vs subchainmail closure")
 
-    absolute = adjunction and _absolute_raw(pair)
+    absolute = adjunction and _absolute_raw(lat, *dc)
     e4_set = absolutely_connected_elements(lat)
 
     adjoint_view = None
     if is_conn:
-        # the adjoint map is rebuilt via the greatest-element construction,
-        # so these four verdicts come from a different route than the CL
+        # the adjoint map comes from the greatest-element construction, so
+        # these four verdicts come from a different route than the CL
         # conditions (which use membership, joins, and the component map)
-        table = _right_adjoint_table(pair)
         bot = lat.bottom()
         preserves_bottom = table[bot] == 0
         reflects_bottom = all(table[x] != 0 for x in range(lat.n) if x != bot)
         right_inverse = all(
             join_mask(lat.n, lat.up, table[x]) == x for x in range(lat.n)
         )
-        left_inverse = all(table[j] == m for m, j in zip(*_dc_family(pair)))
+        left_inverse = all(table[j] == m for m, j in zip(fam, joins))
         adjoint_view = {
             "right_adjoint_preserves_bottom": preserves_bottom,
             "right_adjoint_reflects_bottom": reflects_bottom,

@@ -10,7 +10,6 @@ subchainmails of G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_MAX_TMD_SETS
@@ -55,7 +54,6 @@ def tmd_masks(mates: Sequence[int], within: int, limit: int = DEFAULT_MAX_TMD_SE
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
     """All totally mail-disconnected subsets of p, as :func:`tmd_masks`."""
     return tmd_masks(p.mail_mates, p.full_mask, limit)

@@ -180,15 +180,16 @@ def forest_poset_check(p: FinitePoset) -> bool:
 
     Four equivalent formulations are evaluated independently and must
     agree: (1) no element has two upper covers, (2) every mail is linearly
-    ordered, (3) every up-set is a chain, (4) each order component has one
-    maximal element and a tree-shaped cover diagram.
+    ordered, that is, no element has an incomparable mail-mate, (3) every
+    up-set is a chain, (4) each order component has one maximal element
+    and a tree-shaped cover diagram.
     """
     cover_up: Dict[int, List[int]] = {a: [] for a in range(p.n)}
     for a, b in p.covers:
         cover_up[a].append(b)
     cond1 = all(len(v) <= 1 for v in cover_up.values())
 
-    cond2 = next(iter(p.reduced_mails()), None) is None
+    cond2 = all(p.mail_mates[a] & ~(p.up[a] | p.down[a]) == 0 for a in range(p.n))
 
     cond3 = True
     for x in range(p.n):

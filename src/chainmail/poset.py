@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import FormatError
+from .config import max_n
+from .errors import FormatError, GuardExceeded, PreconditionError
 from . import canon
 
 ElementSet = frozenset  # subsets of range(n); bitmasks are internal only
@@ -492,27 +493,6 @@ class FinitePoset:
         adjacency = tuple(self.up[a] | self.down[a] for a in range(self.n))
         return [set_of(c) for c in component_masks(self.n, adjacency, self.full_mask)]
 
-    def reduced_mails(self) -> Iterator[frozenset]:
-        """All antichains of size >= 2 with a common lower bound, in
-        lexicographic order of their sorted member tuples."""
-        n, up, down = self.n, self.up, self.down
-        full = self.full_mask
-        incomp = [full & ~(up[a] | down[a]) for a in range(n)]
-
-        def extend(mask, lows, cand):
-            for b in bits_of(cand):
-                newlow = lows & down[b]
-                if not newlow:
-                    continue
-                newmask = mask | (1 << b)
-                yield set_of(newmask)
-                above_b = full & ~((1 << (b + 1)) - 1)
-                yield from extend(newmask, newlow, cand & incomp[b] & above_b)
-
-        for a in range(n):
-            above_a = full & ~((1 << (a + 1)) - 1)
-            yield from extend(1 << a, down[a], incomp[a] & above_a)
-
     # -- chainmail and lattice predicates --------------------------------
 
     def is_chainmail(self) -> bool:
@@ -523,13 +503,17 @@ class FinitePoset:
 
     def is_complete_lattice(self) -> bool:
         """Every subset has a join.  For a finite poset this reduces to a
-        bottom element plus binary joins."""
-        return _is_complete_lattice(self)
+        bottom element plus binary joins, and the upper bounds of a pair
+        have a least element exactly when they are some element's up-row."""
+        n, up = self.n, self.up
+        rows = set(up)
+        return self.bottom() is not None and all(
+            up[a] & up[b] in rows for a in range(n) for b in range(a + 1, n)
+        )
 
     def is_distributive(self) -> bool:
         """Meet distributes over join; for finite lattices this is the frame
         condition."""
-        from .errors import PreconditionError
         if not self.is_complete_lattice():
             raise PreconditionError("distributivity is defined here for complete lattices")
         n = self.n
@@ -596,9 +580,7 @@ class FinitePoset:
         pairs = obj.get("leq", [])
         if not isinstance(pairs, list):
             raise FormatError('"leq" must be a list of [a, b] pairs')
-        from .config import max_n
         if n > max_n():
-            from .errors import GuardExceeded
             raise GuardExceeded(f"poset size {n} exceeds cap {max_n()} (set CHM_MAX_N to raise)")
         close = obj.get("closure") == "reflexive-transitive"
         cleaned = []
@@ -638,19 +620,6 @@ def connectivity_from_json(obj: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # cached helpers
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _is_complete_lattice(p: FinitePoset) -> bool:
-    if p.n == 0:
-        return False
-    if p.bottom() is None:
-        return False
-    for a in range(p.n):
-        for b in range(a + 1, p.n):
-            if join_mask(p.n, p.up, (1 << a) | (1 << b)) is None:
-                return False
-    return True
-
 
 @lru_cache(maxsize=1 << 16)
 def _canonical_key(p: FinitePoset) -> bytes:

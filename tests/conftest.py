@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from chainmail.exterior import tmd_set_masks
-from chainmail.poset import FinitePoset, bits_of, mask_of
+from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of
 from chainmail.enumeration import enumerate_posets
 
 
@@ -111,6 +111,15 @@ def oracle_every_connected_set_has_join(p: FinitePoset) -> bool:
         if oracle_is_order_connected(p, members) and oracle_join(p, members) is None:
             return False
     return True
+
+
+def oracle_is_complete_lattice(p: FinitePoset) -> bool:
+    """A bottom and a join for every pair, each join found by intersecting
+    up-rows and scanning for the least upper bound."""
+    if p.n == 0 or p.bottom() is None:
+        return False
+    return all(join_mask(p.n, p.up, (1 << a) | (1 << b)) is not None
+               for a in range(p.n) for b in range(a + 1, p.n))
 
 
 def oracle_every_upset_complete(p: FinitePoset) -> bool:

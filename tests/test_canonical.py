@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from chainmail import canon
 from chainmail.poset import FinitePoset
 
 from conftest import relabel
@@ -54,6 +56,20 @@ def test_distinct_classes_get_distinct_keys(poset_corpus):
     for posets in poset_corpus.values():
         keys = [p.canonical_key() for p in posets]
         assert len(set(keys)) == len(keys)
+
+
+def test_canonicalize_leaves_no_reference_cycle():
+    # the search state is freed when canonicalize returns, not at a later
+    # collection; the enumerator canonicalizes tens of thousands of posets
+    p = FinitePoset.antichain(5)
+    down = p.down
+    gc.collect()
+    gc.disable()
+    try:
+        canon.canonicalize(p.n, p.up, down)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_chain_vs_v_shape():

@@ -3,7 +3,9 @@ join closure, sink machinery."""
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -340,6 +342,16 @@ class TestClassify:
         b = classify(named_fixture("exaW")).to_json()
         assert a == b
         assert list(a) == list(b)
+
+    def test_nothing_keeps_the_pair_alive(self):
+        # a pair no other test builds: a cache would keep an equal one
+        # seen earlier, and hide that it keeps this one
+        pair = ConnectivityPair(mk(7), frozenset({0, 3, 5, 8}))
+        classify(pair)
+        ref = weakref.ref(pair)
+        del pair
+        gc.collect()
+        assert ref() is None
 
 
 class TestSigmaClosure:

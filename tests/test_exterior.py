@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import weakref
 
 import pytest
 
@@ -23,7 +24,7 @@ from chainmail.exterior import (
 from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset, bits_of
 
-from conftest import relabel, subsets
+from conftest import oracle_is_complete_lattice, relabel, subsets
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,7 @@ class TestExterior:
 
     def test_size_guard(self):
         with pytest.raises(GuardExceeded):
-            tmd_set_masks.__wrapped__(FinitePoset.antichain(12), 100)
+            tmd_set_masks(FinitePoset.antichain(12), 100)
 
     def test_guard_fires_one_set_past_the_limit(self, exa_a):
         for p in (FinitePoset.antichain(5), exa_a, FinitePoset.powerset_lattice(3)):
@@ -148,6 +149,34 @@ class TestCompleteness:
         assert len(fam.sets) == 1
         assert fam.order.is_complete_lattice()
         assert e.is_chainmail()
+
+    def test_lattice_test_matches_the_join_oracle(self, small_poset_corpus):
+        # the bases include non-chainmails, whose exteriors are not lattices
+        verdicts = set()
+        for posets in small_poset_corpus.values():
+            for p in posets:
+                order = exterior(p).order
+                verdict = order.is_complete_lattice()
+                assert verdict == oracle_is_complete_lattice(order)
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+    def test_seven_antichain_exterior_is_a_lattice(self):
+        order = exterior(FinitePoset.antichain(7)).order
+        assert order.n == 128
+        assert order.is_complete_lattice()
+        assert oracle_is_complete_lattice(order)
+
+    def test_nothing_keeps_the_base_or_the_order_alive(self):
+        # a poset no other test builds: a cache would keep an equal one
+        # seen earlier, and hide that it keeps this one
+        p = FinitePoset.from_cover_pairs(6, [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5)])
+        order = exterior(p).order
+        assert not order.is_complete_lattice()   # p is not a chainmail
+        refs = [weakref.ref(p), weakref.ref(order)]
+        del p, order
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestDownclosedSubchainmails:

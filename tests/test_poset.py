@@ -8,10 +8,12 @@ import pytest
 
 from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import named_fixture
-from chainmail.poset import FinitePoset, downset_masks, mail_mates, mask_of
+from chainmail.poset import FinitePoset, bits_of, downset_masks, mail_mates, mask_of
 
 from conftest import (
     oracle_is_chainmail_all_mails,
+    oracle_is_complete_lattice,
+    oracle_is_mail,
     oracle_is_mail_connected,
     oracle_join,
     oracle_lower_bounds,
@@ -181,26 +183,38 @@ class TestTmd:
         assert exa_a.is_totally_mail_disconnected(())
 
 
+def incomparable_mate_pairs(p: FinitePoset) -> list:
+    """Pairs of incomparable mail-mates, in lexicographic order."""
+    return [frozenset({a, b}) for a in range(p.n)
+            for b in bits_of(p.mail_mates[a] & ~(p.up[a] | p.down[a])) if a < b]
+
+
 class TestReducedMails:
+    # A reduced mail is an antichain of two or more elements with a common
+    # lower bound.  Each one contains a two-element one, a pair of incomparable
+    # mail-mates; forest_poset_check tests for reduced mails this way.
     def test_chain_has_none(self):
-        assert list(FinitePoset.chain(4).reduced_mails()) == []
+        assert incomparable_mate_pairs(FinitePoset.chain(4)) == []
 
     def test_exa_a_exact_list(self, exa_a):
-        mails = list(exa_a.reduced_mails())
-        assert mails == [frozenset({1, 2}), frozenset({1, 5}), frozenset({4, 5})]
+        pairs = incomparable_mate_pairs(exa_a)
+        assert pairs == [frozenset({1, 2}), frozenset({1, 5}), frozenset({4, 5})]
 
     def test_bottomed_antichain(self):
         p = FinitePoset.from_cover_pairs(3, [(0, 1), (0, 2)])
-        assert list(p.reduced_mails()) == [frozenset({1, 2})]
+        assert incomparable_mate_pairs(p) == [frozenset({1, 2})]
 
     def test_reduced_mails_are_antichain_mails(self, small_poset_corpus):
         for posets in small_poset_corpus.values():
             for p in posets:
-                for mail in p.reduced_mails():
-                    assert p.is_mail(mail)
-                    assert len(mail) >= 2
-                    for a, b in itertools.combinations(sorted(mail), 2):
-                        assert not p.leq(a, b) and not p.leq(b, a)
+                reduced = [
+                    frozenset(s) for s in subsets(p.n)
+                    if len(s) >= 2 and oracle_is_mail(p, s)
+                    and not any(p.leq(a, b) for a, b in itertools.permutations(s, 2))
+                ]
+                pairs = incomparable_mate_pairs(p)
+                assert set(pairs) == {s for s in reduced if len(s) == 2}
+                assert bool(pairs) == bool(reduced)
 
 
 class TestChainmail:
@@ -240,6 +254,11 @@ class TestCompleteLattice:
                     and len(p.order_connected_components()) == 1
                 )
                 assert p.is_complete_lattice() == expected
+
+    def test_matches_the_join_oracle(self, poset_corpus):
+        for posets in poset_corpus.values():
+            for p in posets:
+                assert p.is_complete_lattice() == oracle_is_complete_lattice(p)
 
 
 class TestDistributive:
