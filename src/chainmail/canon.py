@@ -23,21 +23,25 @@ class CanonResult:
     key: bytes
     perm: tuple            # perm[i] = original element placed at canonical position i
     relabeled_up: tuple    # up-rows of the canonical copy
-    _parent: list = field(default_factory=list, repr=False)
+    generators: list = field(default_factory=list, repr=False)  # automorphisms met by the search
 
-    def orbit_of(self, v: int) -> int:
-        return _find(self._parent, v)
-
-    def same_orbit(self, a: int, b: int) -> bool:
-        return self.orbit_of(a) == self.orbit_of(b)
+    def orbit(self, v: int) -> set:
+        """The automorphism orbit of v."""
+        return _orbit(v, self.generators)
 
 
-def _find(parent: list, v: int) -> int:
-    """Union-find root of v, halving the path on the way."""
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
+def _orbit(v: int, gens) -> set:
+    """The orbit of v under the group generated by ``gens``."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list) -> list:
@@ -77,16 +81,7 @@ def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list) -> list
 
 def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
     if n == 0:
-        return CanonResult(key=(0).to_bytes(2, "big"), perm=(), relabeled_up=(), _parent=[])
-
-    parent = list(range(n))
-
-    def union(a, b):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
+        return CanonResult(key=(0).to_bytes(2, "big"), perm=(), relabeled_up=())
 
     generators: list = []
     seen_encodings: dict = {}
@@ -105,18 +100,6 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
             shift += n
         return enc
 
-    def orbit_closure(v, gens):
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
     def search(cells, path):
         idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if idx is None:
@@ -130,8 +113,6 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
                 for i in range(n):
                     g[prev[i]] = perm[i]
                 generators.append(tuple(g))
-                for a in range(n):
-                    union(a, g[a])
             if best_enc["value"] is None or enc < best_enc["value"]:
                 best_enc["value"] = enc
                 best_enc["perm"] = perm
@@ -142,7 +123,7 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
             # skip candidates in the orbit of an already-explored sibling,
             # under automorphisms that fix the individualized path
             fixing = [g for g in generators if all(g[e] == e for e in path)]
-            if fixing and tried and orbit_closure(v, fixing) & set(tried):
+            if fixing and tried and _orbit(v, fixing) & set(tried):
                 tried.append(v)
                 continue
             tried.append(v)
@@ -162,4 +143,4 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
     rows = tuple((enc >> (i * n)) & ((1 << n) - 1) for i in range(n))
     nbytes = (n * n + 7) // 8
     key = n.to_bytes(2, "big") + enc.to_bytes(nbytes, "big")
-    return CanonResult(key=key, perm=perm, relabeled_up=rows, _parent=parent)
+    return CanonResult(key=key, perm=perm, relabeled_up=rows, generators=generators)

@@ -22,7 +22,7 @@ the componentwise order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable, List, Optional, Union
@@ -39,7 +39,6 @@ from .poset import (
     mail_mates,
     mask_of,
     maximal_mask,
-    reduced_mail_scan,
     set_of,
     submasks,
 )
@@ -263,12 +262,16 @@ def cl2(pair: ConnectivityPair) -> bool:
 
 
 def _cl2_violation(pair: ConnectivityPair) -> Optional[int]:
-    lat = pair.lattice
-    cmask = pair.cmask
-    for a in range(lat.n):
-        if join_mask(lat.n, lat.up, cmask & lat.down[a]) != a:
-            return a
-    return None
+    lat, cmask = pair.lattice, pair.cmask
+    return next((a for a in range(lat.n) if not _joins_connected(lat, cmask, a)), None)
+
+
+def _joins_connected(lat: FinitePoset, cmask: int, x: int) -> bool:
+    """x is the join of the members of ``cmask`` below it.  This is also
+    membership in the join closure of ``cmask``: if x is the join of some
+    S inside it, then S lies inside ``cmask & down[x]``, whose join lies
+    between that of S and x."""
+    return join_mask(lat.n, lat.up, cmask & lat.down[x]) == x
 
 
 def cl3(pair: ConnectivityPair) -> bool:
@@ -330,37 +333,33 @@ def _disjoint_families(lat: FinitePoset) -> tuple:
     return _tmd_family(lat, lat.full_mask & ~(1 << lat.bottom()))
 
 
+def _disjoint_pairs(lat: FinitePoset) -> list:
+    """(x, y, x v y) for x < y in L+ with x ^ y = 0.  A pair with the
+    bottom, or x = y, is left out: its join is one of its members, so it
+    cannot falsify E1 or E2."""
+    n, up, down = lat.n, lat.up, lat.down
+    botbit = 1 << lat.bottom()
+    plus = [x for x in range(n) if x != lat.bottom()]
+    return [(x, y, join_mask(n, up, 1 << x | 1 << y))
+            for i, x in enumerate(plus) for y in plus[i + 1:] if down[x] & down[y] == botbit]
+
+
+def _in_l_plus(lat: FinitePoset, a: int) -> bool:
+    return 0 <= a < lat.n and a != lat.bottom()
+
+
 def e1(pair_or_lattice, a: int) -> bool:
     """a != 0, and a below a disjoint join x v y forces a below x or y."""
     lat = _lattice_of(pair_or_lattice)
-    if a == lat.bottom():
-        return False
-    n = lat.n
-    botbit = 1 << lat.bottom()
-    for x in range(n):
-        for y in range(x, n):
-            if lat.down[x] & lat.down[y] != botbit:
-                continue
-            j = join_mask(n, lat.up, (1 << x) | (1 << y))
-            if lat.up[a] >> j & 1 and not lat.up[a] & ((1 << x) | (1 << y)):
-                return False
-    return True
+    return _in_l_plus(lat, a) and not any(
+        lat.up[a] >> j & 1 and not lat.up[a] & (1 << x | 1 << y)
+        for x, y, j in _disjoint_pairs(lat))
 
 
 def e2(pair_or_lattice, a: int) -> bool:
     """a != 0, and a = x v y with x ^ y = 0 forces x = a or y = a."""
     lat = _lattice_of(pair_or_lattice)
-    if a == lat.bottom():
-        return False
-    n = lat.n
-    botbit = 1 << lat.bottom()
-    for x in range(n):
-        for y in range(x, n):
-            if lat.down[x] & lat.down[y] != botbit:
-                continue
-            if join_mask(n, lat.up, (1 << x) | (1 << y)) == a and x != a and y != a:
-                return False
-    return True
+    return _in_l_plus(lat, a) and not any(j == a for _x, _y, j in _disjoint_pairs(lat))
 
 
 def e3(pair_or_lattice, a: int) -> bool:
@@ -441,39 +440,30 @@ class TaxonomyReport:
     witnesses: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
-            "cl0": self.cl0,
-            "cl1": self.cl1,
-            "cl1_prime": self.cl1_prime,
-            "cl1_half": self.cl1_half,
-            "cl2": self.cl2,
-            "cl3": self.cl3,
-            "preconnectivity": self.preconnectivity,
-            "connectivity": self.connectivity,
-            "kernel": self.kernel,
-            "typical": self.typical,
-            "well_founded": self.well_founded,
-            "saturated": self.saturated,
-            "separated": self.separated,
-            "serra": self.serra,
-            "absolute": self.absolute,
-            "degenerate": self.degenerate,
-            "absolutely_connected": list(self.absolutely_connected),
-            "connected_equals_absolutely_connected": self.connected_equals_absolutely_connected,
-            "adjoint_view": self.adjoint_view,
-            "witnesses": {k: self.witnesses[k] for k in sorted(self.witnesses)},
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["absolutely_connected"] = list(self.absolutely_connected)
+        out["witnesses"] = dict(sorted(self.witnesses.items()))
         return out
 
 
 def _preconnectivity_violation(pair: ConnectivityPair) -> Optional[frozenset]:
-    """First induced mail of C with no join inside the induced order."""
-    elems = sorted(pair.connected)
-    induced = FinitePoset.induced(pair.lattice, elems)
-    hit = reduced_mail_scan(induced.n, induced.up, induced.down, allow_unbounded=False)
-    if hit is None:
-        return None
-    return frozenset(elems[i] for i in bits_of(hit))
+    """First mail of the induced order on C with no join in that order.
+
+    This is one :func:`first_mail` walk of L.  Antichains of C are the
+    same in L and in the induced order, and the common lower bound must
+    lie in C, so members and lows are both C.  The upper bounds in C of a
+    set with upper-bound mask ub are ``ub & C``; they have a least element
+    exactly when they are ``up[c] & C`` for some c in C (the lemma behind
+    ``is_complete_lattice``), and an empty set of upper bounds has none.
+    C's sorted elements keep their order as indices of L, so the lex-first
+    witness is the induced order's.  Preconnectivity, connectivity and CL1
+    are thus one walker call each.
+    """
+    lat = pair.lattice
+    cmask = pair.cmask
+    joins = {lat.up[c] & cmask for c in bits_of(cmask)}
+    hit = first_mail(lat.n, lat.up, lat.down, cmask, cmask, lambda ub: ub & cmask not in joins)
+    return None if hit is None else set_of(hit)
 
 
 def classify(pair: ConnectivityPair) -> TaxonomyReport:
@@ -487,44 +477,27 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
     computed independently and must agree with the raw conditions.
     """
     lat = pair.lattice
-    witnesses: dict = {}
-
-    v_cl1 = _cl1_violation(pair)
-    v_cl1p = _cl1_prime_violation(pair)
-    v_cl1h = _cl1_half_violation(pair)
-    v_cl2 = _cl2_violation(pair)
     fam, joins, _doms = dc = _dc_tables(pair)
-    v_cl3 = _cl3_violation(pair, fam, joins)
-    v_pre = _preconnectivity_violation(pair)
-    v_sub = _subchainmail_violation(lat, pair.cmask)
-
-    has_cl0 = cl0(pair)
-    has_cl1 = v_cl1 is None
-    has_cl1p = v_cl1p is None
-    has_cl1h = v_cl1h is None
-    has_cl2 = v_cl2 is None
-    has_cl3 = v_cl3 is None
-    is_pre = v_pre is None
-    is_conn = v_sub is None
+    cl1p = _cl1_prime_violation(pair)
+    cl3 = _cl3_violation(pair, fam, joins)
+    pre = _preconnectivity_violation(pair)
+    # each raw condition's JSON-ready witness, or None when it holds; the
+    # keys are the report's first eight fields
+    found = {
+        "cl0": None if cl0(pair) else lat.bottom(),
+        "cl1": _mask_list(_cl1_violation(pair)),
+        "cl1_prime": None if cl1p is None else list(cl1p),
+        "cl1_half": _cl1_half_violation(pair),
+        "cl2": _cl2_violation(pair),
+        "cl3": None if cl3 is None else sorted(cl3),
+        "preconnectivity": None if pre is None else sorted(pre),
+        "connectivity": _mask_list(_subchainmail_violation(lat, pair.cmask)),
+    }
+    witnesses = {k: w for k, w in found.items() if w is not None}
+    has = {k: w is None for k, w in found.items()}
+    is_conn = has["connectivity"]
     table = _right_adjoint_table(lat, *dc)
     adjunction = table is not None
-
-    if not has_cl0:
-        witnesses["cl0"] = lat.bottom()
-    if v_cl1 is not None:
-        witnesses["cl1"] = sorted(bits_of(v_cl1))
-    if v_cl1p is not None:
-        witnesses["cl1_prime"] = list(v_cl1p)
-    if v_cl1h is not None:
-        witnesses["cl1_half"] = v_cl1h
-    if v_cl2 is not None:
-        witnesses["cl2"] = v_cl2
-    if v_cl3 is not None:
-        witnesses["cl3"] = sorted(v_cl3)
-    if v_pre is not None:
-        witnesses["preconnectivity"] = sorted(v_pre)
-    if v_sub is not None:
-        witnesses["connectivity"] = sorted(bits_of(v_sub))
 
     if adjunction != is_conn:
         raise RuntimeError("internal inconsistency: adjunction existence vs subchainmail closure")
@@ -551,10 +524,10 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
             "right_adjoint_is_left_inverse": left_inverse,
         }
         consistent = (
-            preserves_bottom == (not has_cl0)
-            and reflects_bottom == has_cl1h
-            and right_inverse == has_cl2
-            and left_inverse == has_cl3
+            preserves_bottom == (not has["cl0"])
+            and reflects_bottom == has["cl1_half"]
+            and right_inverse == has["cl2"]
+            and left_inverse == has["cl3"]
         )
         if not consistent:
             raise RuntimeError("internal inconsistency: adjoint view disagrees with CL conditions")
@@ -562,20 +535,13 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
             raise RuntimeError("internal inconsistency: right adjoint is not the component map")
 
     report = TaxonomyReport(
-        cl0=has_cl0,
-        cl1=has_cl1,
-        cl1_prime=has_cl1p,
-        cl1_half=has_cl1h,
-        cl2=has_cl2,
-        cl3=has_cl3,
-        preconnectivity=is_pre,
-        connectivity=is_conn,
-        kernel=is_conn and has_cl0,
-        typical=has_cl1 and not has_cl0,
-        well_founded=is_conn and has_cl1h,
-        saturated=is_conn and has_cl2,
-        separated=is_conn and has_cl3,
-        serra=has_cl1 and not has_cl0 and has_cl2,
+        **has,
+        kernel=is_conn and has["cl0"],
+        typical=has["cl1"] and not has["cl0"],
+        well_founded=is_conn and has["cl1_half"],
+        saturated=is_conn and has["cl2"],
+        separated=is_conn and has["cl3"],
+        serra=has["cl1"] and not has["cl0"] and has["cl2"],
         absolute=absolute,
         degenerate=pair.connected == frozenset(range(lat.n)),
         absolutely_connected=tuple(sorted(e4_set)),
@@ -583,11 +549,15 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
         adjoint_view=adjoint_view,
         witnesses=witnesses,
     )
-    if has_cl1 != has_cl1p:
+    if has["cl1"] != has["cl1_prime"]:
         raise RuntimeError("internal inconsistency: the two mail-join closure forms disagree")
     if report.absolute and not (report.separated and report.saturated):
         raise RuntimeError("internal inconsistency: absolute without separated + saturated")
     return report
+
+
+def _mask_list(mask: Optional[int]) -> Optional[list]:
+    return None if mask is None else list(bits_of(mask))
 
 
 def report_to_json_text(report: TaxonomyReport, pretty: bool = False) -> str:
@@ -611,19 +581,8 @@ def report_to_json_text(report: TaxonomyReport, pretty: bool = False) -> str:
 def sigma_members(pair: ConnectivityPair) -> list:
     """Ambient elements of the join closure of C (all joins of subsets of C,
     the empty join included), ascending."""
-    lat = pair.lattice
-    closure = {lat.bottom()} | set(pair.connected)
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(closure)
-        for a in current:
-            for b in current:
-                j = join_mask(lat.n, lat.up, (1 << a) | (1 << b))
-                if j not in closure:
-                    closure.add(j)
-                    changed = True
-    return sorted(closure)
+    lat, cmask = pair.lattice, pair.cmask
+    return [x for x in range(lat.n) if _joins_connected(lat, cmask, x)]
 
 
 def sigma_closure(pair: ConnectivityPair) -> ConnectivityPair:

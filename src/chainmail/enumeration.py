@@ -100,7 +100,7 @@ def _accepted(k1: int, up1: Tuple[int, ...], down1: Tuple[int, ...]):
         if up1[e] == 1 << e:  # maximal
             if best is None or pos[e] > pos[best]:
                 best = e
-    if result.same_orbit(best, k1 - 1):
+    if k1 - 1 in result.orbit(best):
         return result
     return None
 
@@ -191,13 +191,12 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
 # public entry points
 # ---------------------------------------------------------------------------
 
-def enumerate_posets(n: int, want_catalog: bool = False, threads: int = 1,
-                     cap: int = DEFAULT_POSET_ENUM_CAP) -> EnumerationResult:
+def enumerate_posets(n: int, want_catalog: bool = False, threads: int = 1) -> EnumerationResult:
     """All posets on n elements up to isomorphism."""
     if n < 0:
         raise PreconditionError("n must be non-negative")
-    if n > cap:
-        raise GuardExceeded(f"poset enumeration capped at n={cap}")
+    if n > DEFAULT_POSET_ENUM_CAP:
+        raise GuardExceeded(f"poset enumeration capped at n={DEFAULT_POSET_ENUM_CAP}")
     t0 = time.perf_counter()
     count, entries = _enumerate((False, False), n, want_catalog, threads)
     catalog = tuple(FinitePoset(n, rows) for _key, rows in entries) if want_catalog else None

@@ -545,10 +545,7 @@ class FinitePoset:
         """Orbits of the automorphism group, each as a frozenset, sorted by
         least member."""
         result = canon.canonicalize(self.n, self.up, self.down)
-        groups = {}
-        for v in range(self.n):
-            groups.setdefault(result.orbit_of(v), []).append(v)
-        return [frozenset(g) for g in sorted(groups.values())]
+        return sorted({frozenset(result.orbit(v)) for v in range(self.n)}, key=min)
 
     # -- JSON interchange -------------------------------------------------
 

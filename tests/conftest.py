@@ -219,6 +219,57 @@ def oracle_absolutely_connected(lat: FinitePoset) -> frozenset:
     )
 
 
+def oracle_e1(lat: FinitePoset, a: int) -> bool:
+    """E1 by a double loop over every pair x <= y (indices) whose meet is
+    the bottom: a != 0, and a below x v y is below x or y."""
+    if a == lat.bottom():
+        return False
+    n = lat.n
+    botbit = 1 << lat.bottom()
+    for x in range(n):
+        for y in range(x, n):
+            if lat.down[x] & lat.down[y] != botbit:
+                continue
+            j = join_mask(n, lat.up, (1 << x) | (1 << y))
+            if lat.up[a] >> j & 1 and not lat.up[a] & ((1 << x) | (1 << y)):
+                return False
+    return True
+
+
+def oracle_e2(lat: FinitePoset, a: int) -> bool:
+    """E2 by the same double loop: a != 0, and a = x v y with x ^ y = 0
+    forces x = a or y = a."""
+    if a == lat.bottom():
+        return False
+    n = lat.n
+    botbit = 1 << lat.bottom()
+    for x in range(n):
+        for y in range(x, n):
+            if lat.down[x] & lat.down[y] != botbit:
+                continue
+            if join_mask(n, lat.up, (1 << x) | (1 << y)) == a and x != a and y != a:
+                return False
+    return True
+
+
+def oracle_sigma_members(pair) -> list:
+    """The join closure of C by a fixpoint: start from the bottom and C,
+    and add pairwise joins until nothing changes."""
+    lat = pair.lattice
+    closure = {lat.bottom()} | set(pair.connected)
+    changed = True
+    while changed:
+        changed = False
+        current = sorted(closure)
+        for a in current:
+            for b in current:
+                j = join_mask(lat.n, lat.up, (1 << a) | (1 << b))
+                if j not in closure:
+                    closure.add(j)
+                    changed = True
+    return sorted(closure)
+
+
 def brute_force_poset_count(n: int) -> int:
     """Count posets up to isomorphism by filtering every reflexive relation
     (2^(n^2-n) of them; n <= 4 is practical)."""

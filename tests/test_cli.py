@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import gc
+import hashlib
 import io
 import json
 import os
@@ -15,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import chainmail
 from chainmail.cli import export_dot, run
-from chainmail.generators import named_fixture
+from chainmail.connectivity import ConnectivityPair
+from chainmail.generators import fixture_names, named_fixture
 from chainmail.poset import FinitePoset
 
 from conftest import mk
@@ -94,6 +97,57 @@ class TestClassify:
         code, out, _ = invoke(["classify", "--fixture", "exaW", "--pretty"])
         assert code == 0
         assert re.search(r"^separated\s+True$", out, re.M)
+
+
+# SHA-256 of ``classify --fixture F`` stdout (JSON, then --pretty) for every
+# pair fixture; a change to these bytes is a change to the CLI's output
+CLASSIFY_DIGESTS = [
+    ("exaAA", "7465e423dae30e8a068bf0ac2068c078ddf24cb05852353194f375f7d6f49751",
+     "acc1fe6a444ea1471209e241b12454017e4a77293c6e3e02547b06c6d291ef48"),
+    ("exaAB", "1830b68ca66f823d587823bd04c5611c9cde2f5d8cc11d0f1f1cf3c15edd9d96",
+     "47d0bbfc658d6f2817e6dc79e87aec79fe439b5dbc5b5d49171fbb0174497e61"),
+    ("exaB", "4ff2886b820cb68e78d005b008b02e4c38e10f9692b3e8e63a5c6f31bc0a219d",
+     "342d5c1c48f3a7f6325cfaac9859fc176a3e7177a8ee59c6fd3639b7286213fa"),
+    ("exaC", "4ff2886b820cb68e78d005b008b02e4c38e10f9692b3e8e63a5c6f31bc0a219d",
+     "342d5c1c48f3a7f6325cfaac9859fc176a3e7177a8ee59c6fd3639b7286213fa"),
+    ("exaH", "4eb2ffc1180b5d85ab698f191471bded804d090984802276b0b7919a23f2fe2d",
+     "18fb18c45267426f08c3f228293073da89eed4c8da7e7cafcbaf838cf7eb1928"),
+    ("exaI", "d272161c9a8d714d26ce0824daa079103c4d6f8f8840ad90731eceeadee0fb54",
+     "feac1cff5cc286260f875c2aa351b141f89f90297154d0c23528ad6a8417c1bf"),
+    ("exaJ", "cee453f1d500cfb506f5c0720bf910b75e261f59850e94ef7e2cdf9537b41e69",
+     "af2a6d9d4faff5d9c96952bed686cd7ed5726d16c04fc23c00f843beb3d3a7b1"),
+    ("exaK", "6d5824f6ac311112374497a7773b37324c1a8b026d6752b7cb1e315269060648",
+     "5785de06a40dbeab1d120e307219214d3d4afea8b96e552fc61b654dbb84c6c2"),
+    ("exaM", "f8295b53aeb86016da5c3018811289450bffc2b8fcd4267d4b76350dea76d902",
+     "f778a0be36ecea7847e4f336a548bf52feace408bd3adc93cd7b8bdaead2277e"),
+    ("exaN", "757eec1004c853482a0a9aebcc36286f098787264eea67926d5e270b77c039d0",
+     "3de2dff0d3b91be26746d28e20a33e75c34eaf02310ab5cb1f3d026fa50014a8"),
+    ("exaT", "70258ee3a0ff7f655add0bbd34eb87c703d30dbf8f0b868c89dba9e65f43411d",
+     "a03496dd95c2ac9a05fbe14f9d1bd3c7e737978f0d8e91e3ff209d39764ad343"),
+    ("exaU", "87c782925ca8d1747d580cb7a093e0fdc2f3c4c5b8214ccb484c2ace11ed337e",
+     "63e039245b5e7f5a05e14822d090317f510a72f21a10bf42df7907a08a2b85db"),
+    ("exaV", "e114b351e7a4abb1ab9c65588bb823b059a47116cb835a18f0a8036e7ef3d2a9",
+     "410207ec0259cfa6fb70a10c8f5d089f68d0bfeaef3e60deb108b89d0158157d"),
+    ("exaW", "fb84e476136acbe552de9fab28527d74562b36200e6644a75f33b4d7ffb0da5b",
+     "a32748274be2752104a56c080f1afdef454901a6d4403138f30c46f8b88e2676"),
+    ("exaX", "53b0a720cbf436b721c51d9f0af71fde3a914448e057c6688eff58602caaa500",
+     "bac8107ec65374702243e1977baf6a66527cee3aae19b9c6fdb7f53529e4bac2"),
+    ("sierpinski", "d272161c9a8d714d26ce0824daa079103c4d6f8f8840ad90731eceeadee0fb54",
+     "feac1cff5cc286260f875c2aa351b141f89f90297154d0c23528ad6a8417c1bf"),
+]
+
+
+class TestClassifyBytes:
+    def test_every_pair_fixture_is_pinned(self):
+        pairs = [name for name in fixture_names() if isinstance(named_fixture(name), ConnectivityPair)]
+        assert [name for name, _json, _pretty in CLASSIFY_DIGESTS] == pairs
+
+    @pytest.mark.parametrize("name, json_digest, pretty_digest", CLASSIFY_DIGESTS)
+    def test_stdout_digest(self, name, json_digest, pretty_digest):
+        for extra, digest in (([], json_digest), (["--pretty"], pretty_digest)):
+            code, out, err = invoke(["classify", "--fixture", name, *extra])
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestJsonIntegers:
@@ -288,6 +342,32 @@ class TestByteStability:
         second = invoke(list(argv))
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--input", "PAIR"],
+            ["classify", "--fixture", "exaW"],
+            ["exterior", "--fixture", "exaA"],
+            ["enumerate", "--n", "5"],
+        ],
+    )
+    def test_repeat_run_leaves_no_cyclic_garbage(self, argv, tmp_path):
+        # only the first call builds the parser; later calls free all
+        # their objects by reference counting
+        pair = named_fixture("exaN")
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair.lattice.to_json(connectivity=sorted(pair.connected))),
+                        encoding="utf-8")
+        argv = [str(path) if arg == "PAIR" else arg for arg in argv]
+        assert invoke(argv)[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert invoke(argv)[0] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_usage_errors_repeat_byte_for_byte(self):
         outcomes = []

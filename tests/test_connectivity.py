@@ -56,8 +56,11 @@ from conftest import (
     mk,
     oracle_absolutely_connected,
     oracle_dc_family,
+    oracle_e1,
+    oracle_e2,
     oracle_join,
     oracle_l_plus_families,
+    oracle_sigma_members,
 )
 
 
@@ -236,6 +239,19 @@ class TestEConditions:
         pair = named_fixture("exaU")
         assert e4(pair, 1)
 
+    def test_e1_e2_match_the_double_loops(self):
+        lattices = enumerate_complete_lattices(8)
+        assert len(lattices) == 300
+        for lat in lattices:
+            for a in range(lat.n):
+                assert e1(lat, a) == oracle_e1(lat, a)
+                assert e2(lat, a) == oracle_e2(lat, a)
+
+    @pytest.mark.parametrize("condition", [e1, e2, e3, e4])
+    @pytest.mark.parametrize("a", [-1, 3, 99])
+    def test_element_outside_the_lattice_fails(self, condition, a):
+        assert condition(FinitePoset.chain(3), a) is False
+
 
 def closure_lattice(rng: random.Random, k: int) -> FinitePoset:
     """Inclusion order on a closure system of k points: the empty set, the
@@ -377,6 +393,13 @@ class TestSigmaClosure:
             closed = sigma_closure(pair)
             assert is_subchainmail_of(closed.lattice, closed.connected) == direct
             assert cl2(closed)
+
+    def test_members_match_the_pairwise_join_fixpoint(self):
+        count = 0
+        for pair in enumerate_connectivity_pairs(6):
+            assert sigma_members(pair) == oracle_sigma_members(pair)
+            count += 1
+        assert count == 1166
 
 
 class TestSinkMachinery:
