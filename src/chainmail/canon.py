@@ -9,13 +9,27 @@ search and yield the orbit partition needed by the enumerator.
 
 Correctness rests on two standard facts: the refined partition is an
 isomorphism invariant, and pruning a branch by a known automorphism only
-removes encodings that are produced elsewhere in the tree.
+removes encodings that are produced elsewhere in the tree.  Every leaf
+whose encoding repeats an earlier one adds an automorphism, and together
+they generate the whole automorphism group (McKay, "Practical graph
+isomorphism", Congr. Numer. 30, 1981), which the enumerator uses twice:
+for orbits of elements and for orbits of down-sets.
+
+Bound.  Refinement and individualization only split a cell into
+fragments that take its place in the list, so every leaf, the canonical
+labeling among them, places each element at a position inside the span
+of its cell of the first stable partition.  Automorphisms keep that
+partition, so each orbit lies inside one of its cells.
+
+Fresh cells.  A refinement round counts only against the cells the
+previous round made; see :func:`_refine` for why that gives the same
+ordered partition as counting against every cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 @dataclass
@@ -44,18 +58,44 @@ def _orbit(v: int, gens) -> set:
     return seen
 
 
-def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list) -> list:
+def stable_partition(n: int, up: Sequence[int], down: Sequence[int]) -> list:
+    """The equitable refinement of the unit partition: the first stable
+    partition, root of the search."""
+    every = list(range(n))
+    return _refine(n, up, down, [every], [every])
+
+
+def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: list) -> list:
     """Equitable refinement of an ordered partition; split fragments are
-    ordered by signature, which keeps the result isomorphism-invariant."""
-    while True:
+    ordered by signature, which keeps the result isomorphism-invariant.
+
+    ``fresh`` lists, in list order, the cells against which ``cells`` may
+    not be equitable yet: the one cell of the unit partition, or ``[v]``
+    and the rest of its cell for a search branch.  Each round splits every
+    cell by the counts of strict predecessors and successors of its
+    members in the fresh cells alone, and the fragments it makes are the
+    next round's fresh cells.  This gives the same ordered partition as
+    counting against every cell, round by round.  Invariant: the partition
+    is equitable against each cell not in ``fresh``, since such a cell was
+    either counted against by the last round or already covered before it,
+    and its counts stay constant in every later fragment.  So counting
+    against every cell adds only positions that are constant inside each
+    cell, and two signatures that agree on some positions compare as
+    their other positions do: the groups and their sorted order are the
+    same.  Each signature is one int with a field of ``(n + 1).bit_length()``
+    bits per count, the first count highest, so int order is the tuple's
+    lex order.
+    """
+    width = (n + 1).bit_length()
+    while fresh:
         masks = []
-        for cell in cells:
+        for cell in fresh:
             m = 0
             for v in cell:
                 m |= 1 << v
             masks.append(m)
         new_cells = []
-        changed = False
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -64,22 +104,28 @@ def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list) -> list
             for v in cell:
                 dv = down[v]
                 uv = up[v]
-                sig = tuple(
-                    ((dv & m).bit_count(), (uv & m).bit_count()) for m in masks
-                )
+                sig = 0
+                for m in masks:
+                    sig = (((sig << width) | (dv & m).bit_count()) << width) | (uv & m).bit_count()
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
                 for sig in sorted(groups):
                     new_cells.append(groups[sig])
+                    fresh.append(groups[sig])
         cells = new_cells
-        if not changed:
-            return cells
+    return cells
 
 
-def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
+def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
+                 cells: Optional[list] = None) -> CanonResult:
+    """Canonical key, labeling and automorphism generators of a poset.
+
+    ``cells`` is ``stable_partition(n, up, down)`` when the caller has
+    already computed it; the search starts from it rather than refining
+    the unit partition again.
+    """
     if n == 0:
         return CanonResult(key=(0).to_bytes(2, "big"), perm=(), relabeled_up=())
 
@@ -87,17 +133,19 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
     seen_encodings: dict = {}
     best_enc = {"value": None, "perm": None}
 
+    above = [[w for w in range(n) if up[v] >> w & 1] for v in range(n)]
+
     def encode(perm):
+        """Row i holds bit j when perm[i] <= perm[j]; row i sits at bit i * n."""
+        pos = [0] * n
+        for i, v in enumerate(perm):
+            pos[v] = i
         enc = 0
-        shift = 0
-        for i in range(n):
-            row_src = up[perm[i]]
+        for v in reversed(perm):
             row = 0
-            for j in range(n):
-                if row_src >> perm[j] & 1:
-                    row |= 1 << j
-            enc |= row << shift
-            shift += n
+            for w in above[v]:
+                row |= 1 << pos[w]
+            enc = (enc << n) | row
         return enc
 
     def search(cells, path):
@@ -119,21 +167,24 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int]) -> CanonResult:
             return
         cell = cells[idx]
         tried: list = []
+        fixing: list = []
+        scanned = 0
         for v in cell:
             # skip candidates in the orbit of an already-explored sibling,
-            # under automorphisms that fix the individualized path
-            fixing = [g for g in generators if all(g[e] == e for e in path)]
+            # under automorphisms that fix the individualized path; the
+            # generators found since the last sibling are the only new ones
+            fixing += [g for g in generators[scanned:] if all(g[e] == e for e in path)]
+            scanned = len(generators)
             if fixing and tried and _orbit(v, fixing) & set(tried):
                 tried.append(v)
                 continue
             tried.append(v)
             rest = [w for w in cell if w != v]
             new_cells = cells[:idx] + [[v], rest] + cells[idx + 1:]
-            refined = _refine(n, up, down, new_cells)
+            refined = _refine(n, up, down, new_cells, [[v], rest])
             search(refined, path + (v,))
 
-    start = _refine(n, up, down, [list(range(n))])
-    search(start, ())
+    search(stable_partition(n, up, down) if cells is None else cells, ())
     # search refers to itself through its closure; unbinding it breaks that
     # cycle, so the search state is freed on return, not at a later collection
     del search

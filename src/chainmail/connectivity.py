@@ -336,10 +336,13 @@ def _disjoint_families(lat: FinitePoset) -> tuple:
 def _disjoint_pairs(lat: FinitePoset) -> list:
     """(x, y, x v y) for x < y in L+ with x ^ y = 0.  A pair with the
     bottom, or x = y, is left out: its join is one of its members, so it
-    cannot falsify E1 or E2."""
+    cannot falsify E1 or E2.  A poset without a bottom has no L+."""
     n, up, down = lat.n, lat.up, lat.down
-    botbit = 1 << lat.bottom()
-    plus = [x for x in range(n) if x != lat.bottom()]
+    bot = lat.bottom()
+    if bot is None:
+        raise PreconditionError("E conditions are defined over complete lattices")
+    botbit = 1 << bot
+    plus = [x for x in range(n) if x != bot]
     return [(x, y, join_mask(n, up, 1 << x | 1 << y))
             for i, x in enumerate(plus) for y in plus[i + 1:] if down[x] & down[y] == botbit]
 
@@ -351,15 +354,16 @@ def _in_l_plus(lat: FinitePoset, a: int) -> bool:
 def e1(pair_or_lattice, a: int) -> bool:
     """a != 0, and a below a disjoint join x v y forces a below x or y."""
     lat = _lattice_of(pair_or_lattice)
+    pairs = _disjoint_pairs(lat)
     return _in_l_plus(lat, a) and not any(
-        lat.up[a] >> j & 1 and not lat.up[a] & (1 << x | 1 << y)
-        for x, y, j in _disjoint_pairs(lat))
+        lat.up[a] >> j & 1 and not lat.up[a] & (1 << x | 1 << y) for x, y, j in pairs)
 
 
 def e2(pair_or_lattice, a: int) -> bool:
     """a != 0, and a = x v y with x ^ y = 0 forces x = a or y = a."""
     lat = _lattice_of(pair_or_lattice)
-    return _in_l_plus(lat, a) and not any(j == a for _x, _y, j in _disjoint_pairs(lat))
+    pairs = _disjoint_pairs(lat)
+    return _in_l_plus(lat, a) and not any(j == a for _x, _y, j in pairs)
 
 
 def e3(pair_or_lattice, a: int) -> bool:

@@ -5,10 +5,21 @@ one new maximal element whose strict down-set is a down-closed subset of
 the parent.  Walking that tree and keeping exactly one representative per
 isomorphism class is done McKay-style: a child is accepted only when its
 new element lies in the automorphism orbit of a canonical deletion choice
-(the maximal element holding the largest canonical label), and children of
-one parent are deduplicated by canonical key.  Accepted children of
-distinct parents can never be isomorphic, so no global seen-set is needed
-and subtrees can run in parallel.
+(the maximal element holding the largest canonical label).  Accepted
+children of distinct parents can never be isomorphic, so no global
+seen-set is needed and subtrees can run in parallel.
+
+One down-set per orbit.  Each search node carries generators of its
+automorphism group, found by its own canonicalization and in its own
+labels, and only the first down-set of each orbit of that group is tried.
+Down-sets in one orbit give isomorphic children, so no class is lost.
+Two accepted children over down-sets D and E are isomorphic only when D
+and E share an orbit.  Each new element lies in the orbit of its child's
+canonical deletion choice, and an isomorphism f between the children maps
+the one orbit onto the other, so f followed by an automorphism of the
+second child maps new element to new element; it then restricts to an
+automorphism of the parent that maps D onto E.  So the children of one
+parent need no deduplication by key.
 
 Connected chainmails are counted through completable posets: ones in
 which no reduced mail (an antichain of at least two elements with a common
@@ -90,31 +101,52 @@ class EnumerationResult:
 
 def _accepted(k1: int, up1: Tuple[int, ...], down1: Tuple[int, ...]):
     """McKay acceptance for the child that added element k1-1; returns the
-    canonicalization when accepted, else None."""
-    result = canon.canonicalize(k1, up1, down1)
+    canonicalization when accepted, else None.
+
+    The child is accepted when k1-1 lies in the automorphism orbit of the
+    maximal element with the largest canonical position.  Canonical
+    positions lie inside the cells of the first stable partition, and
+    automorphisms keep those cells, so that orbit lies in the last cell
+    holding a maximal element; a new element outside that cell is rejected
+    before any search.  A cell holds maximal elements only or none, since
+    refinement counts each element's up-set.
+    """
+    cells = canon.stable_partition(k1, up1, down1)
+    last = next(c for c in reversed(cells) if up1[c[0]] == 1 << c[0])
+    if k1 - 1 not in last:
+        return None
+    result = canon.canonicalize(k1, up1, down1, cells=cells)
     pos = [0] * k1
     for i, e in enumerate(result.perm):
         pos[e] = i
-    best = None
-    for e in range(k1):
-        if up1[e] == 1 << e:  # maximal
-            if best is None or pos[e] > pos[best]:
-                best = e
+    best = max(last, key=pos.__getitem__)
     if k1 - 1 in result.orbit(best):
         return result
     return None
 
 
-def _children(k: int, up: Tuple[int, ...], completable: bool, bottom: bool):
-    """Accepted, deduplicated children of a parent, as search nodes
-    (k + 1, up-rows, (canonical key, canonical up-rows)).  ``completable``
-    keeps the completable children only; ``bottom`` keeps, once the parent
-    has an element, only new elements with a non-empty strict down-set."""
+def _orbit_firsts(masks: list, gens: Sequence) -> Iterator[int]:
+    """The first of ``masks`` in each orbit of the group generated by
+    ``gens``; ``masks`` must be closed under that group."""
+    moves = [{d: sum(1 << g[a] for a in bits_of(d)) for d in masks} for g in gens]
+    covered: set = set()
+    for d in masks:
+        if d not in covered:
+            covered |= canon._orbit(d, moves)
+            yield d
+
+
+def _children(k: int, up: Tuple[int, ...], gens: Sequence, completable: bool, bottom: bool):
+    """Accepted children of a parent, as search nodes (k + 1, up-rows,
+    (canonical key, canonical up-rows), automorphism generators).
+    ``gens`` generate the parent's automorphism group, and one down-set
+    per orbit of it is tried.  ``completable`` keeps the completable
+    children only; ``bottom`` keeps, once the parent has an element, only
+    new elements with a non-empty strict down-set."""
     down = transpose(k, up)
     k1 = k + 1
     newbit = 1 << k
-    seen = set()
-    for dmask in downset_masks(k, down):
+    for dmask in _orbit_firsts(downset_masks(k, down), gens):
         if bottom and k and not dmask:
             continue
         up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
@@ -122,26 +154,25 @@ def _children(k: int, up: Tuple[int, ...], completable: bool, bottom: bool):
         if completable and reduced_mail_scan(k1, up1, down1, allow_unbounded=True) is not None:
             continue
         result = _accepted(k1, up1, down1)
-        if result is None or result.key in seen:
-            continue
-        seen.add(result.key)
-        yield k1, up1, (result.key, result.relabeled_up)
+        if result is not None:
+            yield k1, up1, (result.key, result.relabeled_up), result.generators
 
 
-# the empty poset, root of every search
-_ROOT = (0, (), (canon.canonicalize(0, (), ()).key, ()))
+# the empty poset, root of every search; it has no automorphism to carry
+_ROOT = (0, (), (canon.canonicalize(0, (), ()).key, ()), ())
 
 
 def _grow(node, rule: tuple, target: int, want_catalog: bool, sink: list) -> int:
     """Depth-first: the number of classes on ``target`` elements at or under
     ``node``; their (key, canonical up-rows) go to ``sink`` when
     ``want_catalog``."""
-    k, up, entry = node
+    k, up, entry, gens = node
     if k == target:
         if want_catalog:
             sink.append(entry)
         return 1
-    return sum(_grow(child, rule, target, want_catalog, sink) for child in _children(k, up, *rule))
+    return sum(_grow(child, rule, target, want_catalog, sink)
+               for child in _children(k, up, gens, *rule))
 
 
 def _worker(payload):
@@ -164,11 +195,13 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
 
     The tree is grown breadth-first to ``target - 3`` elements, those nodes
     are dealt round-robin into chunks, and ``_worker`` searches each chunk:
-    in this process, or in a pool of ``threads`` processes.
+    in this process, or in a pool of ``threads`` processes.  Each node goes
+    with the automorphism generators that its children need.
     """
     frontier = [_ROOT]
     for _ in range(target - 3):
-        frontier = [child for k, up, _entry in frontier for child in _children(k, up, *rule)]
+        frontier = [child for k, up, _entry, gens in frontier
+                    for child in _children(k, up, gens, *rule)]
     nchunks = min(4 * max(threads, 1), len(frontier))
     payloads = [(rule, target, want_catalog, frontier[i::nchunks]) for i in range(nchunks)]
     if threads > 1 and nchunks > 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from chainmail import canon
 from chainmail.exterior import tmd_set_masks
 from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of
 from chainmail.enumeration import enumerate_posets
@@ -295,6 +296,42 @@ def lattices_by_filtering_all_posets(max_size: int) -> list:
     return [p for size in range(1, max_size + 1)
             for p in enumerate_posets(size, want_catalog=True).catalog
             if p.is_complete_lattice()]
+
+
+def oracle_refine(n: int, up, down, cells: list) -> list:
+    """Equitable refinement that counts every member of every cell against
+    every cell of the partition, each round; the route ``canon._refine``
+    took before it counted against the fresh cells only."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                sig = tuple(((down[v] & m).bit_count(), (up[v] & m).bit_count()) for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                new_cells.extend(groups[sig] for sig in sorted(groups))
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def oracle_accepted(k1: int, up1, down1):
+    """McKay acceptance by a full canonicalization of every candidate: the
+    canonicalization when k1-1 lies in the orbit of the maximal element
+    with the largest canonical position, else None."""
+    result = canon.canonicalize(k1, up1, down1)
+    pos = {e: i for i, e in enumerate(result.perm)}
+    best = max((e for e in range(k1) if up1[e] == 1 << e), key=pos.__getitem__)
+    return result if k1 - 1 in result.orbit(best) else None
 
 
 def mk(k):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from chainmail import canon
 from chainmail.poset import FinitePoset
 
-from conftest import relabel
+from conftest import oracle_refine, relabel
 
 
 def brute_force_orbits(p: FinitePoset) -> list:
@@ -70,6 +70,26 @@ def test_canonicalize_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_refine_matches_counting_against_every_cell(poset_corpus):
+    # from the unit partition and after every depth-1 individualization,
+    # on each poset up to 6 elements as catalogued and relabeled
+    rng = random.Random(20261018)
+    for n, posets in poset_corpus.items():
+        for p in posets:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for q in (p, relabel(p, perm)):
+                up, down = q.up, q.down
+                stable = canon.stable_partition(n, up, down)
+                assert stable == oracle_refine(n, up, down, [list(range(n))])
+                for idx, cell in enumerate(stable):
+                    for v in cell if len(cell) > 1 else ():
+                        rest = [w for w in cell if w != v]
+                        cells = stable[:idx] + [[v], rest] + stable[idx + 1:]
+                        assert canon._refine(n, up, down, cells, [[v], rest]) == \
+                            oracle_refine(n, up, down, cells)
 
 
 def test_chain_vs_v_shape():

@@ -252,6 +252,21 @@ class TestEConditions:
     def test_element_outside_the_lattice_fails(self, condition, a):
         assert condition(FinitePoset.chain(3), a) is False
 
+    @pytest.mark.parametrize("condition", [e1, e2, e3, e4])
+    @pytest.mark.parametrize("a", [0, 1, 99])
+    def test_poset_without_a_bottom_is_refused(self, condition, a):
+        with pytest.raises(PreconditionError, match="complete lattices"):
+            condition(FinitePoset.antichain(2), a)
+
+    def test_poset_with_a_bottom_but_no_lattice_keeps_its_answers(self):
+        # a bottom, two atoms with a join, and two tops above that join:
+        # every pair meeting in the bottom has a join, so E1 and E2 answer
+        p = FinitePoset.from_cover_pairs(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)])
+        assert not p.is_complete_lattice()
+        expected = [False, True, True, False, True, True]
+        assert [e1(p, a) for a in range(p.n)] == expected
+        assert [e2(p, a) for a in range(p.n)] == expected
+
 
 def closure_lattice(rng: random.Random, k: int) -> FinitePoset:
     """Inclusion order on a closure system of k points: the empty set, the

@@ -21,9 +21,9 @@ from chainmail.enumeration import (
 )
 from chainmail.errors import GuardExceeded
 from chainmail.generators import forest_poset_check
-from chainmail.poset import FinitePoset, reduced_mail_scan
+from chainmail.poset import FinitePoset, downset_masks, reduced_mail_scan, transpose
 
-from conftest import brute_force_poset_count, lattices_by_filtering_all_posets
+from conftest import brute_force_poset_count, lattices_by_filtering_all_posets, oracle_accepted
 
 POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 CHAINMAIL_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 303}
@@ -199,6 +199,85 @@ class TestAgainstNaiveGeneration:
         expected = naive_global_dedupe_posets(n)
         catalog = enumerate_posets(n, want_catalog=True).catalog
         assert {p.canonical_key() for p in catalog} == expected
+
+
+# the (completable, bottom) rules of the poset, chainmail and lattice searches
+RULES = {"posets": (False, False), "completable": (True, False), "lattices": (True, True)}
+
+
+def search_nodes(rule: tuple, max_k: int) -> list:
+    """Every node of the search on at most ``max_k`` elements, each with
+    the automorphism generators it carries."""
+    level = [enumeration._ROOT]
+    nodes = list(level)
+    for _ in range(max_k):
+        level = [child for k, up, _entry, gens in level
+                 for child in enumeration._children(k, up, gens, *rule)]
+        nodes += level
+    return nodes
+
+
+def candidates(k: int, up: tuple, rule: tuple):
+    """(up-rows, down-rows) of every child over every down-set of the
+    parent that passes the rule's filters, before any acceptance test."""
+    completable, bottom = rule
+    down = transpose(k, up)
+    newbit = 1 << k
+    for dmask in downset_masks(k, down):
+        if bottom and k and not dmask:
+            continue
+        up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
+        down1 = down + (dmask | newbit,)
+        if completable and reduced_mail_scan(k + 1, up1, down1, allow_unbounded=True) is not None:
+            continue
+        yield up1, down1
+
+
+@pytest.fixture(scope="module", params=list(RULES))
+def rule_nodes(request):
+    rule = RULES[request.param]
+    return rule, search_nodes(rule, 6)
+
+
+class TestCanonicalAugmentation:
+    def test_accepted_matches_the_full_canonicalization(self, rule_nodes):
+        rule, nodes = rule_nodes
+        for k, up, _entry, _gens in nodes:
+            for up1, down1 in candidates(k, up, rule):
+                got = enumeration._accepted(k + 1, up1, down1)
+                want = oracle_accepted(k + 1, up1, down1)
+                assert (got is None) == (want is None)
+                assert got is None or got.key == want.key
+
+    @pytest.mark.parametrize("c4_maxes, c6_maxes, accepted", [
+        ((5, 9), (6, 7, 8), False),
+        ((5, 6), (7, 8, 9), True),
+    ])
+    def test_orbit_decides_inside_the_last_stable_cell(self, c4_maxes, c6_maxes, accepted):
+        # minimal elements 0..4 and maximal ones 5..9, ordered as a 4-cycle
+        # on 0, 1 and a 6-cycle on 2, 3, 4: refinement cannot tell the two
+        # cycles apart, so the new element 9 passes the cell test in both,
+        # and only the orbit test rejects it in one
+        covers = [(m, top) for top in c4_maxes for m in (0, 1)]
+        covers += [(m, top) for (a, b), top in zip([(2, 3), (3, 4), (4, 2)], c6_maxes) for m in (a, b)]
+        p = FinitePoset.from_cover_pairs(10, covers)
+        assert canon.stable_partition(10, p.up, p.down) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+        assert (enumeration._accepted(10, p.up, p.down) is not None) == accepted
+        assert (oracle_accepted(10, p.up, p.down) is not None) == accepted
+
+    def test_one_child_per_class_and_every_class_of_the_seen_route(self, rule_nodes):
+        # two accepted children over down-sets in different orbits of the
+        # parent's automorphisms are never isomorphic, so no per-parent
+        # dedup by key is needed
+        rule, nodes = rule_nodes
+        for k, up, _entry, gens in nodes:
+            for g in gens:
+                assert all(sum(1 << g[b] for b in range(k) if up[a] >> b & 1) == up[g[a]]
+                           for a in range(k))
+            keys = [entry[0] for _k1, _up1, entry, _gens in enumeration._children(k, up, gens, *rule)]
+            assert len(set(keys)) == len(keys)
+            accepted = (oracle_accepted(k + 1, up1, down1) for up1, down1 in candidates(k, up, rule))
+            assert set(keys) == {result.key for result in accepted if result is not None}
 
 
 class TestDeterminism:
