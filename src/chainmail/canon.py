@@ -22,8 +22,9 @@ of its cell of the first stable partition.  Automorphisms keep that
 partition, so each orbit lies inside one of its cells.
 
 Fresh cells.  A refinement round counts only against the cells the
-previous round made; see :func:`_refine` for why that gives the same
-ordered partition as counting against every cell.
+previous round made, less the last fragment of each split cell; see
+:func:`_refine` for why that gives the same ordered partition as counting
+against every cell.
 """
 
 from __future__ import annotations
@@ -71,20 +72,32 @@ def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: 
 
     ``fresh`` lists, in list order, the cells against which ``cells`` may
     not be equitable yet: the one cell of the unit partition, or ``[v]``
-    and the rest of its cell for a search branch.  Each round splits every
-    cell by the counts of strict predecessors and successors of its
-    members in the fresh cells alone, and the fragments it makes are the
-    next round's fresh cells.  This gives the same ordered partition as
-    counting against every cell, round by round.  Invariant: the partition
-    is equitable against each cell not in ``fresh``, since such a cell was
-    either counted against by the last round or already covered before it,
-    and its counts stay constant in every later fragment.  So counting
-    against every cell adds only positions that are constant inside each
-    cell, and two signatures that agree on some positions compare as
-    their other positions do: the groups and their sorted order are the
-    same.  Each signature is one int with a field of ``(n + 1).bit_length()``
-    bits per count, the first count highest, so int order is the tuple's
-    lex order.
+    for a search branch that split ``v`` off the front of a cell.  Each
+    round splits every cell by the counts of strict predecessors and
+    successors of its members in the fresh cells alone, and every fragment
+    it makes but the last of each split cell is the next round's fresh
+    cell.  This gives the same ordered partition as counting against every
+    cell, round by round.
+
+    Invariant: against each cell X not in ``fresh``, the partition is
+    equitable, or X is the last fragment of a cell C against which it is
+    equitable, and the other fragments of C are fresh.  A cell counted
+    against in a round is equitable afterwards; so is a last fragment,
+    since its counts are the constant of C minus the counts against the
+    other fragments, which the round made constant; and refinement keeps
+    whatever was equitable.  So the invariant holds again, and with no
+    fresh cell left no cell splits, and the partition is equitable.  A
+    search branch starts in it: the partition was equitable before ``v``
+    was split off, so the rest of its cell is such a last fragment.  Now
+    take two members of one cell whose counts against the fresh cells
+    agree.  Their counts against a cell of the first kind are constant,
+    and against a last fragment they follow from the fragments before it,
+    so counting against every cell gives the same groups.  The first
+    position where two full signatures differ is a fresh cell, since a
+    last fragment's counts agree once those of the fragments before it
+    do; so the groups also sort as they do here.  Each signature is one
+    int with a field of ``(n + 1).bit_length()`` bits per count, the first
+    count highest, so int order is the tuple's lex order.
     """
     width = (n + 1).bit_length()
     while fresh:
@@ -111,9 +124,9 @@ def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: 
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
-                for sig in sorted(groups):
-                    new_cells.append(groups[sig])
-                    fresh.append(groups[sig])
+                fragments = [groups[sig] for sig in sorted(groups)]
+                new_cells += fragments
+                fresh += fragments[:-1]
         cells = new_cells
     return cells
 
@@ -181,7 +194,7 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
             tried.append(v)
             rest = [w for w in cell if w != v]
             new_cells = cells[:idx] + [[v], rest] + cells[idx + 1:]
-            refined = _refine(n, up, down, new_cells, [[v], rest])
+            refined = _refine(n, up, down, new_cells, [[v]])
             search(refined, path + (v,))
 
     search(stable_partition(n, up, down) if cells is None else cells, ())

@@ -336,15 +336,19 @@ def _disjoint_families(lat: FinitePoset) -> tuple:
 def _disjoint_pairs(lat: FinitePoset) -> list:
     """(x, y, x v y) for x < y in L+ with x ^ y = 0.  A pair with the
     bottom, or x = y, is left out: its join is one of its members, so it
-    cannot falsify E1 or E2.  A poset without a bottom has no L+."""
+    cannot falsify E1 or E2.  A poset without a bottom has no L+, and one
+    where such a pair has no join is no lattice either."""
     n, up, down = lat.n, lat.up, lat.down
     bot = lat.bottom()
     if bot is None:
         raise PreconditionError("E conditions are defined over complete lattices")
     botbit = 1 << bot
     plus = [x for x in range(n) if x != bot]
-    return [(x, y, join_mask(n, up, 1 << x | 1 << y))
-            for i, x in enumerate(plus) for y in plus[i + 1:] if down[x] & down[y] == botbit]
+    pairs = [(x, y, join_mask(n, up, 1 << x | 1 << y))
+             for i, x in enumerate(plus) for y in plus[i + 1:] if down[x] & down[y] == botbit]
+    if any(j is None for _x, _y, j in pairs):
+        raise PreconditionError("E conditions are defined over complete lattices")
+    return pairs
 
 
 def _in_l_plus(lat: FinitePoset, a: int) -> bool:

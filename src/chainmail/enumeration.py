@@ -29,6 +29,37 @@ never again acquire a least upper bound; and deleting a maximal element
 keeps a poset completable, so the search pruned to completable posets still
 holds a canonical ancestry for each of them.
 
+Pairwise joins.  Let P be completable and D a down-set of P.  The child
+P + x with strict down-set D is completable exactly when every
+incomparable pair a, b in D with a common lower and a common upper bound
+in P has its join in D.
+  * A reduced mail of P + x that holds x has no upper bound: x is maximal
+    and incomparable to the rest of the mail.  One not inside D has the
+    upper bounds it had in P.  One inside D has those and x: with none in
+    P, x is its join; with some, its join j in P is the least upper bound
+    in P + x exactly when j < x, that is when j is in D.  Such pairs are
+    mails inside D, so the condition is needed.
+  * It suffices, by induction on |M| for a reduced mail M inside D with an
+    upper bound in P.  Two members a, b of M have their join j in D, and
+    putting j in their place keeps the upper bounds and a lower bound.
+    The maximal elements of the result lie in D; a single one is the join
+    of M, and otherwise they form a smaller such mail with the join of M.
+The pairs are listed once per parent, with the join of a and b as the
+element whose up-row is up[a] & up[b], so a child costs a few mask tests.
+
+Round one.  The first refinement round sorts elements by (|down|, |up|),
+and a maximal element alone has |up| = 1, so the last round-one cell that
+holds a maximal element holds the maximal elements with the largest
+|down|, and the last stable cell holding one lies inside it.  So a new
+element over D is accepted only when |D| + 1 >= |down[a]| for every
+maximal a of the parent outside D: those are the child's other maximal
+elements, and their down-sets are unchanged.
+The join test, this degree test and the bottom rule below depend on the
+parent alone and are kept by its automorphisms.  They are applied to the
+list of down-sets before one per orbit is picked, so the list stays
+closed under the group: each orbit passes whole or not at all, and its
+first down-set is the same as in the full list.
+
 Bijection.  For n >= 1, the mail-connected chainmails on n elements are
 exactly the completable posets on n - 1 elements with a top added, and
 isomorphism classes correspond one to one.
@@ -84,7 +115,7 @@ from .config import (
 )
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
-from .poset import FinitePoset, bits_of, downset_masks, reduced_mail_scan, transpose
+from .poset import FinitePoset, bits_of, downset_masks, transpose
 
 
 @dataclass(frozen=True)
@@ -136,23 +167,51 @@ def _orbit_firsts(masks: list, gens: Sequence) -> Iterator[int]:
             yield d
 
 
+def _pair_joins(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
+    """(pair mask, join bit) of each incomparable pair of a completable
+    parent with a common lower and a common upper bound.  Those upper
+    bounds have a least element, the join, whose up-row they are."""
+    where = {row: a for a, row in enumerate(up)}
+    return [(1 << a | 1 << b, 1 << where[up[a] & up[b]])
+            for a in range(k) for b in range(a + 1, k)
+            if down[a] & down[b] and up[a] & up[b] and not (up[a] >> b & 1 or up[b] >> a & 1)]
+
+
+def _joins_inside(dmask: int, joins: list) -> bool:
+    """The join test: the child over ``dmask`` is completable."""
+    return all(dmask & pair != pair or dmask & j for pair, j in joins)
+
+
+def _maxima_by_down(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
+    """(|down|, bit) of the parent's maximal elements, largest |down| first."""
+    return sorted(((down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a), reverse=True)
+
+
+def _fits_round_one(dmask: int, maxima: list) -> bool:
+    """The degree test: the new element over ``dmask`` has a |down| no
+    smaller than that of any maximal element it leaves maximal."""
+    return next((s for s, bit in maxima if not dmask & bit), 0) <= dmask.bit_count() + 1
+
+
 def _children(k: int, up: Tuple[int, ...], gens: Sequence, completable: bool, bottom: bool):
     """Accepted children of a parent, as search nodes (k + 1, up-rows,
     (canonical key, canonical up-rows), automorphism generators).
     ``gens`` generate the parent's automorphism group, and one down-set
     per orbit of it is tried.  ``completable`` keeps the completable
     children only; ``bottom`` keeps, once the parent has an element, only
-    new elements with a non-empty strict down-set."""
+    new elements with a non-empty strict down-set.  These rules and the
+    degree test run on the down-set list before the orbits are taken (see
+    the module docstring)."""
     down = transpose(k, up)
     k1 = k + 1
     newbit = 1 << k
-    for dmask in _orbit_firsts(downset_masks(k, down), gens):
-        if bottom and k and not dmask:
-            continue
+    maxima = _maxima_by_down(k, up, down)
+    joins = _pair_joins(k, up, down) if completable else []
+    masks = [d for d in downset_masks(k, down)
+             if (d or not (bottom and k)) and _fits_round_one(d, maxima) and _joins_inside(d, joins)]
+    for dmask in _orbit_firsts(masks, gens):
         up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
         down1 = down + (dmask | newbit,)
-        if completable and reduced_mail_scan(k1, up1, down1, allow_unbounded=True) is not None:
-            continue
         result = _accepted(k1, up1, down1)
         if result is not None:
             yield k1, up1, (result.key, result.relabeled_up), result.generators

@@ -237,8 +237,9 @@ def reduced_mail_scan(
 
     A reduced mail is an antichain of size >= 2 with a common lower bound.
     With ``allow_unbounded`` a mail whose upper-bound set is empty does not
-    count as a violation; that variant is the pruning predicate used by the
-    enumerator (a future maximal element can still provide the join).
+    count as a violation (a future maximal element can still provide the
+    join); that variant decides completability, which the enumerator tests
+    by pair joins instead (see ``enumeration``).
     Returns None when no violating mail exists.
     """
     principal = set(up)   # an upper-bound set has a least element iff it is a row

@@ -88,8 +88,10 @@ def test_refine_matches_counting_against_every_cell(poset_corpus):
                     for v in cell if len(cell) > 1 else ():
                         rest = [w for w in cell if w != v]
                         cells = stable[:idx] + [[v], rest] + stable[idx + 1:]
-                        assert canon._refine(n, up, down, cells, [[v], rest]) == \
-                            oracle_refine(n, up, down, cells)
+                        want = oracle_refine(n, up, down, cells)
+                        assert canon._refine(n, up, down, cells, [[v], rest]) == want
+                        # the search's call: rest follows from [v] and their cell
+                        assert canon._refine(n, up, down, cells, [[v]]) == want
 
 
 def test_chain_vs_v_shape():

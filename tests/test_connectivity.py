@@ -258,6 +258,13 @@ class TestEConditions:
         with pytest.raises(PreconditionError, match="complete lattices"):
             condition(FinitePoset.antichain(2), a)
 
+    @pytest.mark.parametrize("condition", [e1, e2, e3, e4])
+    def test_disjoint_pair_without_a_join_is_refused(self, condition):
+        # a bottom and two atoms: the atoms meet in the bottom and have no join
+        vee = FinitePoset.from_cover_pairs(3, [(0, 1), (0, 2)])
+        with pytest.raises(PreconditionError, match="complete lattices"):
+            condition(vee, 1)
+
     def test_poset_with_a_bottom_but_no_lattice_keeps_its_answers(self):
         # a bottom, two atoms with a join, and two tops above that join:
         # every pair meeting in the bottom has a join, so E1 and E2 answer

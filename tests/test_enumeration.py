@@ -217,17 +217,22 @@ def search_nodes(rule: tuple, max_k: int) -> list:
     return nodes
 
 
+def children_over_every_downset(k: int, up: tuple):
+    """(down-set, up-rows, down-rows) of the child over each down-set."""
+    down = transpose(k, up)
+    newbit = 1 << k
+    for dmask in downset_masks(k, down):
+        up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
+        yield dmask, up1, down + (dmask | newbit,)
+
+
 def candidates(k: int, up: tuple, rule: tuple):
     """(up-rows, down-rows) of every child over every down-set of the
     parent that passes the rule's filters, before any acceptance test."""
     completable, bottom = rule
-    down = transpose(k, up)
-    newbit = 1 << k
-    for dmask in downset_masks(k, down):
+    for dmask, up1, down1 in children_over_every_downset(k, up):
         if bottom and k and not dmask:
             continue
-        up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
-        down1 = down + (dmask | newbit,)
         if completable and reduced_mail_scan(k + 1, up1, down1, allow_unbounded=True) is not None:
             continue
         yield up1, down1
@@ -278,6 +283,36 @@ class TestCanonicalAugmentation:
             assert len(set(keys)) == len(keys)
             accepted = (oracle_accepted(k + 1, up1, down1) for up1, down1 in candidates(k, up, rule))
             assert set(keys) == {result.key for result in accepted if result is not None}
+
+
+class TestChildFilters:
+    """The tests that `_children` applies to the down-set list from the
+    parent alone, before any child is built."""
+
+    def test_join_test_agrees_with_the_full_scan(self, rule_nodes):
+        # the lemma needs a completable parent, which every node of the
+        # completable searches is, and some nodes of the poset search are
+        rule, nodes = rule_nodes
+        for k, up, _entry, _gens in nodes:
+            down = transpose(k, up)
+            if reduced_mail_scan(k, up, down, allow_unbounded=True) is not None:
+                assert not rule[0]
+                continue
+            joins = enumeration._pair_joins(k, up, down)
+            for dmask, up1, down1 in children_over_every_downset(k, up):
+                assert enumeration._joins_inside(dmask, joins) == \
+                    (reduced_mail_scan(k + 1, up1, down1, allow_unbounded=True) is None)
+
+    def test_degree_test_drops_only_rejected_children(self, rule_nodes):
+        rule, nodes = rule_nodes
+        dropped = 0
+        for k, up, _entry, _gens in nodes:
+            maxima = enumeration._maxima_by_down(k, up, transpose(k, up))
+            for dmask, up1, down1 in children_over_every_downset(k, up):
+                if not enumeration._fits_round_one(dmask, maxima):
+                    assert oracle_accepted(k + 1, up1, down1) is None
+                    dropped += 1
+        assert dropped
 
 
 class TestDeterminism:
