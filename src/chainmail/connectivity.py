@@ -27,6 +27,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterable, List, Optional, Union
 
+from .config import DEFAULT_MAX_TMD_SETS
 from .errors import GuardExceeded, PreconditionError
 from .exterior import dominated_mask, tmd_masks
 from .poset import (
@@ -325,14 +326,6 @@ def _lattice_of(pair_or_lattice: Union[ConnectivityPair, FinitePoset]) -> Finite
     return pair_or_lattice
 
 
-def _disjoint_families(lat: FinitePoset) -> tuple:
-    """TMD subsets of L+ (pairwise meets equal bottom), with their joins,
-    as :func:`_tmd_family` returns them."""
-    if not lat.is_complete_lattice():
-        raise PreconditionError("E conditions are defined over complete lattices")
-    return _tmd_family(lat, lat.full_mask & ~(1 << lat.bottom()))
-
-
 def _disjoint_pairs(lat: FinitePoset) -> list:
     """(x, y, x v y) for x < y in L+ with x ^ y = 0.  A pair with the
     bottom, or x = y, is left out: its join is one of its members, so it
@@ -376,13 +369,10 @@ def e3(pair_or_lattice, a: int) -> bool:
 
 
 def _e3_elements(lat: FinitePoset) -> frozenset:
-    """The elements satisfying E3, from one L+ family: a fails when a TMD
-    subset of L+ without a has join a."""
-    fails = 0
-    for m, j in zip(*_disjoint_families(lat)):
-        if not m >> j & 1:
-            fails |= 1 << j
-    return set_of(lat.full_mask & ~fails)
+    """The elements satisfying E3: a falls at a disjoint family S of L+
+    when join(S) = a and a is not in S."""
+    up, down = lat.up, lat.down
+    return set_of(_l_plus_survivors(lat, lambda s, dom, lo, hi: up[lo] & down[hi] & ~s))
 
 
 def e4(pair_or_lattice, a: int) -> bool:
@@ -393,14 +383,73 @@ def e4(pair_or_lattice, a: int) -> bool:
 
 @lru_cache(maxsize=None)
 def absolutely_connected_elements(lat: FinitePoset) -> frozenset:
-    """The elements satisfying E4, each tested against one L+ family."""
-    masks, joins = _disjoint_families(lat)
-    out = []
-    for a in range(lat.n):
-        ua = lat.up[a]
-        if not any(ua >> j & 1 and not m & ua for m, j in zip(masks, joins)):
-            out.append(a)
-    return frozenset(out)
+    """The elements satisfying E4: a falls at a disjoint family S of L+
+    when a <= join(S) and a is below no member, that is, not in dom(S)."""
+    down = lat.down
+    return set_of(_l_plus_survivors(lat, lambda s, dom, lo, hi: down[hi] & ~dom))
+
+
+def _l_plus_survivors(lat: FinitePoset, at_risk, limit: int = DEFAULT_MAX_TMD_SETS) -> int:
+    """The elements that no disjoint family of L+ refutes, as a mask.
+
+    A disjoint family is a subset S of L+ (L without its bottom) whose
+    members pairwise meet in the bottom, the empty family included: the
+    TMD subsets of L+.  dom(S) is the union of its members' down-rows.
+    ``at_risk(s, dom, lo, hi)``, for S with mask ``s`` and dom(S) =
+    ``dom``, holds every element refuted by some family S' with S <= S',
+    dom(S) <= dom(S') and lo <= join(S') <= hi; at lo = hi = join(S) it
+    is exactly what S itself refutes.
+
+    The walk is the one of :func:`exterior.tmd_masks`: members are added
+    in increasing order, and S carries its candidates R, the members of
+    L+ above its largest member that meet each member of S in the bottom.
+    Every family S' the walk reaches from S (S included) has S <= S' <=
+    S | R, so join(S) <= join(S') <= join(S | R) and dom(S) <= dom(S').
+    When ``at_risk(s, dom(S), join(S), join(S | R))`` holds no element
+    still unrefuted, nothing reached from S can refute one, and the walk
+    does not enter S; for the same reason it stops taking S's children
+    once that mask is spent.  A skipped family refutes nothing new, so
+    the result is the full mask less what the entered families refute.
+    In a lattice the upper bounds of a set are the up-row of its join, so
+    each join is one lookup of an upper-bound mask.
+
+    Each entered family counts against ``limit``; passing it means L+ has
+    more than ``limit`` disjoint families, and the walk raises
+    :class:`GuardExceeded` with the message of ``tmd_masks``.
+    """
+    if not lat.is_complete_lattice():
+        raise PreconditionError("E conditions are defined over complete lattices")
+    up, down = lat.up, lat.down
+    l_plus = lat.full_mask & ~(1 << lat.bottom())
+    mates = mail_mates(lat.n, down, l_plus)
+    join_of = {row: j for j, row in enumerate(up)}
+    alive = lat.full_mask
+    entered = 0
+
+    def walk(s: int, ub: int, dom: int, cand: int) -> None:
+        nonlocal alive, entered
+        top = ub
+        for r in bits_of(cand):
+            top &= up[r]
+        lo = join_of[ub]
+        risk = at_risk(s, dom, lo, join_of[top])
+        if not alive & risk:
+            return
+        entered += 1
+        if entered > limit:
+            raise GuardExceeded(f"TMD family exceeds {limit} sets; raise the limit explicitly")
+        alive &= ~at_risk(s, dom, lo, lo)
+        while cand and alive & risk:
+            low = cand & -cand
+            cand ^= low
+            b = low.bit_length() - 1
+            walk(s | low, ub & up[b], dom | down[b], cand & ~mates[b])
+
+    walk(0, lat.full_mask, 0, l_plus)
+    # walk refers to itself through its closure; unbinding it breaks that
+    # cycle, as in tmd_masks
+    del walk
+    return alive
 
 
 def frame_equivalence_check(lat: FinitePoset) -> bool:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import pytest
 
 from chainmail import canon
-from chainmail.exterior import tmd_set_masks
-from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of
+from chainmail.exterior import tmd_masks, tmd_set_masks
+from chainmail.poset import FinitePoset, bits_of, join_mask, mail_mates, mask_of
 from chainmail.enumeration import enumerate_posets
 
 
@@ -217,6 +217,33 @@ def oracle_absolutely_connected(lat: FinitePoset) -> frozenset:
     return frozenset(
         a for a in range(lat.n)
         if all(any(lat.leq(a, x) for x in members) for members, j in families if lat.leq(a, j))
+    )
+
+
+def l_plus_family(lat: FinitePoset) -> list:
+    """(mask, join) for every TMD subset of L+, listed whole by
+    ``tmd_masks``, with no pruning: what the E3 and E4 oracles scan."""
+    l_plus = lat.full_mask & ~(1 << lat.bottom())
+    masks = tmd_masks(mail_mates(lat.n, lat.down, l_plus), l_plus)
+    return [(m, join_mask(lat.n, lat.up, m)) for m in masks]
+
+
+def oracle_e3_elements(lat: FinitePoset) -> frozenset:
+    """E3 by a scan of the whole L+ family: a fails when a family without
+    a has join a."""
+    fails = 0
+    for m, j in l_plus_family(lat):
+        if not m >> j & 1:
+            fails |= 1 << j
+    return frozenset(a for a in range(lat.n) if not fails >> a & 1)
+
+
+def oracle_e4_elements(lat: FinitePoset) -> frozenset:
+    """E4 by testing every element against every set of the L+ family."""
+    family = l_plus_family(lat)
+    return frozenset(
+        a for a in range(lat.n)
+        if not any(lat.up[a] >> j & 1 and not m & lat.up[a] for m, j in family)
     )
 
 

@@ -74,14 +74,24 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["connectivity"] is False
 
-    def test_wide_l_plus_family_exits_2_at_the_guard(self, tmp_path):
-        # M_21 with C = the bottom and the atoms: every set of atoms is a
-        # TMD family of L+, 2^21 of them
+    def test_wide_dc_family_exits_2_at_the_guard(self, tmp_path):
+        # M_21 with C = the atoms: no two atoms share a connected lower
+        # bound, so every set of atoms is in D(C), 2^21 of them
         path = tmp_path / "m21.json"
-        path.write_text(json.dumps(mk(21).to_json(connectivity=range(22))), encoding="utf-8")
+        path.write_text(json.dumps(mk(21).to_json(connectivity=range(1, 22))), encoding="utf-8")
         code, out, err = invoke(["classify", "--input", str(path)])
         assert (code, out) == (2, "")
         assert err == "resource guard: TMD family exceeds 1048576 sets; raise the limit explicitly\n"
+
+    def test_wide_l_plus_family_gets_a_report(self, tmp_path):
+        # M_21 with C = the bottom and the atoms: L+ has 2^21 disjoint
+        # families, but E4 is decided without listing them, and D(C) is
+        # the empty set and the 22 singletons
+        path = tmp_path / "m21.json"
+        path.write_text(json.dumps(mk(21).to_json(connectivity=range(22))), encoding="utf-8")
+        code, out, _ = invoke(["classify", "--input", str(path)])
+        assert code == 0
+        assert json.loads(out)["absolutely_connected"] == []
 
     def test_unknown_fixture(self):
         code, _, err = invoke(["classify", "--fixture", "bogus"])

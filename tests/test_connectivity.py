@@ -4,6 +4,7 @@ join closure, sink machinery."""
 from __future__ import annotations
 
 import gc
+import os
 import random
 import weakref
 
@@ -13,7 +14,8 @@ from chainmail import connectivity
 from chainmail.connectivity import (
     ConnectivityPair,
     _dc_family,
-    _disjoint_families,
+    _e3_elements,
+    _l_plus_survivors,
     absolutely_connected_elements,
     borger_implication_check,
     cl0,
@@ -24,6 +26,7 @@ from chainmail.connectivity import (
     cl3,
     classify,
     components,
+    dc_sets,
     e1,
     e2,
     e3,
@@ -41,7 +44,7 @@ from chainmail.connectivity import (
     sigma_closure,
     sigma_members,
 )
-from chainmail.errors import PreconditionError
+from chainmail.errors import GuardExceeded, PreconditionError
 from chainmail.generators import (
     Graph,
     graph_connectivity_pair,
@@ -58,6 +61,8 @@ from conftest import (
     oracle_dc_family,
     oracle_e1,
     oracle_e2,
+    oracle_e3_elements,
+    oracle_e4_elements,
     oracle_join,
     oracle_l_plus_families,
     oracle_sigma_members,
@@ -314,11 +319,6 @@ class TestTmdFamilies:
             count += 1
         assert count == 1166
 
-    def test_l_plus_family_is_the_dc_family_of_l_plus(self):
-        for lat in enumerate_complete_lattices(6):
-            l_plus = frozenset(range(lat.n)) - {lat.bottom()}
-            assert _disjoint_families(lat) == _dc_family(ConnectivityPair(lat, l_plus))
-
     def test_e3_e4_match_the_subset_scan(self):
         for lat in enumerate_complete_lattices(6):
             assert absolutely_connected_elements(lat) == oracle_absolutely_connected(lat)
@@ -327,17 +327,55 @@ class TestTmdFamilies:
             e3_set = {a for a in range(lat.n) if all(a in members for members, j in families if j == a)}
             assert {a for a in range(lat.n) if e3(lat, a)} == e3_set
 
-    def test_l_plus_family_is_built_once(self, ps3, monkeypatch):
-        built = []
-        real = connectivity._tmd_family
+    def test_e3_e4_never_list_the_l_plus_family(self, ps3, monkeypatch):
+        withins = []
+        real = connectivity.tmd_masks
 
-        def counting(lat, within):
-            built.append(within)
-            return real(lat, within)
+        def spying(mates, within, *args):
+            withins.append(within)
+            return real(mates, within, *args)
 
-        monkeypatch.setattr(connectivity, "_tmd_family", counting)
+        monkeypatch.setattr(connectivity, "tmd_masks", spying)
         assert absolutely_connected_elements.__wrapped__(ps3) == {1, 2, 4}
-        assert built == [ps3.full_mask & ~1]
+        assert _e3_elements(ps3) == {1, 2, 4}
+        # the spy sees the one family that is still listed, D(C)
+        assert len(dc_sets(ConnectivityPair(ps3, {1, 2, 4}))) == 8
+        assert withins == [0b10110]
+
+    @staticmethod
+    def assert_walker_matches_the_family_scan(lattices):
+        for lat in lattices:
+            assert _e3_elements(lat) == oracle_e3_elements(lat)
+            assert absolutely_connected_elements.__wrapped__(lat) == oracle_e4_elements(lat)
+
+    def test_walker_matches_the_family_scan_up_to_8_elements(self):
+        lattices = enumerate_complete_lattices(8)
+        lattices += [FinitePoset.powerset_lattice(k) for k in (4, 5, 6)]
+        self.assert_walker_matches_the_family_scan(lattices)
+
+    def test_walker_matches_the_family_scan_on_closure_lattices(self):
+        rng = random.Random(13)
+        self.assert_walker_matches_the_family_scan(
+            closure_lattice(rng, k) for k in range(8, 14) for _ in range(3))
+
+    @pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                        reason="set CHM_ACCEPT_DEEP=1 for the lattices on 9 elements")
+    def test_walker_matches_the_family_scan_on_9_elements(self):
+        lattices = [lat for lat in enumerate_complete_lattices(9) if lat.n == 9]
+        assert len(lattices) == 1078
+        self.assert_walker_matches_the_family_scan(lattices)
+
+    def test_walker_guard_fires_past_the_limit(self):
+        lat = FinitePoset.powerset_lattice(4)
+        down = lat.down
+
+        def e4_risk(s, dom, lo, hi):
+            return down[hi] & ~dom
+
+        assert _l_plus_survivors(lat, e4_risk) == mask_of((1, 2, 4, 8))
+        with pytest.raises(GuardExceeded) as info:
+            _l_plus_survivors(lat, e4_risk, limit=5)
+        assert str(info.value) == "TMD family exceeds 5 sets; raise the limit explicitly"
 
     def test_e3_e4_outside_the_lattice_are_false(self, ps3):
         for a in (ps3.n, -1):
