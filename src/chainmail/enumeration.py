@@ -32,20 +32,16 @@ holds a canonical ancestry for each of them.
 Pairwise joins.  Let P be completable and D a down-set of P.  The child
 P + x with strict down-set D is completable exactly when every
 incomparable pair a, b in D with a common lower and a common upper bound
-in P has its join in D.
-  * A reduced mail of P + x that holds x has no upper bound: x is maximal
-    and incomparable to the rest of the mail.  One not inside D has the
-    upper bounds it had in P.  One inside D has those and x: with none in
-    P, x is its join; with some, its join j in P is the least upper bound
-    in P + x exactly when j < x, that is when j is in D.  Such pairs are
-    mails inside D, so the condition is needed.
-  * It suffices, by induction on |M| for a reduced mail M inside D with an
-    upper bound in P.  Two members a, b of M have their join j in D, and
-    putting j in their place keeps the upper bounds and a lower bound.
-    The maximal elements of the result lie in D; a single one is the join
-    of M, and otherwise they form a smaller such mail with the join of M.
-The pairs are listed once per parent, with the join of a and b as the
-element whose up-row is up[a] & up[b], so a child costs a few mask tests.
+in P has its join in D.  By the pair lemma (poset.mail_pairs), with the
+up-rows of P + x and the empty mask as the clean upper bounds, it is
+enough to look at pairs with a common lower bound.  A pair that holds x
+has no upper bound: x is maximal and incomparable to the other.  A pair
+not inside D has the upper bounds it had in P, and its join there, if
+any, lies outside the down-set D, so its up-row is unchanged.  A pair
+inside D has those and x: with none in P, x is its join; with some, its
+join j in P is the least upper bound in P + x exactly when j < x, that
+is when j is in D.  The pairs are listed once per parent
+(poset.pair_joins), so a child costs a few mask tests.
 
 Round one.  The first refinement round sorts elements by (|down|, |up|),
 and a maximal element alone has |up| = 1, so the last round-one cell that
@@ -115,7 +111,7 @@ from .config import (
 )
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
-from .poset import FinitePoset, bits_of, downset_masks, transpose
+from .poset import FinitePoset, bits_of, downset_masks, joins_inside, pair_joins, transpose
 
 
 @dataclass(frozen=True)
@@ -167,21 +163,6 @@ def _orbit_firsts(masks: list, gens: Sequence) -> Iterator[int]:
             yield d
 
 
-def _pair_joins(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
-    """(pair mask, join bit) of each incomparable pair of a completable
-    parent with a common lower and a common upper bound.  Those upper
-    bounds have a least element, the join, whose up-row they are."""
-    where = {row: a for a, row in enumerate(up)}
-    return [(1 << a | 1 << b, 1 << where[up[a] & up[b]])
-            for a in range(k) for b in range(a + 1, k)
-            if down[a] & down[b] and up[a] & up[b] and not (up[a] >> b & 1 or up[b] >> a & 1)]
-
-
-def _joins_inside(dmask: int, joins: list) -> bool:
-    """The join test: the child over ``dmask`` is completable."""
-    return all(dmask & pair != pair or dmask & j for pair, j in joins)
-
-
 def _maxima_by_down(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
     """(|down|, bit) of the parent's maximal elements, largest |down| first."""
     return sorted(((down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a), reverse=True)
@@ -206,9 +187,9 @@ def _children(k: int, up: Tuple[int, ...], gens: Sequence, completable: bool, bo
     k1 = k + 1
     newbit = 1 << k
     maxima = _maxima_by_down(k, up, down)
-    joins = _pair_joins(k, up, down) if completable else []
+    joins = pair_joins(up, down) if completable else []
     masks = [d for d in downset_masks(k, down)
-             if (d or not (bottom and k)) and _fits_round_one(d, maxima) and _joins_inside(d, joins)]
+             if (d or not (bottom and k)) and _fits_round_one(d, maxima) and joins_inside(d, joins)]
     for dmask in _orbit_firsts(masks, gens):
         up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
         down1 = down + (dmask | newbit,)

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 
 from .config import DEFAULT_MAX_TMD_SETS
 from .errors import GuardExceeded, PreconditionError
-from .poset import FinitePoset, bits_of, downset_masks, join_mask, mask_of, set_of
+from .poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, joins_inside,
+                    mask_of, pair_joins, set_of)
 
 
 def tmd_masks(mates: Sequence[int], within: int, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
@@ -90,16 +91,7 @@ class TmdFamily:
 def exterior(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> TmdFamily:
     masks = tmd_set_masks(p, limit)
     dom = [dominated_mask(p, m) for m in masks]
-    k = len(masks)
-    rows = []
-    for i in range(k):
-        row = 0
-        mi = masks[i]
-        for j in range(k):
-            if mi & ~dom[j] == 0:
-                row |= 1 << j
-        rows.append(row)
-    order = FinitePoset(k, tuple(rows))
+    order = FinitePoset(len(masks), inclusion_rows(masks, dom))
     return TmdFamily(base=p, sets=tuple(set_of(m) for m in masks), order=order)
 
 
@@ -119,38 +111,21 @@ def _require_chainmail(p: FinitePoset) -> None:
         raise PreconditionError("operation requires a chainmail")
 
 
-def _mail_pair_joins(p: FinitePoset) -> list:
-    """(mask, join) for every two-element antichain with a common lower
-    bound; joins exist in a chainmail."""
-    out = []
-    for a in range(p.n):
-        for b in range(a + 1, p.n):
-            if p.down[a] & p.down[b] and not p.up[a] >> b & 1 and not p.up[b] >> a & 1:
-                m = (1 << a) | (1 << b)
-                out.append((m, join_mask(p.n, p.up, m)))
-    return out
-
-
 def downclosed_subchainmails(p: FinitePoset) -> list:
     """All down-closed subsets closed under joins of their mails, as
     frozensets in lexicographic order.
 
     For a down-closed set the lower bounds of any subset already lie inside
-    it, so its mails are exactly the mails of the ambient poset it contains;
-    closure therefore reduces to: every ambient two-element mail inside the
-    set has its join inside the set.  Larger mails follow by induction: the
-    join j of two members of a mail lies in the set, and swapping them for
-    j leaves the lower bound and the upper bounds unchanged.
+    it, so its mails are exactly the mails of the ambient poset it contains.
+    By the pair lemma (:func:`~chainmail.poset.mail_pairs`) on the set,
+    closure reduces to: every ambient two-element mail inside the set has
+    its join inside the set, which is :func:`~chainmail.poset.joins_inside`.
     """
     _require_chainmail(p)
     if p.n > 20:
         raise GuardExceeded("down-set enumeration is capped at 2^20 subsets")
-    pairs = _mail_pair_joins(p)
-    out = []
-    for x in downset_masks(p.n, p.down):
-        if any(m & ~x == 0 and not x >> j & 1 for m, j in pairs):
-            continue
-        out.append(set_of(x))
+    joins = pair_joins(p.up, p.down)
+    out = [set_of(x) for x in downset_masks(p.n, p.down) if joins_inside(x, joins)]
     out.sort(key=sorted)
     return out
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence
 from .config import DEFAULT_VERTEX_CAP
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .connectivity import ConnectivityPair
-from .poset import FinitePoset, bits_of, component_masks, downset_masks, mask_of, submasks
+from .poset import FinitePoset, bits_of, component_masks, downset_masks, inclusion_rows, mask_of, submasks
 
 
 @dataclass(frozen=True)
@@ -220,15 +220,7 @@ def downset_lattice_pair(p: FinitePoset) -> ConnectivityPair:
     downsets = downset_masks(p.n, p.down)
     downsets.sort(key=lambda m: (m.bit_count(), tuple(bits_of(m))))
     index = {m: i for i, m in enumerate(downsets)}
-    k = len(downsets)
-    rows = []
-    for i, a in enumerate(downsets):
-        row = 0
-        for j, b in enumerate(downsets):
-            if a & ~b == 0:
-                row |= 1 << j
-        rows.append(row)
-    lattice = FinitePoset(k, tuple(rows))
+    lattice = FinitePoset(len(downsets), inclusion_rows(downsets, downsets))
     principal = frozenset(index[p.down[x]] for x in range(p.n))
     return ConnectivityPair(lattice, principal)
 

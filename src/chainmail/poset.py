@@ -149,6 +149,55 @@ def downset_masks(n: int, down: Sequence[int]) -> list:
     return out
 
 
+def mail_pairs(up: Sequence[int], down: Sequence[int], members: int, lows: int) -> Iterator[tuple]:
+    """(pair mask, upper-bound mask) of each incomparable pair of
+    ``members`` with a common lower bound in ``lows``, in lex order.
+
+    Pair lemma: let ``clean`` be a set of upper-bound masks that holds
+    ``up[m]`` for every member m, and perhaps 0.  When every pair listed
+    here has its upper bounds in ``clean``, so does every antichain S of
+    members with |S| >= 2 and a common lower bound in ``lows``.  By
+    induction on |S|: if a, b in S have the upper bounds of member m, then
+    m is above the common lower bound of S, and S with a, b swapped for m
+    has the upper bounds of S; its maximal elements keep both and are a
+    smaller such antichain, or one member, whose up-row those bounds are.
+    If a, b have no upper bound, neither has S.
+    Upper bounds have a least element exactly when they are some element's
+    up-row, so with ``clean`` the rows this says that a poset is a
+    chainmail when every pair with a common lower bound has a join.
+    """
+    for a in bits_of(members):
+        for b in bits_of(members & ~(up[a] | down[a]) & ~((2 << a) - 1)):
+            if down[a] & down[b] & lows:
+                yield 1 << a | 1 << b, up[a] & up[b]
+
+
+def pair_joins(up: Sequence[int], down: Sequence[int]) -> list:
+    """(pair mask, join bit) of each incomparable pair with a common lower
+    and a common upper bound, in a poset where those upper bounds have a
+    least element (a completable poset or a chainmail)."""
+    where = {row: a for a, row in enumerate(up)}
+    full = (1 << len(up)) - 1
+    return [(pair, 1 << where[ub]) for pair, ub in mail_pairs(up, down, full, full) if ub]
+
+
+def joins_inside(dmask: int, joins: list) -> bool:
+    """Every pair of ``joins`` inside ``dmask`` has its join inside it."""
+    return all(dmask & pair != pair or dmask & j for pair, j in joins)
+
+
+def inclusion_rows(masks: Iterable[int], ceilings: Sequence[int]) -> tuple:
+    """Row i: the j such that ``masks[i]`` lies inside ``ceilings[j]``."""
+    rows = []
+    for m in masks:
+        row = 0
+        for j, c in enumerate(ceilings):
+            if not m & ~c:
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
 def first_mail(
     n: int,
     up: Sequence[int],
@@ -163,11 +212,9 @@ def first_mail(
     "First" is lexicographic order of sorted member tuples, a prefix before
     its extensions.  ``bad`` must be false on ``up[m]`` for every member m.
 
-    Fast exit: no such S exists when every such pair has the upper bounds
-    of a member, or none while ``bad(0)`` is false.  By induction on |S|:
-    if a, b in S have the upper bounds of member m, then m is above their
-    common lower bound, and S with a, b swapped for m has the upper bounds
-    of S; its maximal elements are a smaller antichain of members.
+    Fast exit: no such S exists when every pair of :func:`mail_pairs` has
+    the upper bounds of a member, or none while ``bad(0)`` is false (the
+    pair lemma).
 
     Lex descent: otherwise the search follows sorted prefixes and enters a
     child only when ``ahead`` finds a bad mail among its extensions, so it
@@ -180,17 +227,13 @@ def first_mail(
     chainmail tests, and for the join tests on lattices), each search
     visits at most n + 1 masks.
     """
-    full = (1 << n) - 1
-    incomp = [full & ~(up[a] | down[a]) for a in range(n)]
-    clean = {up[m] for m in range(n) if members >> m & 1}
+    clean = {up[m] for m in bits_of(members)}
     if not bad(0):
         clean.add(0)
-    if all(
-        not down[a] & down[b] & lows or up[a] & up[b] in clean
-        for a in bits_of(members)
-        for b in bits_of(members & incomp[a] & ~((2 << a) - 1))
-    ):
+    if all(ub in clean for _pair, ub in mail_pairs(up, down, members, lows)):
         return None
+    full = (1 << n) - 1
+    incomp = [full & ~(up[a] | down[a]) for a in range(n)]
 
     def ahead(ub: int, lo: int, cand: int) -> bool:
         for low in bits_of(lo):
@@ -238,9 +281,11 @@ def reduced_mail_scan(
     A reduced mail is an antichain of size >= 2 with a common lower bound.
     With ``allow_unbounded`` a mail whose upper-bound set is empty does not
     count as a violation (a future maximal element can still provide the
-    join); that variant decides completability, which the enumerator tests
-    by pair joins instead (see ``enumeration``).
+    join); that variant decides completability.
     Returns None when no violating mail exists.
+    No library code calls this walk; the chainmail and completability tests
+    read pair joins (:func:`mail_pairs`).  It is the walking reference the
+    tests compare them against, and the benchmark's tracer names it.
     """
     principal = set(up)   # an upper-bound set has a least element iff it is a row
 
@@ -338,14 +383,7 @@ class FinitePoset:
         """Subsets of a k-set ordered by inclusion; element i IS the subset
         with bitmask i."""
         n = 1 << k
-        rows = []
-        for a in range(n):
-            row = 0
-            for b in range(n):
-                if a & ~b == 0:
-                    row |= 1 << b
-            rows.append(row)
-        return FinitePoset(n, tuple(rows))
+        return FinitePoset(n, inclusion_rows(range(n), range(n)))
 
     @staticmethod
     def induced(base: "FinitePoset", members: Iterable[int]) -> "FinitePoset":
@@ -497,10 +535,12 @@ class FinitePoset:
     # -- chainmail and lattice predicates --------------------------------
 
     def is_chainmail(self) -> bool:
-        """Every mail has a join.  Checked on reduced mails only; mails of
-        size one or with a maximum are trivial, and every other mail has the
-        same upper bounds as the antichain of its maximal elements."""
-        return reduced_mail_scan(self.n, self.up, self.down, allow_unbounded=False) is None
+        """Every mail has a join.  By the pair lemma (:func:`mail_pairs`) it
+        is enough that every incomparable pair with a common lower bound
+        has the upper bounds of some element."""
+        rows = set(self.up)
+        full = self.full_mask
+        return all(ub in rows for _pair, ub in mail_pairs(self.up, self.down, full, full))
 
     def is_complete_lattice(self) -> bool:
         """Every subset has a join.  For a finite poset this reduces to a

@@ -160,6 +160,66 @@ class TestClassifyBytes:
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of ``exterior --fixture F`` stdout (JSON, then --pretty) for every
+# fixture; a pair fixture gives the exterior of its lattice
+EXTERIOR_DIGESTS = [
+    ("M3", "e7480c54975b43d5b3526c9ff130f7919368461d61b7e4a4476a399fd5f312b2",
+     "d1c1760b6ef210d43e5d77852b44948dd5433a92f69a7ac98b035228d61969c8"),
+    ("N5", "13cb5eaef7c1ec11760e749af8efdffd8742279e8eddc0e59825ad1be4fadc5f",
+     "d1c1760b6ef210d43e5d77852b44948dd5433a92f69a7ac98b035228d61969c8"),
+    ("exaA", "8e6ffdc9027980fb84aff90a651998627ccbdebcefd3aac69cc0b8aa5bc25bfd",
+     "989b8820f3e4089d7d1d489f6055b55e3424aa422553ea5e606c6dbe3f6703aa"),
+    ("exaAA", "4023a595ad74d8e0adeff781139df06eb94954b4442abfca77784eff0f1ab76b",
+     "a4257a283530c8f31a345c4a762ecb021fb019a2e3b42c5d64a31f9a8fd3fa16"),
+    ("exaAB", "6b2262bf4753e8373fdf2772dc78f14e1fbbff76850f6442a02f8ef5f338cf8e",
+     "bc2c969dca1061e4555c1af82beedad48968d84ba58d5e6cf887f3da9fb86b54"),
+    ("exaB", "91791e038ee3a98727a583034fa70d98ce89910e0d00933b5ce4e5377e2138a3",
+     "8fba8ede06ea19c80a98fcb76cd74abfd0ebb18b81e3a767ddcabd87ad6679fe"),
+    ("exaC", "91791e038ee3a98727a583034fa70d98ce89910e0d00933b5ce4e5377e2138a3",
+     "8fba8ede06ea19c80a98fcb76cd74abfd0ebb18b81e3a767ddcabd87ad6679fe"),
+    ("exaE", "91791e038ee3a98727a583034fa70d98ce89910e0d00933b5ce4e5377e2138a3",
+     "8fba8ede06ea19c80a98fcb76cd74abfd0ebb18b81e3a767ddcabd87ad6679fe"),
+    ("exaG", "6bba9a5426f706edcfa19a9c4f798c4bf036ad746358967c5f0cd913bbf5ab48",
+     "a3bd17e41c6338335a8ca31d55cd2f27f821383caf4fa0f0e482fde40c51e748"),
+    ("exaH", "91791e038ee3a98727a583034fa70d98ce89910e0d00933b5ce4e5377e2138a3",
+     "8fba8ede06ea19c80a98fcb76cd74abfd0ebb18b81e3a767ddcabd87ad6679fe"),
+    ("exaI", "25ecb1368b4440d1ddc73c4d56e014fb3e16d1bf851a2a11c84446e71c4dc365",
+     "8aba73728844f086c19e8f13447a2741be9609698ea849e8e65aa73184f57db0"),
+    ("exaJ", "2d7c4b0399b4db9d3078b0aa21462e02b37af6ded1ef5b2cc52ed3058a990a82",
+     "81c32864a714864fcccc268a82521875212cea3f0b7b548b62f5a8c4ad0ab75d"),
+    ("exaK", "f07bd618694aa2578746101209a7a23805ff3dc5b978b737c2ce7af4db8cc89a",
+     "dd8a1c5fb911b45ab2dbdfb86d2b2480d63f02a08f5ab96ee93e3e6c5b717aa6"),
+    ("exaM", "91791e038ee3a98727a583034fa70d98ce89910e0d00933b5ce4e5377e2138a3",
+     "8fba8ede06ea19c80a98fcb76cd74abfd0ebb18b81e3a767ddcabd87ad6679fe"),
+    ("exaN", "7c859ecf5275b14e5aeaf655ae5042079dd80cb2ea7106c6ff201650fddb0044",
+     "bc2c969dca1061e4555c1af82beedad48968d84ba58d5e6cf887f3da9fb86b54"),
+    ("exaT", "50d4c22b8d621e27197f9167acc9f5b343b1a90a6f1dc8edd3e0da92d7e6d236",
+     "3baf81be4eaa1fccd074ab07b7d3a6c0107e49bbd2f8df26a47223d48a7197d5"),
+    ("exaU", "91791e038ee3a98727a583034fa70d98ce89910e0d00933b5ce4e5377e2138a3",
+     "8fba8ede06ea19c80a98fcb76cd74abfd0ebb18b81e3a767ddcabd87ad6679fe"),
+    ("exaV", "91791e038ee3a98727a583034fa70d98ce89910e0d00933b5ce4e5377e2138a3",
+     "8fba8ede06ea19c80a98fcb76cd74abfd0ebb18b81e3a767ddcabd87ad6679fe"),
+    ("exaW", "91791e038ee3a98727a583034fa70d98ce89910e0d00933b5ce4e5377e2138a3",
+     "8fba8ede06ea19c80a98fcb76cd74abfd0ebb18b81e3a767ddcabd87ad6679fe"),
+    ("exaX", "fa8ce137750bb118c1572a5b85be052f644c96196171ae651002c09f4a9a0a0c",
+     "bc2c969dca1061e4555c1af82beedad48968d84ba58d5e6cf887f3da9fb86b54"),
+    ("sierpinski", "25ecb1368b4440d1ddc73c4d56e014fb3e16d1bf851a2a11c84446e71c4dc365",
+     "8aba73728844f086c19e8f13447a2741be9609698ea849e8e65aa73184f57db0"),
+]
+
+
+class TestExteriorBytes:
+    def test_every_fixture_is_pinned(self):
+        assert [name for name, _json, _pretty in EXTERIOR_DIGESTS] == list(fixture_names())
+
+    @pytest.mark.parametrize("name, json_digest, pretty_digest", EXTERIOR_DIGESTS)
+    def test_stdout_digest(self, name, json_digest, pretty_digest):
+        for extra, digest in (([], json_digest), (["--pretty"], pretty_digest)):
+            code, out, err = invoke(["exterior", "--fixture", name, *extra])
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestJsonIntegers:
     """Only JSON integers name elements: anything else exits 1 with a
     message, never a traceback, a truncation or a bool read as 0/1."""

@@ -21,7 +21,8 @@ from chainmail.enumeration import (
 )
 from chainmail.errors import GuardExceeded
 from chainmail.generators import forest_poset_check
-from chainmail.poset import FinitePoset, downset_masks, reduced_mail_scan, transpose
+from chainmail.poset import (FinitePoset, downset_masks, joins_inside, pair_joins,
+                             reduced_mail_scan, transpose)
 
 from conftest import brute_force_poset_count, lattices_by_filtering_all_posets, oracle_accepted
 
@@ -298,9 +299,9 @@ class TestChildFilters:
             if reduced_mail_scan(k, up, down, allow_unbounded=True) is not None:
                 assert not rule[0]
                 continue
-            joins = enumeration._pair_joins(k, up, down)
+            joins = pair_joins(up, down)
             for dmask, up1, down1 in children_over_every_downset(k, up):
-                assert enumeration._joins_inside(dmask, joins) == \
+                assert joins_inside(dmask, joins) == \
                     (reduced_mail_scan(k + 1, up1, down1, allow_unbounded=True) is None)
 
     def test_degree_test_drops_only_rejected_children(self, rule_nodes):

@@ -24,7 +24,15 @@ from chainmail.exterior import (
 from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset, bits_of
 
-from conftest import oracle_is_complete_lattice, relabel, subsets
+from conftest import (
+    lex_subsets,
+    oracle_is_complete_lattice,
+    oracle_is_mail,
+    oracle_join,
+    oracle_lower_bounds,
+    relabel,
+    subsets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +205,24 @@ class TestDownclosedSubchainmails:
         p = FinitePoset.from_cover_pairs(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
         with pytest.raises(PreconditionError):
             downclosed_subchainmails(p)
+
+    def test_matches_a_subset_scan_on_every_small_chainmail(self, poset_corpus):
+        # a subset qualifies when it is down-closed and holds the join of
+        # every mail inside it, of any size
+        checked = 0
+        for posets in poset_corpus.values():
+            for p in filter(FinitePoset.is_chainmail, posets):
+                expected = []
+                for members in subsets(p.n):
+                    inside = set(members)
+                    if all(oracle_lower_bounds(p, {x}) <= inside for x in inside) and all(
+                        oracle_join(p, mail) in inside
+                        for mail in lex_subsets(members) if oracle_is_mail(p, mail)
+                    ):
+                        expected.append(frozenset(members))
+                assert downclosed_subchainmails(p) == sorted(expected, key=sorted)
+                checked += 1
+        assert checked == 1 + 1 + 2 + 4 + 10 + 28 + 99
 
 
 class TestReconstructionMaps:

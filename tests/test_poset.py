@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import named_fixture
-from chainmail.poset import FinitePoset, bits_of, downset_masks, mail_mates, mask_of
+from chainmail.enumeration import enumerate_posets
+from chainmail.exterior import inclusion_poset
+from chainmail.poset import (FinitePoset, bits_of, downset_masks, mail_mates, mail_pairs, mask_of,
+                             reduced_mail_scan, set_of)
 
 from conftest import (
     oracle_is_chainmail_all_mails,
@@ -18,6 +22,8 @@ from conftest import (
     oracle_join,
     oracle_lower_bounds,
     oracle_meet,
+    oracle_upper_bounds,
+    relabel,
     subsets,
 )
 
@@ -235,6 +241,49 @@ class TestChainmail:
         assert e.is_chainmail()
         assert not e.is_complete_lattice()
         assert e.order_connected_components() == []
+
+
+class TestPairLemma:
+    """``mail_pairs`` lists the pairs that the pair lemma reduces every
+    mail to; ``is_chainmail`` reads it instead of walking all mails."""
+
+    @staticmethod
+    def brute_pairs(p: FinitePoset, members: int, lows: int) -> list:
+        return [(1 << a | 1 << b, mask_of(oracle_upper_bounds(p, {a, b})))
+                for a, b in itertools.combinations(bits_of(members), 2)
+                if not p.leq(a, b) and not p.leq(b, a)
+                and oracle_lower_bounds(p, {a, b}) & set_of(lows)]
+
+    def test_mail_pairs_match_a_brute_force_listing(self, poset_corpus):
+        # catalog labels extend the order, so each poset is also relabeled
+        rng = random.Random(12)
+        for posets in poset_corpus.values():
+            for p in posets:
+                full = p.full_mask
+                draws = [(full, full)] + [(rng.randrange(full + 1), rng.randrange(full + 1))
+                                          for _ in range(3)]
+                for q in (p, relabel(p, rng.sample(range(p.n), p.n))):
+                    for members, lows in draws:
+                        assert list(mail_pairs(q.up, q.down, members, lows)) == \
+                            self.brute_pairs(q, members, lows)
+
+    def test_is_chainmail_agrees_with_the_walk_up_to_seven_elements(self, poset_corpus):
+        posets = [p for n in range(7) for p in poset_corpus[n]]
+        posets += enumerate_posets(7, want_catalog=True).catalog
+        assert posets[0].n == 0
+        chainmails = 0
+        for p in posets:
+            walk = reduced_mail_scan(p.n, p.up, p.down, False) is None
+            assert p.is_chainmail() == walk
+            chainmails += walk
+        assert (len(posets), chainmails) == (2451, 575)
+
+
+class TestPowersetLattice:
+    def test_is_the_inclusion_order_on_subsets(self):
+        for k in range(5):
+            sets = [set_of(i) for i in range(1 << k)]
+            assert FinitePoset.powerset_lattice(k) == inclusion_poset(sets)
 
 
 class TestCompleteLattice:
