@@ -68,15 +68,12 @@ def _load_structure(args) -> object:
         obj = _read_json_input(args.input)
         if isinstance(obj, dict) and "connectivity" in obj:
             poset, members = connectivity_from_json(obj)
-            violation = poset.validate()
-            if violation is not None:
-                raise FormatError(f"input is not a poset: {violation.describe()}")
-            return ConnectivityPair(poset, members)
-        poset = FinitePoset.from_json(obj)
+        else:
+            poset, members = FinitePoset.from_json(obj), None
         violation = poset.validate()
         if violation is not None:
             raise FormatError(f"input is not a poset: {violation.describe()}")
-        return poset
+        return poset if members is None else ConnectivityPair(poset, members)
     raise FormatError("either --fixture or --input is required")
 
 

@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
-from itertools import islice
+from functools import cached_property, lru_cache
 from typing import Iterable, List, Optional, Union
 
 from .config import DEFAULT_MAX_TMD_SETS
 from .errors import GuardExceeded, PreconditionError
-from .exterior import dominated_mask, tmd_masks
 from .poset import (
     FinitePoset,
     bits_of,
@@ -42,6 +40,7 @@ from .poset import (
     maximal_mask,
     set_of,
     submasks,
+    tmd_masks,
 )
 
 
@@ -60,7 +59,7 @@ class ConnectivityPair:
             raise PreconditionError(f"connected elements out of range: {bad}")
         object.__setattr__(self, "connected", frozenset(self.connected))
 
-    @property
+    @cached_property
     def cmask(self) -> int:
         return mask_of(self.connected)
 
@@ -112,59 +111,29 @@ def _join_escapes(up, cmask: int):
     return {row for j, row in enumerate(up) if not cmask >> j & 1}.__contains__
 
 
-def _tmd_family(lat: FinitePoset, within: int) -> tuple:
-    """(masks, joins): the subsets of ``within`` in which no two members
-    share a lower bound inside ``within``, as ambient bitmasks in
-    lexicographic order, with their joins in ``lat``.
-
-    Each join is read off the set's prefix.  Let S be a k-set with largest
-    member b.  Its prefix S - {b} is also in the family, and it is the last
-    (k-1)-set emitted before S: the lex order puts a set before its
-    extensions, and every set emitted between the prefix and S extends
-    the prefix, so it has at least k members.  So a stack indexed by size
-    holds the prefix's upper-bound mask when S arrives, and the upper
-    bounds of S are that mask & ``up[b]``.  In a lattice the upper bounds
-    of S are ``up[join S]``, and distinct elements have distinct up-rows,
-    so the join is one lookup of that mask.  The empty set's upper-bound
-    mask is the full mask, and its join is the bottom.
-    """
-    masks = tmd_masks(mail_mates(lat.n, lat.down, within), within)
-    up = lat.up
-    join_of = {row: j for j, row in enumerate(up)}
-
-    def joins():
-        ubs = [lat.full_mask] * (lat.n + 1)
-        yield join_of[lat.full_mask]
-        for m in islice(masks, 1, None):
-            k = m.bit_count()
-            ubs[k] = ubs[k - 1] & up[m.bit_length() - 1]
-            yield join_of[ubs[k]]
-
-    return masks, tuple(joins())
-
-
-def _dc_family(pair: ConnectivityPair) -> tuple:
-    """D(C) and its joins, as :func:`_tmd_family` returns them.
+def _dc_tables(pair: ConnectivityPair) -> tuple:
+    """(masks, joins, doms): D(C) as :func:`~chainmail.poset.tmd_masks`
+    lists it, each set's join, and each set's down-set, so that S <= T
+    componentwise exactly when ``S & ~dom(T) == 0``.
 
     TMD is taken inside the induced order on C: two connected elements are
-    mail-mates only via a *connected* common lower bound.
+    mail-mates only via a *connected* common lower bound.  In a lattice the
+    upper bounds of a set are the up-row of its join, and distinct elements
+    have distinct up-rows, so each join is one lookup of the set's
+    upper-bound mask.
     """
-    return _tmd_family(pair.lattice, pair.cmask)
-
-
-def _dc_tables(pair: ConnectivityPair) -> tuple:
-    """(masks, joins, doms): D(C), its joins, and each set's down-set, so
-    that S <= T componentwise exactly when ``S & ~dom(T) == 0``."""
-    masks, joins = _dc_family(pair)
-    return masks, joins, [dominated_mask(pair.lattice, m) for m in masks]
+    lat = pair.lattice
+    masks, ubs, doms = tmd_masks(lat, pair.cmask)
+    join_of = {row: j for j, row in enumerate(lat.up)}
+    return masks, tuple(join_of[ub] for ub in ubs), doms
 
 
 def dc_sets(pair: ConnectivityPair) -> list:
     """D(C) as frozensets of ambient elements."""
-    return [set_of(m) for m in _dc_family(pair)[0]]
+    return [set_of(m) for m in _dc_tables(pair)[0]]
 
 
-def _right_adjoint_table(lat: FinitePoset, fam: tuple, joins: tuple, doms: list):
+def _right_adjoint_table(lat: FinitePoset, fam: tuple, joins: tuple, doms: tuple):
     """For each x, the greatest TMD set whose join sits below x (as an
     ambient mask), or None when some x has no greatest such set.  The sets
     are D(C) as :func:`_dc_tables` returns it.
@@ -174,20 +143,29 @@ def _right_adjoint_table(lat: FinitePoset, fam: tuple, joins: tuple, doms: list)
     Nothing here consults the component map, which keeps the equivalence
     with ``is_subchainmail_of`` and the classifier's cross-view assertion
     honest.
+
+    A set T is below S exactly when T lies inside dom(S), so S is above
+    every set with join below x exactly when dom(S) holds the union of
+    their members.  One pass per x keeps, in ``top``, the last such set
+    that was not below the one kept before.  Once the pass meets the
+    greatest set G it keeps G: either G replaces the kept set, or G is
+    below it and so equal to it (TMD sets are antichains, on which the
+    order is antisymmetric); every later set is below G.  So the greatest
+    set exists exactly when the kept one's down-set holds the union.  The
+    empty set comes first with join the bottom, and starts the pass.
     """
     table = []
     for x in range(lat.n):
-        maxima: list = []
-        for i, j in enumerate(joins):
-            if not lat.down[x] >> j & 1:
-                continue
-            if any(fam[i] & ~doms[t] == 0 for t in maxima):
-                continue
-            maxima = [t for t in maxima if fam[t] & ~doms[i] != 0]
-            maxima.append(i)
-        if len(maxima) != 1:
+        below = lat.down[x]
+        members = top = top_dom = 0
+        for m, j, d in zip(fam, joins, doms):
+            if below >> j & 1:
+                members |= m
+                if m & ~top_dom:
+                    top, top_dom = m, d
+        if members & ~top_dom:
             return None
-        table.append(fam[maxima[0]])
+        table.append(top)
     return table
 
 
@@ -277,7 +255,8 @@ def _joins_connected(lat: FinitePoset, cmask: int, x: int) -> bool:
 
 def cl3(pair: ConnectivityPair) -> bool:
     """Every TMD set in C is the component set of its own join."""
-    return _cl3_violation(pair, *_dc_family(pair)) is None
+    fam, joins, _doms = _dc_tables(pair)
+    return _cl3_violation(pair, fam, joins) is None
 
 
 def _cl3_violation(pair: ConnectivityPair, fam: tuple, joins: tuple) -> Optional[frozenset]:
@@ -400,7 +379,7 @@ def _l_plus_survivors(lat: FinitePoset, at_risk, limit: int = DEFAULT_MAX_TMD_SE
     dom(S) <= dom(S') and lo <= join(S') <= hi; at lo = hi = join(S) it
     is exactly what S itself refutes.
 
-    The walk is the one of :func:`exterior.tmd_masks`: members are added
+    The walk is the one of :func:`poset.tmd_masks`: members are added
     in increasing order, and S carries its candidates R, the members of
     L+ above its largest member that meet each member of S in the bottom.
     Every family S' the walk reaches from S (S included) has S <= S' <=

@@ -13,51 +13,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_MAX_TMD_SETS
+from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
 from .poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, joins_inside,
-                    mask_of, pair_joins, set_of)
-
-
-def tmd_masks(mates: Sequence[int], within: int, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
-    """Every subset of ``within`` with no member in another member's
-    ``mates`` row, as bitmasks in lexicographic order of sorted member
-    tuples (the empty set first).
-
-    Invariant of the search: ``extend(mask, cand)`` is entered with
-    ``mask`` such a set and ``cand`` the members of ``within`` above its
-    largest member and outside the mates of every member.  Taking the
-    lowest candidate b leaves in ``cand`` exactly the larger ones, so
-    ``cand & ~mates[b]`` is the candidate set of ``mask | b``, and the
-    search recurses only when it is not empty.  No other set is visited.
-    Candidates are taken in increasing order and each set is emitted
-    before its extensions, which is the lexicographic order.  With mail
-    mates as rows these are the totally mail-disconnected sets.
-    """
-    out = [0]
-
-    def extend(mask: int, cand: int) -> None:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            out.append(mask | low)
-            if len(out) > limit:
-                raise GuardExceeded(
-                    f"TMD family exceeds {limit} sets; raise the limit explicitly"
-                )
-            rest = cand & ~mates[low.bit_length() - 1]
-            if rest:
-                extend(mask | low, rest)
-
-    extend(0, within)
-    # extend refers to itself through its closure; unbinding it breaks that
-    # cycle, so ``out`` is freed on return, not at some later collection
-    del extend
-    return tuple(out)
+                    mask_of, pair_joins, set_of, tmd_masks)
 
 
 def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
-    """All totally mail-disconnected subsets of p, as :func:`tmd_masks`."""
-    return tmd_masks(p.mail_mates, p.full_mask, limit)
+    """All totally mail-disconnected subsets of p, as the masks that
+    :func:`~chainmail.poset.tmd_masks` lists."""
+    return tmd_masks(p, p.full_mask, limit)[0]
 
 
 def dominated_mask(p: FinitePoset, members_mask: int) -> int:
@@ -89,9 +54,8 @@ class TmdFamily:
 
 
 def exterior(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> TmdFamily:
-    masks = tmd_set_masks(p, limit)
-    dom = [dominated_mask(p, m) for m in masks]
-    order = FinitePoset(len(masks), inclusion_rows(masks, dom))
+    masks, _ubs, doms = tmd_masks(p, p.full_mask, limit)
+    order = FinitePoset(len(masks), inclusion_rows(masks, doms))
     return TmdFamily(base=p, sets=tuple(set_of(m) for m in masks), order=order)
 
 
@@ -168,7 +132,7 @@ def inclusion_poset(sets: Sequence[frozenset]) -> FinitePoset:
     return FinitePoset(k, tuple(rows))
 
 
-def exterior_as_absolute(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS):
+def exterior_as_absolute(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> ConnectivityPair:
     """The exterior paired with its singleton sets as the connectivity.
 
     The singletons are exactly the absolutely connected elements of the
@@ -176,8 +140,6 @@ def exterior_as_absolute(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS):
     both facts are swept as invariants in the tests rather than recomputed
     here.
     """
-    from .connectivity import ConnectivityPair
-
     _require_chainmail(p)
     family = exterior(p, limit)
     return ConnectivityPair(family.order, family.singleton_indices())

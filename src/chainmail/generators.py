@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Sequence
 from .config import DEFAULT_VERTEX_CAP
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .connectivity import ConnectivityPair
+from .exterior import exterior_as_absolute
 from .poset import FinitePoset, bits_of, component_masks, downset_masks, inclusion_rows, mask_of, submasks
 
 
@@ -335,14 +336,8 @@ _register("exaU", lambda: ConnectivityPair(FinitePoset.powerset_lattice(3), froz
 _register("exaV", lambda: ConnectivityPair(FinitePoset.powerset_lattice(3), frozenset({3, 5, 6})), "three pairwise-overlapping doubletons: an antichain connectivity")
 _register("exaW", lambda: ConnectivityPair(FinitePoset.powerset_lattice(3), frozenset({3, 6})), "two overlapping doubletons: a separated, non-typical connectivity")
 _register("exaX", _exa_x_pair, "three atoms under a coatom and top: typical but neither separated nor saturated")
-_register("exaAA", lambda: _exterior_as_absolute_fixture(), "the exterior of exaA as an absolute connectivity lattice (not a frame)")
+_register("exaAA", lambda: exterior_as_absolute(_exa_a_poset()), "the exterior of exaA as an absolute connectivity lattice (not a frame)")
 _register("exaAB", _exa_ab_pair, "a complete lattice over a new bottom; old elements are the connectivity")
-
-
-def _exterior_as_absolute_fixture() -> ConnectivityPair:
-    from .exterior import exterior_as_absolute
-
-    return exterior_as_absolute(_exa_a_poset())
 
 
 def fixture_names() -> list:

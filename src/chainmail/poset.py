@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .config import max_n
+from .config import DEFAULT_MAX_TMD_SETS, max_n
 from .errors import FormatError, GuardExceeded, PreconditionError
 from . import canon
 
@@ -147,6 +147,53 @@ def downset_masks(n: int, down: Sequence[int]) -> list:
         if ok:
             out.append(m)
     return out
+
+
+def tmd_masks(p: FinitePoset, within: int, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
+    """(masks, ubs, doms): every subset of ``within`` in which no two
+    members share a lower bound inside ``within``, as bitmasks in
+    lexicographic order of sorted member tuples (the empty set first),
+    with each set's upper-bound mask (the AND of its members' up-rows, the
+    full mask for the empty set) and its down-set (the OR of their
+    down-rows).  With ``within`` the full mask these are the totally
+    mail-disconnected sets of ``p``.
+
+    Invariant of the search: ``extend(mask, ub, dom, cand)`` is entered
+    with ``mask`` such a set, ``ub`` and ``dom`` its two masks, and
+    ``cand`` the members of ``within`` above its largest member that share
+    no lower bound in ``within`` with any member.  Taking the lowest
+    candidate b leaves in ``cand`` exactly the larger ones, so ``cand &
+    ~mates[b]`` is the candidate set of ``mask | b``, and the search
+    recurses only when it is not empty.  No other set is visited.
+    Candidates are taken in increasing order and each set is emitted
+    before its extensions, which is the lexicographic order.
+    """
+    up, down = p.up, p.down
+    mates = mail_mates(p.n, down, within)
+    masks, ubs, doms = [0], [p.full_mask], [0]
+
+    def extend(mask: int, ub: int, dom: int, cand: int) -> None:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            b = low.bit_length() - 1
+            sub, sub_ub, sub_dom = mask | low, ub & up[b], dom | down[b]
+            masks.append(sub)
+            ubs.append(sub_ub)
+            doms.append(sub_dom)
+            if len(masks) > limit:
+                raise GuardExceeded(
+                    f"TMD family exceeds {limit} sets; raise the limit explicitly"
+                )
+            rest = cand & ~mates[b]
+            if rest:
+                extend(sub, sub_ub, sub_dom, rest)
+
+    extend(0, p.full_mask, 0, within)
+    # extend refers to itself through its closure; unbinding it breaks that
+    # cycle, so the lists are freed on return, not at some later collection
+    del extend
+    return tuple(masks), tuple(ubs), tuple(doms)
 
 
 def mail_pairs(up: Sequence[int], down: Sequence[int], members: int, lows: int) -> Iterator[tuple]:

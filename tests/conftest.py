@@ -10,8 +10,8 @@ from __future__ import annotations
 import pytest
 
 from chainmail import canon
-from chainmail.exterior import tmd_masks, tmd_set_masks
-from chainmail.poset import FinitePoset, bits_of, join_mask, mail_mates, mask_of
+from chainmail.exterior import tmd_set_masks
+from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of, tmd_masks
 from chainmail.enumeration import enumerate_posets
 
 
@@ -200,6 +200,27 @@ def oracle_dc_family(pair) -> tuple:
     return tuple(mask_of(elems[i] for i in bits_of(m)) for m in tmd_set_masks(induced))
 
 
+def oracle_right_adjoint_table(lat: FinitePoset, fam: tuple, joins: tuple, doms: tuple):
+    """The right adjoint of the join map D(C) -> L, for D(C) given as
+    (masks, joins, doms), by keeping the maximal sets with join below each
+    x: the table of the greatest one per x, or None when some x has more
+    than one maximal set."""
+    table = []
+    for x in range(lat.n):
+        maxima: list = []
+        for i, j in enumerate(joins):
+            if not lat.down[x] >> j & 1:
+                continue
+            if any(fam[i] & ~doms[t] == 0 for t in maxima):
+                continue
+            maxima = [t for t in maxima if fam[t] & ~doms[i] != 0]
+            maxima.append(i)
+        if len(maxima) != 1:
+            return None
+        table.append(fam[maxima[0]])
+    return table
+
+
 def oracle_l_plus_families(lat: FinitePoset) -> list:
     """(members, join) for every subset of L+ whose members pairwise meet
     in the bottom, by a scan of every subset."""
@@ -224,7 +245,7 @@ def l_plus_family(lat: FinitePoset) -> list:
     """(mask, join) for every TMD subset of L+, listed whole by
     ``tmd_masks``, with no pruning: what the E3 and E4 oracles scan."""
     l_plus = lat.full_mask & ~(1 << lat.bottom())
-    masks = tmd_masks(mail_mates(lat.n, lat.down, l_plus), l_plus)
+    masks = tmd_masks(lat, l_plus)[0]
     return [(m, join_mask(lat.n, lat.up, m)) for m in masks]
 
 

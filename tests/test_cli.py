@@ -305,6 +305,22 @@ class TestUntrustedInput:
         assert code in (0, 1, 2)
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("classify", {"n": 3, "leq": [[0, 1], [1, 2]], "connectivity": [0, 2]}),
+            ("export-dot", {"n": 3, "leq": [[0, 1], [1, 2]], "connectivity": [0, 2]}),
+            ("exterior", {"n": 3, "leq": [[0, 1], [1, 2]]}),
+        ],
+        ids=["classify-pair", "export-dot-pair", "exterior-poset"],
+    )
+    def test_non_transitive_relation_exits_1(self, tmp_path, command, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke([command, "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: input is not a poset: transitivity fails at (0, 1, 2)\n"
+
 
 class TestExterior:
     def test_exa_a(self):

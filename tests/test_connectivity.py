@@ -13,9 +13,10 @@ import pytest
 from chainmail import connectivity
 from chainmail.connectivity import (
     ConnectivityPair,
-    _dc_family,
+    _dc_tables,
     _e3_elements,
     _l_plus_survivors,
+    _right_adjoint_table,
     absolutely_connected_elements,
     borger_implication_check,
     cl0,
@@ -47,13 +48,13 @@ from chainmail.connectivity import (
 from chainmail.errors import GuardExceeded, PreconditionError
 from chainmail.generators import (
     Graph,
+    fixture_names,
     graph_connectivity_pair,
     named_fixture,
     topology_pair,
 )
 from chainmail.enumeration import enumerate_complete_lattices, enumerate_connectivity_pairs
-from chainmail.exterior import tmd_masks
-from chainmail.poset import FinitePoset, bits_of, join_mask, mail_mates, mask_of
+from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of, set_of, tmd_masks
 
 from conftest import (
     mk,
@@ -65,6 +66,7 @@ from conftest import (
     oracle_e4_elements,
     oracle_join,
     oracle_l_plus_families,
+    oracle_right_adjoint_table,
     oracle_sigma_members,
 )
 
@@ -77,6 +79,16 @@ def ps3():
 @pytest.fixture(scope="module")
 def exa_n():
     return named_fixture("exaN")
+
+
+class TestPair:
+    def test_cached_cmask_leaves_equality_and_hash_alone(self, ps3):
+        read, fresh = ConnectivityPair(ps3, {1, 2, 4}), ConnectivityPair(ps3, {1, 2, 4})
+        assert read.cmask == 0b10110
+        assert "cmask" in vars(read) and "cmask" not in vars(fresh)
+        assert read == fresh and fresh == read
+        assert hash(read) == hash(fresh)
+        assert fresh in {read} and read in {fresh}
 
 
 class TestSubchainmail:
@@ -150,6 +162,39 @@ class TestAdjunction:
         for name in ("exaB", "exaH", "exaI", "exaJ", "exaK", "exaM", "exaN", "exaU", "exaV", "exaW", "exaX"):
             pair = named_fixture(name)
             assert galois_adjunction_holds(pair) == is_subchainmail_of(pair.lattice, pair.connected)
+
+    @staticmethod
+    def assert_table_matches_the_maximal_sets(pairs) -> set:
+        """The one-pass table equals the maximal-sets oracle on each pair;
+        returns which outcomes (table or None) were seen."""
+        seen = set()
+        for pair in pairs:
+            dc = _dc_tables(pair)
+            table = _right_adjoint_table(pair.lattice, *dc)
+            assert table == oracle_right_adjoint_table(pair.lattice, *dc)
+            seen.add(table is None)
+        return seen
+
+    def test_right_adjoint_matches_the_maximal_sets_up_to_6_elements(self):
+        pairs = list(enumerate_connectivity_pairs(6))
+        assert len(pairs) == 1166
+        assert self.assert_table_matches_the_maximal_sets(pairs) == {False, True}
+
+    def test_right_adjoint_matches_the_maximal_sets_on_pair_fixtures(self):
+        pairs = [named_fixture(name) for name in fixture_names()]
+        pairs = [pair for pair in pairs if isinstance(pair, ConnectivityPair)]
+        assert len(_dc_tables(named_fixture("exaJ"))[0]) == 289
+        assert self.assert_table_matches_the_maximal_sets(pairs) == {False, True}
+
+    def test_right_adjoint_matches_the_maximal_sets_on_m_k(self):
+        # C = the atoms: D(C) is every set of atoms and the adjoint exists;
+        # with the bottom in C no two atoms are in one set, and the top
+        # has k maximal sets below it
+        for k in range(1, 9):
+            atoms = frozenset(range(1, k + 1))
+            seen = self.assert_table_matches_the_maximal_sets(
+                [ConnectivityPair(mk(k), atoms), ConnectivityPair(mk(k), atoms | {0})])
+            assert seen == ({False} if k == 1 else {False, True})
 
 
 class TestClConditions:
@@ -297,7 +342,7 @@ def closure_lattice(rng: random.Random, k: int) -> FinitePoset:
 
 
 class TestTmdFamilies:
-    def test_joins_are_read_off_the_prefixes(self):
+    def test_joins_are_read_off_the_walk(self):
         rng = random.Random(11)
         lattices = [FinitePoset.powerset_lattice(k) for k in (3, 4, 5)]
         lattices += [mk(k) for k in range(1, 9)]
@@ -306,14 +351,14 @@ class TestTmdFamilies:
         for lat in lattices:
             l_plus = lat.full_mask & ~(1 << lat.bottom())
             for within in (l_plus, *(rng.getrandbits(lat.n) for _ in range(3))):
-                masks, joins = connectivity._tmd_family(lat, within)
-                assert masks == tmd_masks(mail_mates(lat.n, lat.down, within), within)
+                masks, joins, _doms = _dc_tables(ConnectivityPair(lat, set_of(within)))
+                assert masks == tmd_masks(lat, within)[0]
                 assert joins == tuple(join_mask(lat.n, lat.up, m) for m in masks)
 
     def test_dc_family_matches_the_induced_route(self):
         count = 0
         for pair in enumerate_connectivity_pairs(6):
-            masks, joins = _dc_family(pair)
+            masks, joins, _doms = _dc_tables(pair)
             assert masks == oracle_dc_family(pair)
             assert joins == tuple(oracle_join(pair.lattice, list(bits_of(m))) for m in masks)
             count += 1
@@ -331,9 +376,9 @@ class TestTmdFamilies:
         withins = []
         real = connectivity.tmd_masks
 
-        def spying(mates, within, *args):
+        def spying(p, within, *args):
             withins.append(within)
-            return real(mates, within, *args)
+            return real(p, within, *args)
 
         monkeypatch.setattr(connectivity, "tmd_masks", spying)
         assert absolutely_connected_elements.__wrapped__(ps3) == {1, 2, 4}

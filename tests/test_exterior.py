@@ -17,12 +17,11 @@ from chainmail.exterior import (
     exterior_as_absolute,
     exterior_is_complete,
     inclusion_poset,
-    tmd_masks,
     tmd_set_masks,
     tmd_to_downset,
 )
 from chainmail.generators import named_fixture
-from chainmail.poset import FinitePoset, bits_of
+from chainmail.poset import FinitePoset, bits_of, tmd_masks
 
 from conftest import (
     lex_subsets,
@@ -97,7 +96,7 @@ class TestExterior:
         for posets in poset_corpus.values():
             for p in posets:
                 for q in (p, relabel(p, rng.sample(range(p.n), p.n))):
-                    masks = tmd_set_masks(q)
+                    masks = tmd_masks(q, q.full_mask)[0]
                     assert list(masks) == sorted(masks, key=lambda m: tuple(bits_of(m)))
 
     def test_singleton_base(self):
@@ -125,9 +124,9 @@ class TestExterior:
         for p in (FinitePoset.antichain(5), exa_a, FinitePoset.powerset_lattice(3)):
             masks = tmd_set_masks(p)
             s = len(masks)
-            assert tmd_masks(p.mail_mates, p.full_mask, limit=s) == masks
+            assert tmd_masks(p, p.full_mask, limit=s)[0] == masks
             with pytest.raises(GuardExceeded) as caught:
-                tmd_masks(p.mail_mates, p.full_mask, limit=s - 1)
+                tmd_masks(p, p.full_mask, limit=s - 1)
             assert str(caught.value) == f"TMD family exceeds {s - 1} sets; raise the limit explicitly"
 
     def test_search_leaves_no_reference_cycle(self):
@@ -136,7 +135,7 @@ class TestExterior:
         gc.collect()
         gc.disable()
         try:
-            tmd_masks(FinitePoset.antichain(6).mail_mates, 63)
+            tmd_masks(FinitePoset.antichain(6), 63)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -12,9 +12,10 @@ from chainmail.generators import named_fixture
 from chainmail.enumeration import enumerate_posets
 from chainmail.exterior import inclusion_poset
 from chainmail.poset import (FinitePoset, bits_of, downset_masks, mail_mates, mail_pairs, mask_of,
-                             reduced_mail_scan, set_of)
+                             reduced_mail_scan, set_of, tmd_masks)
 
 from conftest import (
+    lex_subsets,
     oracle_is_chainmail_all_mails,
     oracle_is_complete_lattice,
     oracle_is_mail,
@@ -277,6 +278,37 @@ class TestPairLemma:
             assert p.is_chainmail() == walk
             chainmails += walk
         assert (len(posets), chainmails) == (2451, 575)
+
+
+class TestTmdWalk:
+    """``tmd_masks`` lists the sets of ``within`` with no two members
+    sharing a lower bound in ``within``, with their upper-bound masks and
+    down-sets."""
+
+    @staticmethod
+    def scan(p: FinitePoset, within: int) -> list:
+        """The same sets by a scan of every subset, in lex order."""
+        elems = [x for x in range(p.n) if within >> x & 1]
+        lows = set_of(within)
+        return [0] + [mask_of(s) for s in lex_subsets(elems)
+                      if not any(oracle_lower_bounds(p, pair) & lows
+                                 for pair in itertools.combinations(s, 2))]
+
+    def test_walk_matches_the_subset_scan(self, poset_corpus):
+        # catalog labels extend the order, so each poset is also relabeled
+        rng = random.Random(14)
+        for posets in poset_corpus.values():
+            for p in posets:
+                for q in (p, relabel(p, rng.sample(range(p.n), p.n))):
+                    full = q.full_mask
+                    for within in (full, *(rng.randrange(full + 1) for _ in range(3))):
+                        masks, ubs, doms = tmd_masks(q, within)
+                        assert list(masks) == self.scan(q, within)
+                        assert len(ubs) == len(doms) == len(masks)
+                        for m, ub, dom in zip(masks, ubs, doms):
+                            assert ub == mask_of(oracle_upper_bounds(q, set_of(m)))
+                            assert dom == mask_of(y for y in range(q.n)
+                                                  if any(q.leq(y, x) for x in bits_of(m)))
 
 
 class TestPowersetLattice:
