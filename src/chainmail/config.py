@@ -11,6 +11,7 @@ import os
 
 DEFAULT_MAX_N = 64
 DEFAULT_MAX_TMD_SETS = 1 << 20
+DEFAULT_MAX_EXTERIOR_SETS = 1 << 12  # the exterior's order is m x m
 DEFAULT_VERTEX_CAP = 5
 DEFAULT_POSET_ENUM_CAP = 9
 DEFAULT_CHAINMAIL_ENUM_CAP = 8

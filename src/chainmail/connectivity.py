@@ -360,7 +360,7 @@ def e4(pair_or_lattice, a: int) -> bool:
     return a in absolutely_connected_elements(_lattice_of(pair_or_lattice))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def absolutely_connected_elements(lat: FinitePoset) -> frozenset:
     """The elements satisfying E4: a falls at a disjoint family S of L+
     when a <= join(S) and a is below no member, that is, not in dom(S)."""
@@ -400,7 +400,7 @@ def _l_plus_survivors(lat: FinitePoset, at_risk, limit: int = DEFAULT_MAX_TMD_SE
         raise PreconditionError("E conditions are defined over complete lattices")
     up, down = lat.up, lat.down
     l_plus = lat.full_mask & ~(1 << lat.bottom())
-    mates = mail_mates(lat.n, down, l_plus)
+    mates = mail_mates(lat.n, up, down, l_plus)
     join_of = {row: j for j, row in enumerate(up)}
     alive = lat.full_mask
     entered = 0

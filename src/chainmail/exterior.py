@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_MAX_TMD_SETS
+from .config import DEFAULT_MAX_EXTERIOR_SETS, DEFAULT_MAX_TMD_SETS
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
 from .poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, joins_inside,
@@ -53,13 +53,13 @@ class TmdFamily:
         return frozenset(i for i, s in enumerate(self.sets) if len(s) == 1)
 
 
-def exterior(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> TmdFamily:
+def exterior(p: FinitePoset, limit: int = DEFAULT_MAX_EXTERIOR_SETS) -> TmdFamily:
     masks, _ubs, doms = tmd_masks(p, p.full_mask, limit)
     order = FinitePoset(len(masks), inclusion_rows(masks, doms))
     return TmdFamily(base=p, sets=tuple(set_of(m) for m in masks), order=order)
 
 
-def exterior_is_complete(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> bool:
+def exterior_is_complete(p: FinitePoset, limit: int = DEFAULT_MAX_EXTERIOR_SETS) -> bool:
     """Whether the exterior is a complete lattice.  Coincides with
     ``p.is_chainmail()`` on every poset; the equality is an invariant the
     test suite sweeps, not something this function assumes."""
@@ -132,7 +132,7 @@ def inclusion_poset(sets: Sequence[frozenset]) -> FinitePoset:
     return FinitePoset(k, tuple(rows))
 
 
-def exterior_as_absolute(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> ConnectivityPair:
+def exterior_as_absolute(p: FinitePoset, limit: int = DEFAULT_MAX_EXTERIOR_SETS) -> ConnectivityPair:
     """The exterior paired with its singleton sets as the connectivity.
 
     The singletons are exactly the absolutely connected elements of the

@@ -125,11 +125,19 @@ def maximal_mask(up: Sequence[int], within: int) -> int:
     return out
 
 
-def mail_mates(n: int, down: Sequence[int], lows: int) -> tuple:
-    """Row a: the b such that a and b share a lower bound in ``lows``."""
-    return tuple(
-        mask_of(b for b in range(n) if down[a] & down[b] & lows) for a in range(n)
-    )
+def mail_mates(n: int, up: Sequence[int], down: Sequence[int], lows: int) -> tuple:
+    """Row a: the b such that a and b share a lower bound in ``lows``.
+    Those b lie above some l in ``down[a] & lows``: the OR of their ``up[l]``."""
+    rows = []
+    for a in range(n):
+        row = 0
+        ls = down[a] & lows
+        while ls:
+            low = ls & -ls
+            row |= up[low.bit_length() - 1]
+            ls ^= low
+        rows.append(row)
+    return tuple(rows)
 
 
 def downset_masks(n: int, down: Sequence[int]) -> list:
@@ -169,7 +177,7 @@ def tmd_masks(p: FinitePoset, within: int, limit: int = DEFAULT_MAX_TMD_SETS) ->
     before its extensions, which is the lexicographic order.
     """
     up, down = p.up, p.down
-    mates = mail_mates(p.n, down, within)
+    mates = mail_mates(p.n, up, down, within)
     masks, ubs, doms = [0], [p.full_mask], [0]
 
     def extend(mask: int, ub: int, dom: int, cand: int) -> None:
@@ -234,13 +242,25 @@ def joins_inside(dmask: int, joins: list) -> bool:
 
 
 def inclusion_rows(masks: Iterable[int], ceilings: Sequence[int]) -> tuple:
-    """Row i: the j such that ``masks[i]`` lies inside ``ceilings[j]``."""
+    """Row i: the j such that ``masks[i]`` lies inside ``ceilings[j]``.
+    That is the AND over its members a of ``cols[a]``, the j whose ceiling holds a."""
+    width = max(ceilings, default=0).bit_length()
+    cols = [0] * width
+    bit = 1
+    for c in ceilings:
+        while c:
+            low = c & -c
+            cols[low.bit_length() - 1] |= bit
+            c ^= low
+        bit <<= 1
     rows = []
     for m in masks:
-        row = 0
-        for j, c in enumerate(ceilings):
-            if not m & ~c:
-                row |= 1 << j
+        # no j when a member lies past every ceiling, all j for the empty mask
+        row = 0 if m >> width else bit - 1
+        while m and row:
+            low = m & -m
+            row &= cols[low.bit_length() - 1]
+            m ^= low
         rows.append(row)
     return tuple(rows)
 
@@ -459,7 +479,7 @@ class FinitePoset:
     @cached_property
     def mail_mates(self) -> tuple:
         """mail_mates[a] = bitmask of b such that {a, b} is a mail."""
-        return mail_mates(self.n, self.down, self.full_mask)
+        return mail_mates(self.n, self.up, self.down, self.full_mask)
 
     @cached_property
     def covers(self) -> tuple:

@@ -168,6 +168,19 @@ def oracle_least(p: FinitePoset, mask: int):
     return None
 
 
+def oracle_inclusion_rows(masks, ceilings) -> tuple:
+    """Row i: the j such that ``masks[i]`` lies inside ``ceilings[j]``, by
+    testing every mask against every ceiling."""
+    rows = []
+    for m in masks:
+        row = 0
+        for j, c in enumerate(ceilings):
+            if not m & ~c:
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
 def oracle_hypergraph_connected(h, vmask: int) -> bool:
     """Chain-cover definition of a connected vertex set: non-empty, and one
     chain-component of the hyperedges inside the set (edges linked when

@@ -332,6 +332,19 @@ class TestExterior:
         assert obj["is_complete_lattice"] is True
         assert [0, 3] in obj["sets"]
 
+    def test_wide_family_exits_2_before_its_order(self, tmp_path):
+        # every subset of a k-antichain is TMD: 2^12 sets pass the guard,
+        # 2^13 do not
+        path = tmp_path / "antichain.json"
+        path.write_text(json.dumps(FinitePoset.antichain(13).to_json()), encoding="utf-8")
+        code, out, err = invoke(["exterior", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "resource guard: TMD family exceeds 4096 sets; raise the limit explicitly\n"
+        path.write_text(json.dumps(FinitePoset.antichain(12).to_json()), encoding="utf-8")
+        code, out, err = invoke(["exterior", "--input", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["set_count"] == 4096
+
 
 class TestEnumerate:
     def test_chainmail_count_json(self):

@@ -68,6 +68,7 @@ from conftest import (
     oracle_l_plus_families,
     oracle_right_adjoint_table,
     oracle_sigma_members,
+    relabel,
 )
 
 
@@ -425,6 +426,31 @@ class TestTmdFamilies:
     def test_e3_e4_outside_the_lattice_are_false(self, ps3):
         for a in (ps3.n, -1):
             assert not e3(ps3, a) and not e4(ps3, a)
+
+
+class TestE4Cache:
+    """``absolutely_connected_elements`` keeps at most 256 lattices; the
+    subsets of one lattice, read one after another, still share its entry."""
+
+    def test_cache_stays_bounded_over_300_distinct_lattices(self, ps3):
+        rng = random.Random(18)
+        lattices = set()
+        while len(lattices) < 300:
+            lattices.add(relabel(ps3, rng.sample(range(ps3.n), ps3.n)))
+        for lat in lattices:
+            assert len(absolutely_connected_elements(lat)) == 3
+        info = absolutely_connected_elements.cache_info()
+        assert info.maxsize == 256
+        assert info.currsize <= 256
+
+    def test_subsets_of_one_lattice_hit(self):
+        lat = relabel(mk(4), [5, 3, 0, 1, 4, 2])
+        before = absolutely_connected_elements.cache_info()
+        for cmask in range(1 << lat.n):
+            classify(ConnectivityPair(FinitePoset(lat.n, lat.up), set_of(cmask)))
+        after = absolutely_connected_elements.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= (1 << lat.n) - 1
 
 
 class TestFrameEquivalence:

@@ -23,9 +23,9 @@ from chainmail.generators import (
     topological_connected_sets_pair,
     topology_pair,
 )
-from chainmail.poset import FinitePoset
+from chainmail.poset import FinitePoset, bits_of, downset_masks
 
-from conftest import oracle_hypergraph_connected
+from conftest import oracle_hypergraph_connected, oracle_inclusion_rows
 
 
 def brute_connected(g: Graph, members) -> bool:
@@ -213,6 +213,14 @@ class TestForests:
             for p in small_poset_corpus[n]:
                 if forest_poset_check(p):
                     assert classify(downset_lattice_pair(p)).absolute
+
+    def test_downset_lattice_matches_the_pairwise_inclusion_order(self, small_poset_corpus):
+        for posets in small_poset_corpus.values():
+            for p in posets:
+                downsets = sorted(downset_masks(p.n, p.down),
+                                  key=lambda m: (m.bit_count(), tuple(bits_of(m))))
+                lattice = downset_lattice_pair(p).lattice
+                assert lattice.up == oracle_inclusion_rows(downsets, downsets)
 
     def test_forests_are_chainmails(self, small_poset_corpus):
         for posets in small_poset_corpus.values():

@@ -11,11 +11,12 @@ from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import named_fixture
 from chainmail.enumeration import enumerate_posets
 from chainmail.exterior import inclusion_poset
-from chainmail.poset import (FinitePoset, bits_of, downset_masks, mail_mates, mail_pairs, mask_of,
-                             reduced_mail_scan, set_of, tmd_masks)
+from chainmail.poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, mail_mates,
+                             mail_pairs, mask_of, reduced_mail_scan, set_of, tmd_masks)
 
 from conftest import (
     lex_subsets,
+    oracle_inclusion_rows,
     oracle_is_chainmail_all_mails,
     oracle_is_complete_lattice,
     oracle_is_mail,
@@ -98,16 +99,20 @@ class TestBounds:
 
 class TestHelpers:
     def test_mail_mates_share_a_lower_bound_in_lows(self, small_poset_corpus):
+        # catalog labels extend the order, so each poset is also relabeled
+        rng = random.Random(15)
         for posets in small_poset_corpus.values():
             for p in posets:
-                for lows in range(1 << p.n):
-                    rows = mail_mates(p.n, p.down, lows)
-                    for a in range(p.n):
-                        expected = mask_of(
-                            b for b in range(p.n)
-                            if any(lows >> u & 1 for u in oracle_lower_bounds(p, [a, b]))
-                        )
-                        assert rows[a] == expected
+                for q in (p, relabel(p, rng.sample(range(p.n), p.n))):
+                    for lows in range(1 << q.n):
+                        rows = mail_mates(q.n, q.up, q.down, lows)
+                        for a in range(q.n):
+                            expected = mask_of(
+                                b for b in range(q.n)
+                                if any(lows >> u & 1 for u in oracle_lower_bounds(q, [a, b]))
+                            )
+                            assert rows[a] == expected
+                    assert q.mail_mates == mail_mates(q.n, q.up, q.down, q.full_mask)
 
     def test_downset_masks_are_the_down_closed_subsets(self, small_poset_corpus):
         for posets in small_poset_corpus.values():
@@ -309,6 +314,38 @@ class TestTmdWalk:
                             assert ub == mask_of(oracle_upper_bounds(q, set_of(m)))
                             assert dom == mask_of(y for y in range(q.n)
                                                   if any(q.leq(y, x) for x in bits_of(m)))
+
+
+class TestInclusionRows:
+    """``inclusion_rows`` builds each row from per-element columns; the
+    pairwise test of every mask against every ceiling is the oracle."""
+
+    def test_matches_the_pairwise_rows_on_tmd_families(self, poset_corpus):
+        # catalog labels extend the order, so each poset is also relabeled
+        rng = random.Random(16)
+        posets = [p for n in range(7) for p in poset_corpus[n]]
+        posets += enumerate_posets(7, want_catalog=True).catalog
+        for p in posets:
+            for q in (p, relabel(p, rng.sample(range(p.n), p.n))):
+                masks, _ubs, doms = tmd_masks(q, q.full_mask)
+                assert inclusion_rows(masks, doms) == oracle_inclusion_rows(masks, doms)
+
+    def test_matches_the_pairwise_rows_on_random_masks(self):
+        # masks draw from 12 bits and ceilings from the low 9, so some
+        # members lie in no ceiling; the empty mask is always present
+        rng = random.Random(17)
+        for _ in range(300):
+            ceilings = [rng.randrange(1 << 9) for _ in range(rng.randrange(12))]
+            masks = [0] + [rng.randrange(1 << 12) & rng.randrange(1 << 12)
+                           for _ in range(rng.randrange(12))]
+            assert inclusion_rows(masks, ceilings) == oracle_inclusion_rows(masks, ceilings)
+
+    def test_edge_cases(self):
+        full = (1 << 3) - 1
+        assert inclusion_rows([0, 0], [1, 2, 4]) == (full, full)
+        assert inclusion_rows([0, 1, 8], []) == (0, 0, 0)
+        assert inclusion_rows([8, 9], [1, 3, 7]) == (0, 0)
+        assert inclusion_rows([], [1, 3]) == ()
 
 
 class TestPowersetLattice:
