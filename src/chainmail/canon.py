@@ -38,7 +38,7 @@ class CanonResult:
     key: bytes
     perm: tuple            # perm[i] = original element placed at canonical position i
     relabeled_up: tuple    # up-rows of the canonical copy
-    generators: list = field(default_factory=list, repr=False)  # automorphisms met by the search
+    generators: list = field(repr=False)  # automorphisms met by the search
 
     def orbit(self, v: int) -> set:
         """The automorphism orbit of v."""
@@ -138,13 +138,13 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     ``cells`` is ``stable_partition(n, up, down)`` when the caller has
     already computed it; the search starts from it rather than refining
     the unit partition again.
-    """
-    if n == 0:
-        return CanonResult(key=(0).to_bytes(2, "big"), perm=(), relabeled_up=())
 
+    The canonical labeling is the first leaf with the least encoding
+    (``seen_encodings`` keeps each encoding's first leaf); n = 0 has one
+    leaf, the empty labeling, encoded as 0.
+    """
     generators: list = []
     seen_encodings: dict = {}
-    best_enc = {"value": None, "perm": None}
 
     above = [[w for w in range(n) if up[v] >> w & 1] for v in range(n)]
 
@@ -174,9 +174,6 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
                 for i in range(n):
                     g[prev[i]] = perm[i]
                 generators.append(tuple(g))
-            if best_enc["value"] is None or enc < best_enc["value"]:
-                best_enc["value"] = enc
-                best_enc["perm"] = perm
             return
         cell = cells[idx]
         tried: list = []
@@ -202,8 +199,8 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     # cycle, so the search state is freed on return, not at a later collection
     del search
 
-    perm = best_enc["perm"]
-    enc = best_enc["value"]
+    enc = min(seen_encodings)
+    perm = seen_encodings[enc]
     rows = tuple((enc >> (i * n)) & ((1 << n) - 1) for i in range(n))
     nbytes = (n * n + 7) // 8
     key = n.to_bytes(2, "big") + enc.to_bytes(nbytes, "big")

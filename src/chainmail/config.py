@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import FormatError
+
 DEFAULT_MAX_N = 64
 DEFAULT_MAX_TMD_SETS = 1 << 20
 DEFAULT_MAX_EXTERIOR_SETS = 1 << 12  # the exterior's order is m x m
@@ -26,5 +28,7 @@ def max_n() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_N
-    return value if value > 0 else DEFAULT_MAX_N
+        value = 0
+    if value <= 0:
+        raise FormatError(f"CHM_MAX_N must be a positive integer, got {raw!r}")
+    return value

@@ -151,7 +151,6 @@ def topology_pair(n: int, opens: Sequence[Iterable[int]], cap: int = DEFAULT_VER
 def topological_connected_sets_pair(n: int, opens: Sequence[Iterable[int]], cap: int = DEFAULT_VERTEX_CAP) -> ConnectivityPair:
     """(powerset of points, connected sets of the topology): sets that no
     two disjoint-on-them open sets can split."""
-    _check_cap(n, cap)
     topo = topology_pair(n, opens, cap)
     masks = sorted(topo.connected)
 
@@ -168,8 +167,7 @@ def topological_connected_sets_pair(n: int, opens: Sequence[Iterable[int]], cap:
                     return False
         return True
 
-    lattice = FinitePoset.powerset_lattice(n)
-    return ConnectivityPair(lattice, frozenset(m for m in range(1 << n) if connected(m)))
+    return ConnectivityPair(topo.lattice, frozenset(m for m in range(1 << n) if connected(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_MAX_TMD_SETS, max_n
@@ -483,15 +483,9 @@ class FinitePoset:
 
     @cached_property
     def covers(self) -> tuple:
-        """(a, b) pairs where b covers a."""
-        out = []
-        for a in range(self.n):
-            strictly_above = self.up[a] & ~(1 << a)
-            for b in bits_of(strictly_above):
-                between = self.up[a] & self.down[b] & ~(1 << a) & ~(1 << b)
-                if not between:
-                    out.append((a, b))
-        return tuple(out)
+        """(a, b) pairs where b covers a: the b minimal in a's strict up-set."""
+        return tuple((a, b) for a in range(self.n)
+                     for b in bits_of(maximal_mask(self.down, self.up[a] & ~(1 << a))))
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
@@ -636,15 +630,19 @@ class FinitePoset:
 
     # -- isomorphism -----------------------------------------------------
 
+    @cached_property
+    def canonical(self) -> canon.CanonResult:
+        """Canonical key, labeling and automorphisms, searched once."""
+        return canon.canonicalize(self.n, self.up, self.down)
+
     def canonical_key(self) -> bytes:
         """Deterministic fingerprint; equal for two posets iff they are
         order-isomorphic."""
-        return _canonical_key(self)
+        return self.canonical.key
 
     def canonical_form(self) -> "FinitePoset":
         """The canonically relabeled copy of this poset."""
-        result = canon.canonicalize(self.n, self.up, self.down)
-        return FinitePoset(self.n, result.relabeled_up)
+        return FinitePoset(self.n, self.canonical.relabeled_up)
 
     def is_isomorphic(self, other: "FinitePoset") -> bool:
         return self.n == other.n and self.canonical_key() == other.canonical_key()
@@ -652,8 +650,7 @@ class FinitePoset:
     def automorphism_orbits(self) -> list:
         """Orbits of the automorphism group, each as a frozenset, sorted by
         least member."""
-        result = canon.canonicalize(self.n, self.up, self.down)
-        return sorted({frozenset(result.orbit(v)) for v in range(self.n)}, key=min)
+        return sorted({frozenset(self.canonical.orbit(v)) for v in range(self.n)}, key=min)
 
     # -- JSON interchange -------------------------------------------------
 
@@ -685,8 +682,9 @@ class FinitePoset:
         pairs = obj.get("leq", [])
         if not isinstance(pairs, list):
             raise FormatError('"leq" must be a list of [a, b] pairs')
-        if n > max_n():
-            raise GuardExceeded(f"poset size {n} exceeds cap {max_n()} (set CHM_MAX_N to raise)")
+        cap = max_n()
+        if n > cap:
+            raise GuardExceeded(f"poset size {n} exceeds cap {cap} (set CHM_MAX_N to raise)")
         close = obj.get("closure") == "reflexive-transitive"
         cleaned = []
         for p in pairs:
@@ -720,12 +718,3 @@ def connectivity_from_json(obj: dict) -> tuple:
         if not 0 <= x < poset.n:
             raise FormatError(f"connectivity element {x} out of range")
     return poset, members
-
-
-# ---------------------------------------------------------------------------
-# cached helpers
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1 << 16)
-def _canonical_key(p: FinitePoset) -> bytes:
-    return canon.canonicalize(p.n, p.up, p.down).key

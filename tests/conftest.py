@@ -181,6 +181,18 @@ def oracle_inclusion_rows(masks, ceilings) -> tuple:
     return tuple(rows)
 
 
+def oracle_covers(p: FinitePoset) -> tuple:
+    """(a, b) pairs where b covers a, by testing every b above a for an
+    element strictly between; the loop ``FinitePoset.covers`` ran before
+    it took the minimal elements of each strict up-set."""
+    out = []
+    for a in range(p.n):
+        for b in bits_of(p.up[a] & ~(1 << a)):
+            if not p.up[a] & p.down[b] & ~(1 << a) & ~(1 << b):
+                out.append((a, b))
+    return tuple(out)
+
+
 def oracle_hypergraph_connected(h, vmask: int) -> bool:
     """Chain-cover definition of a connected vertex set: non-empty, and one
     chain-component of the hyperedges inside the set (edges linked when

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from chainmail import canon
+from chainmail.enumeration import enumerate_posets
+from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset
 
 from conftest import oracle_refine, relabel
@@ -56,6 +59,66 @@ def test_distinct_classes_get_distinct_keys(poset_corpus):
     for posets in poset_corpus.values():
         keys = [p.canonical_key() for p in posets]
         assert len(set(keys)) == len(keys)
+
+
+# SHA-256 over the key, automorphism orbits and canonical up-rows of every
+# poset with at most 7 elements, as catalogued and seeded-relabeled; taken
+# when the best labeling was still tracked apart from the leaf record
+LABELING_SHA256 = "6ffd2c9ade837bf64e8ab10aa6e00d7da9384f93670688543edb135aae3871cc"
+
+
+def test_labelings_are_pinned(poset_corpus):
+    h = hashlib.sha256()
+    rng = random.Random(20261019)
+    catalogs = [poset_corpus[n] for n in range(7)] + [enumerate_posets(7, want_catalog=True).catalog]
+    for posets in catalogs:
+        for p in posets:
+            perm = list(range(p.n))
+            rng.shuffle(perm)
+            for q in (p, relabel(p, perm)):
+                h.update(q.canonical_key())
+                h.update(repr([sorted(o) for o in q.automorphism_orbits()]).encode())
+                h.update(repr(q.canonical_form().up).encode())
+    assert h.hexdigest() == LABELING_SHA256
+
+
+def test_least_leaf_wins_where_cells_are_not_orbits():
+    # a 4-crown beside a 6-crown: the stable partition is {minimal, maximal},
+    # but no automorphism swaps the crowns, so the search meets leaves with
+    # different encodings (on at most 8 elements every leaf encodes alike)
+    covers = [(a, b) for a in (0, 1) for b in (5, 6)]
+    covers += [(2, 7), (2, 8), (3, 8), (3, 9), (4, 9), (4, 7)]
+    p = FinitePoset.from_cover_pairs(10, covers)
+    assert canon.stable_partition(p.n, p.up, p.down) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    assert len(p.automorphism_orbits()) == 4
+    assert p.canonical_key().hex() == "000a08010020040080701a184a0b01"
+
+
+def test_empty_poset_has_one_empty_leaf():
+    result = canon.canonicalize(0, (), ())
+    assert (result.key, result.perm, result.relabeled_up, result.generators) == (b"\x00\x00", (), (), [])
+    assert FinitePoset(0, ()).automorphism_orbits() == []
+
+
+def test_each_poset_canonicalizes_once(monkeypatch):
+    calls = []
+    real = canon.canonicalize
+
+    def spy(n, up, down, **kwargs):
+        calls.append(up)
+        return real(n, up, down, **kwargs)
+
+    monkeypatch.setattr(canon, "canonicalize", spy)
+    # fresh instances: named_fixture hands out one shared poset per name
+    p = FinitePoset(7, named_fixture("exaA").up)
+    q = relabel(p, [6, 5, 4, 3, 2, 1, 0])
+    p.canonical_key()
+    p.canonical_form()
+    p.automorphism_orbits()
+    assert calls == [p.up]
+    assert p.is_isomorphic(q) and q.is_isomorphic(p)
+    q.canonical_form()
+    assert calls == [p.up, q.up]
 
 
 def test_canonicalize_leaves_no_reference_cycle():

@@ -321,6 +321,15 @@ class TestUntrustedInput:
         assert (code, out) == (1, "")
         assert err == "error: input is not a poset: transitivity fails at (0, 1, 2)\n"
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_size_cap_exits_1(self, tmp_path, monkeypatch, value):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"n": 2, "leq": [[0, 1]], "connectivity": [1]}), encoding="utf-8")
+        monkeypatch.setenv("CHM_MAX_N", value)
+        code, out, err = invoke(["classify", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: CHM_MAX_N must be a positive integer, got '{value}'\n"
+
 
 class TestExterior:
     def test_exa_a(self):

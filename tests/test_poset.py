@@ -10,12 +10,13 @@ import pytest
 from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import named_fixture
 from chainmail.enumeration import enumerate_posets
-from chainmail.exterior import inclusion_poset
+from chainmail.exterior import exterior, inclusion_poset
 from chainmail.poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, mail_mates,
                              mail_pairs, mask_of, reduced_mail_scan, set_of, tmd_masks)
 
 from conftest import (
     lex_subsets,
+    oracle_covers,
     oracle_inclusion_rows,
     oracle_is_chainmail_all_mails,
     oracle_is_complete_lattice,
@@ -346,6 +347,25 @@ class TestInclusionRows:
         assert inclusion_rows([0, 1, 8], []) == (0, 0, 0)
         assert inclusion_rows([8, 9], [1, 3, 7]) == (0, 0)
         assert inclusion_rows([], [1, 3]) == ()
+
+
+class TestCovers:
+    """``covers`` takes the minimal elements of each strict up-set; the
+    between test on every comparable pair is the oracle."""
+
+    def test_matches_the_between_test(self, poset_corpus):
+        # catalog labels extend the order, so each poset is also relabeled
+        rng = random.Random(18)
+        for posets in poset_corpus.values():
+            for p in posets:
+                for q in (p, relabel(p, rng.sample(range(p.n), p.n))):
+                    assert q.covers == oracle_covers(q)
+
+    def test_matches_the_between_test_on_exterior_orders(self):
+        for k in range(9):
+            order = exterior(FinitePoset.antichain(k)).order
+            assert order.covers == oracle_covers(order)
+            assert len(order.covers) == k * 2 ** k // 2   # the Boolean lattice's edges
 
 
 class TestPowersetLattice:
