@@ -11,9 +11,28 @@ Correctness rests on two standard facts: the refined partition is an
 isomorphism invariant, and pruning a branch by a known automorphism only
 removes encodings that are produced elsewhere in the tree.  Every leaf
 whose encoding repeats an earlier one adds an automorphism, and together
-they generate the whole automorphism group (McKay, "Practical graph
-isomorphism", Congr. Numer. 30, 1981), which the enumerator uses twice:
-for orbits of elements and for orbits of down-sets.
+with those used for pruning they generate the whole automorphism group
+(McKay, "Practical graph isomorphism", Congr. Numer. 30, 1981), which the
+enumerator uses twice: for orbits of elements and for orbits of down-sets.
+
+Twins.  Two elements with the same strict up-set and the same strict
+down-set are twins, and swapping them keeps the order, so it is an
+automorphism; twins share a cell of the first stable partition.  The
+search starts with the swaps of consecutive twins as generators, so
+sibling pruning follows one twin per level instead of meeting each swap
+again at a leaf.  This changes no output.  A branch v is pruned only
+when an automorphism h fixing the path maps an earlier sibling u to v;
+refinement commutes with h, so h maps the tree under u onto the tree
+under v, leaf for leaf with equal encodings, and each encoding under v
+occurs earlier under u.  So the first leaf, in the order of the unpruned
+tree, with the least encoding is never pruned: that leaf, ``perm``, the
+key and the canonical rows do not depend on which automorphisms are known.
+Neither does the group.  Every pruned leaf is the image, under a product
+of generators, of a visited leaf, so every g in Aut(P) maps the first
+leaf L to a leaf that a product h of generators maps to a visited leaf
+with L's encoding: L itself, or the image of L under the generator that
+leaf added.  An automorphism that maps a leaf to itself is the identity,
+so g is a product of generators.
 
 Bound.  Refinement and individualization only split a cell into
 fragments that take its place in the list, so every leaf, the canonical
@@ -141,9 +160,21 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
 
     The canonical labeling is the first leaf with the least encoding
     (``seen_encodings`` keeps each encoding's first leaf); n = 0 has one
-    leaf, the empty labeling, encoded as 0.
+    leaf, the empty labeling, encoded as 0.  ``generators`` opens with the
+    swaps of consecutive twins in each cell (see the module docstring).
     """
+    if cells is None:
+        cells = stable_partition(n, up, down)
     generators: list = []
+    for cell in cells:
+        twins: dict = {}
+        for v in cell if len(cell) > 1 else ():
+            twins.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), []).append(v)
+        for group in twins.values():
+            for a, b in zip(group, group[1:]):
+                g = list(range(n))
+                g[a], g[b] = b, a
+                generators.append(tuple(g))
     seen_encodings: dict = {}
 
     above = [[w for w in range(n) if up[v] >> w & 1] for v in range(n)]
@@ -194,7 +225,7 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
             refined = _refine(n, up, down, new_cells, [[v]])
             search(refined, path + (v,))
 
-    search(stable_partition(n, up, down) if cells is None else cells, ())
+    search(cells, ())
     # search refers to itself through its closure; unbinding it breaks that
     # cycle, so the search state is freed on return, not at a later collection
     del search

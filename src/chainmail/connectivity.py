@@ -128,11 +128,6 @@ def _dc_tables(pair: ConnectivityPair) -> tuple:
     return masks, tuple(join_of[ub] for ub in ubs), doms
 
 
-def dc_sets(pair: ConnectivityPair) -> list:
-    """D(C) as frozensets of ambient elements."""
-    return [set_of(m) for m in _dc_tables(pair)[0]]
-
-
 def _right_adjoint_table(lat: FinitePoset, fam: tuple, joins: tuple, doms: tuple):
     """For each x, the greatest TMD set whose join sits below x (as an
     ambient mask), or None when some x has no greatest such set.  The sets

@@ -235,19 +235,20 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
 
     The tree is grown breadth-first to ``target - 3`` elements, those nodes
     are dealt round-robin into chunks, and ``_worker`` searches each chunk:
-    in this process, or in a pool of ``threads`` processes.  Each node goes
-    with the automorphism generators that its children need.
+    in this process, or in a pool of ``threads`` processes, or one per
+    chunk when there are fewer chunks.  Each node goes with the
+    automorphism generators that its children need.
     """
     frontier = [_ROOT]
     for _ in range(target - 3):
         frontier = [child for k, up, _entry, gens in frontier
                     for child in _children(k, up, gens, *rule)]
-    nchunks = min(4 * max(threads, 1), len(frontier))
+    nchunks = min(4 * threads, len(frontier))
     payloads = [(rule, target, want_catalog, frontier[i::nchunks]) for i in range(nchunks)]
     if threads > 1 and nchunks > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=threads) as pool:
+        with multiprocessing.Pool(processes=min(threads, nchunks)) as pool:
             results = pool.map(_worker, payloads)
     else:
         results = map(_worker, payloads)
@@ -268,6 +269,8 @@ def enumerate_posets(n: int, want_catalog: bool = False, threads: int = 1) -> En
     """All posets on n elements up to isomorphism."""
     if n < 0:
         raise PreconditionError("n must be non-negative")
+    if threads < 1:
+        raise PreconditionError("threads must be at least 1")
     if n > DEFAULT_POSET_ENUM_CAP:
         raise GuardExceeded(f"poset enumeration capped at n={DEFAULT_POSET_ENUM_CAP}")
     t0 = time.perf_counter()
@@ -287,6 +290,8 @@ def enumerate_connected_chainmails(n: int, want_catalog: bool = False, threads: 
     """
     if n < 0:
         raise PreconditionError("n must be non-negative")
+    if threads < 1:
+        raise PreconditionError("threads must be at least 1")
     cap = DEEP_CHAINMAIL_ENUM_CAP if deep else DEFAULT_CHAINMAIL_ENUM_CAP
     if n > cap:
         if not deep and n <= DEEP_CHAINMAIL_ENUM_CAP:

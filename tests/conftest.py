@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from chainmail import canon
+from chainmail import canon, connectivity
 from chainmail.exterior import tmd_set_masks
-from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of, tmd_masks
+from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of, set_of, tmd_masks
 from chainmail.enumeration import enumerate_posets
 
 
@@ -225,6 +225,11 @@ def oracle_dc_family(pair) -> tuple:
     return tuple(mask_of(elems[i] for i in bits_of(m)) for m in tmd_set_masks(induced))
 
 
+def dc_sets(pair) -> list:
+    """D(C) as frozensets of ambient elements."""
+    return [set_of(m) for m in connectivity._dc_tables(pair)[0]]
+
+
 def oracle_right_adjoint_table(lat: FinitePoset, fam: tuple, joins: tuple, doms: tuple):
     """The right adjoint of the join map D(C) -> L, for D(C) given as
     (masks, joins, doms), by keeping the maximal sets with join below each
@@ -395,6 +400,31 @@ def oracle_refine(n: int, up, down, cells: list) -> list:
         cells = new_cells
         if not changed:
             return cells
+
+
+def oracle_canonical(n: int, up, down) -> tuple:
+    """(key, perm, relabeled_up) by walking every leaf of the search tree of
+    ``canon.canonicalize`` with no pruning: refine the unit partition,
+    individualize each member of the first non-singleton cell in turn, and
+    keep the first leaf with the least encoding."""
+    def leaves(cells):
+        idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if idx is None:
+            yield tuple(c[0] for c in cells)
+            return
+        cell = cells[idx]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            yield from leaves(oracle_refine(n, up, down, cells[:idx] + [[v], rest] + cells[idx + 1:]))
+
+    best = None
+    for perm in leaves(oracle_refine(n, up, down, [list(range(n))])):
+        rows = tuple(sum(1 << j for j in range(n) if up[perm[i]] >> perm[j] & 1) for i in range(n))
+        enc = sum(row << (i * n) for i, row in enumerate(rows))
+        if best is None or enc < best[0]:
+            best = (enc, perm, rows)
+    enc, perm, rows = best
+    return n.to_bytes(2, "big") + enc.to_bytes((n * n + 7) // 8, "big"), perm, rows
 
 
 def oracle_accepted(k1: int, up1, down1):

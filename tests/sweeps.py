@@ -19,7 +19,6 @@ from chainmail.connectivity import (
     cl3,
     classify,
     components,
-    dc_sets,
     e1,
     e2,
     e3,
@@ -34,6 +33,7 @@ from chainmail.exterior import exterior
 from chainmail.poset import FinitePoset, join_mask, mask_of
 
 from conftest import (
+    dc_sets,
     oracle_every_connected_set_has_join,
     oracle_every_mail_connected_set_has_join,
     oracle_every_upset_complete,

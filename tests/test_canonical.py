@@ -5,8 +5,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import os
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainmail import canon
@@ -14,15 +16,32 @@ from chainmail.enumeration import enumerate_posets
 from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset
 
-from conftest import oracle_refine, relabel
+from conftest import oracle_canonical, oracle_refine, relabel
+
+
+def brute_force_automorphisms(p: FinitePoset) -> set:
+    """The automorphisms among all n! permutations."""
+    return {perm for perm in itertools.permutations(range(p.n)) if relabel(p, perm) == p}
+
+
+def generated_group(n: int, gens) -> set:
+    """The permutations generated by ``gens``, by closing the identity
+    under composition with each generator."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple(g[e] for e in x)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
 
 
 def brute_force_orbits(p: FinitePoset) -> list:
     """Automorphism orbits via all n! permutations."""
-    autos = []
-    for perm in itertools.permutations(range(p.n)):
-        if relabel(p, perm) == p:
-            autos.append(perm)
+    autos = brute_force_automorphisms(p)
     orbits = []
     seen = set()
     for v in range(p.n):
@@ -155,6 +174,59 @@ def test_refine_matches_counting_against_every_cell(poset_corpus):
                         assert canon._refine(n, up, down, cells, [[v], rest]) == want
                         # the search's call: rest follows from [v] and their cell
                         assert canon._refine(n, up, down, cells, [[v]]) == want
+
+
+def test_pruned_search_matches_the_unpruned_tree(poset_corpus):
+    # twin swaps and leaf automorphisms prune only leaves whose encodings
+    # occur earlier, so the first least leaf is the unpruned tree's
+    for seed in (20261019, 20261020):
+        rng = random.Random(seed)
+        for n, posets in poset_corpus.items():
+            for p in posets:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                q = relabel(p, perm)
+                result = canon.canonicalize(n, q.up, q.down)
+                assert (result.key, result.perm, result.relabeled_up) == oracle_canonical(n, q.up, q.down)
+
+
+def assert_generators_generate_the_automorphism_group(corpus):
+    rng = random.Random(20261021)
+    for n, posets in corpus.items():
+        for p in posets:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for q in (p, relabel(p, perm)):
+                gens = canon.canonicalize(n, q.up, q.down).generators
+                assert generated_group(n, gens) == brute_force_automorphisms(q)
+
+
+def test_generators_generate_the_automorphism_group(small_poset_corpus):
+    assert_generators_generate_the_automorphism_group(small_poset_corpus)
+
+
+@pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                    reason="set CHM_ACCEPT_DEEP=1 for the posets on 6 elements")
+def test_generators_generate_the_automorphism_group_n6(poset_corpus):
+    assert_generators_generate_the_automorphism_group({6: poset_corpus[6]})
+
+
+def test_twin_swaps_prune_the_antichain_to_one_path(monkeypatch):
+    # one refinement for the stable partition and one per level; the seven
+    # swaps of consecutive twins generate S_8, so no leaf adds a generator
+    calls = []
+    real = canon._refine
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(canon, "_refine", counting)
+    p = FinitePoset.antichain(8)
+    result = canon.canonicalize(p.n, p.up, p.down)
+    assert len(calls) == 8
+    assert len(result.generators) == 7
+    assert result.perm == tuple(range(8))
 
 
 def test_chain_vs_v_shape():

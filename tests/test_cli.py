@@ -381,6 +381,12 @@ class TestEnumerate:
         assert code == 2
         assert "deep" in err
 
+    @pytest.mark.parametrize("kind", ["chainmails", "posets"])
+    def test_threads_below_one_exit_1(self, kind):
+        code, out, err = invoke(["enumerate", "--kind", kind, "--n", "5", "--threads", "0"])
+        assert (code, out) == (1, "")
+        assert err == "error: threads must be at least 1\n"
+
 
 class TestFixturesCommand:
     def test_listing(self):

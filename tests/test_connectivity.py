@@ -27,7 +27,6 @@ from chainmail.connectivity import (
     cl3,
     classify,
     components,
-    dc_sets,
     e1,
     e2,
     e3,
@@ -57,6 +56,7 @@ from chainmail.enumeration import enumerate_complete_lattices, enumerate_connect
 from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of, set_of, tmd_masks
 
 from conftest import (
+    dc_sets,
     mk,
     oracle_absolutely_connected,
     oracle_dc_family,

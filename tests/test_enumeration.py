@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import multiprocessing
 from collections import Counter
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -19,7 +22,7 @@ from chainmail.enumeration import (
     enumerate_connectivity_pairs,
     enumerate_posets,
 )
-from chainmail.errors import GuardExceeded
+from chainmail.errors import GuardExceeded, PreconditionError
 from chainmail.generators import forest_poset_check
 from chainmail.poset import (FinitePoset, downset_masks, joins_inside, pair_joins,
                              reduced_mail_scan, transpose)
@@ -328,6 +331,44 @@ class TestDeterminism:
             parallel = enumerate_connected_chainmails(6, want_catalog=True, threads=threads)
             assert parallel.count == serial.count
             assert [p.up for p in parallel.catalog] == [p.up for p in serial.catalog]
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Stands in for ``multiprocessing.Pool``: records the pool size
+        asked for and maps in this process, so no worker is forked."""
+        sizes = []
+
+        @contextlib.contextmanager
+        def stub_pool(processes):
+            sizes.append(processes)
+            yield types.SimpleNamespace(map=lambda func, payloads: list(map(func, payloads)))
+
+        monkeypatch.setattr(multiprocessing, "Pool", stub_pool)
+        return sizes
+
+    @pytest.mark.parametrize("threads", [2, 8, 100000])
+    def test_pool_has_no_more_workers_than_chunks(self, pool_sizes, threads):
+        # chainmails on 6 elements: completable posets on 5, searched from
+        # the 2 classes on 2 elements, so at most 2 chunks
+        serial = enumerate_connected_chainmails(6, want_catalog=True)
+        result = enumerate_connected_chainmails(6, want_catalog=True, threads=threads)
+        assert pool_sizes == [2]
+        assert result.count == 62
+        assert [p.up for p in result.catalog] == [p.up for p in serial.catalog]
+
+    def test_one_thread_opens_no_pool(self, pool_sizes):
+        assert enumerate_posets(6, threads=1).count == 318
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_are_refused(self, pool_sizes, threads):
+        with pytest.raises(PreconditionError, match="threads must be at least 1"):
+            enumerate_connected_chainmails(0, threads=threads)
+        with pytest.raises(PreconditionError, match="threads must be at least 1"):
+            enumerate_posets(5, threads=threads)
+        assert pool_sizes == []
 
 
 @pytest.fixture(scope="module")

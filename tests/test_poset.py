@@ -124,6 +124,19 @@ class TestHelpers:
                 ]
                 assert downset_masks(p.n, p.down) == expected
 
+    def test_downset_masks_under_arbitrary_labelings(self, poset_corpus):
+        # catalog labelings list elements in a linear extension already;
+        # relabeled ones make the lister find one by |down|
+        rng = random.Random(20261019)
+        for n, posets in poset_corpus.items():
+            for p in posets:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                q = relabel(p, perm)
+                expected = [m for m in range(1 << n)
+                            if all(q.down[x] & ~m == 0 for x in range(n) if m >> x & 1)]
+                assert downset_masks(n, q.down) == expected
+
     def test_top_is_the_greatest_element(self, small_poset_corpus):
         for posets in small_poset_corpus.values():
             for p in posets:
