@@ -300,41 +300,42 @@ def _lattice_of(pair_or_lattice: Union[ConnectivityPair, FinitePoset]) -> Finite
     return pair_or_lattice
 
 
-def _disjoint_pairs(lat: FinitePoset) -> list:
-    """(x, y, x v y) for x < y in L+ with x ^ y = 0.  A pair with the
-    bottom, or x = y, is left out: its join is one of its members, so it
-    cannot falsify E1 or E2.  A poset without a bottom has no L+, and one
-    where such a pair has no join is no lattice either."""
+def _e1_e2_masks(lat: FinitePoset) -> tuple:
+    """(E1 mask, E2 mask): the elements of L+ that no disjoint pair refutes.
+    A pair {x, y} of L+ with x ^ y = 0 and join j refutes E1 at every
+    element below j and below neither, ``down[j] & ~down[x] & ~down[y]``,
+    and E2 at j.  A pair with the bottom, or x = y, is left out: its join
+    is one of its members, so it refutes neither.  A poset without a
+    bottom has no L+, and one where such a pair has no join is no lattice
+    either."""
     n, up, down = lat.n, lat.up, lat.down
     bot = lat.bottom()
     if bot is None:
         raise PreconditionError("E conditions are defined over complete lattices")
     botbit = 1 << bot
-    plus = [x for x in range(n) if x != bot]
-    pairs = [(x, y, join_mask(n, up, 1 << x | 1 << y))
-             for i, x in enumerate(plus) for y in plus[i + 1:] if down[x] & down[y] == botbit]
-    if any(j is None for _x, _y, j in pairs):
-        raise PreconditionError("E conditions are defined over complete lattices")
-    return pairs
-
-
-def _in_l_plus(lat: FinitePoset, a: int) -> bool:
-    return 0 <= a < lat.n and a != lat.bottom()
+    l_plus = lat.full_mask & ~botbit
+    e1_mask = e2_mask = l_plus
+    for x in bits_of(l_plus):
+        for y in bits_of(l_plus & ~((2 << x) - 1)):
+            if down[x] & down[y] == botbit:
+                j = join_mask(n, up, 1 << x | 1 << y)
+                if j is None:
+                    raise PreconditionError("E conditions are defined over complete lattices")
+                e1_mask &= ~(down[j] & ~down[x] & ~down[y])
+                e2_mask &= ~(1 << j)
+    return e1_mask, e2_mask
 
 
 def e1(pair_or_lattice, a: int) -> bool:
     """a != 0, and a below a disjoint join x v y forces a below x or y."""
-    lat = _lattice_of(pair_or_lattice)
-    pairs = _disjoint_pairs(lat)
-    return _in_l_plus(lat, a) and not any(
-        lat.up[a] >> j & 1 and not lat.up[a] & (1 << x | 1 << y) for x, y, j in pairs)
+    e1_mask, _e2_mask = _e1_e2_masks(_lattice_of(pair_or_lattice))
+    return a >= 0 and bool(e1_mask >> a & 1)
 
 
 def e2(pair_or_lattice, a: int) -> bool:
     """a != 0, and a = x v y with x ^ y = 0 forces x = a or y = a."""
-    lat = _lattice_of(pair_or_lattice)
-    pairs = _disjoint_pairs(lat)
-    return _in_l_plus(lat, a) and not any(j == a for _x, _y, j in pairs)
+    _e1_mask, e2_mask = _e1_e2_masks(_lattice_of(pair_or_lattice))
+    return a >= 0 and bool(e2_mask >> a & 1)
 
 
 def e3(pair_or_lattice, a: int) -> bool:
@@ -431,13 +432,9 @@ def frame_equivalence_check(lat: FinitePoset) -> bool:
     agree pointwise; this evaluates all four independently and compares."""
     if not lat.is_distributive():
         raise PreconditionError("frame equivalence is asserted for distributive lattices only")
-    e3_set = _e3_elements(lat)
-    e4_set = absolutely_connected_elements(lat)
-    for a in range(lat.n):
-        verdicts = {e1(lat, a), e2(lat, a), a in e3_set, a in e4_set}
-        if len(verdicts) != 1:
-            return False
-    return True
+    e1_mask, e2_mask = _e1_e2_masks(lat)
+    e3_mask = mask_of(_e3_elements(lat))
+    return e1_mask == e2_mask == e3_mask == mask_of(absolutely_connected_elements(lat))
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +694,7 @@ def _order_connected_subsets(p: FinitePoset, within: int) -> Iterable[int]:
     if within.bit_count() > 20:
         raise GuardExceeded("too many subsets for the sink-closure checks")
     for m in submasks(within):
-        if len(component_masks(p.n, comparability, m)) == 1:
+        if len(component_masks(comparability, m)) == 1:
             yield m
 
 

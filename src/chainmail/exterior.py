@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .config import DEFAULT_MAX_EXTERIOR_SETS, DEFAULT_MAX_TMD_SETS
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
-from .poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, joins_inside,
+from .poset import (FinitePoset, downset_masks, inclusion_rows, joins_inside,
                     mask_of, pair_joins, set_of, tmd_masks)
 
 
@@ -23,14 +23,6 @@ def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
     """All totally mail-disconnected subsets of p, as the masks that
     :func:`~chainmail.poset.tmd_masks` lists."""
     return tmd_masks(p, p.full_mask, limit)[0]
-
-
-def dominated_mask(p: FinitePoset, members_mask: int) -> int:
-    """Union of the down-sets of the members: everything below the set."""
-    m = 0
-    for a in bits_of(members_mask):
-        m |= p.down[a]
-    return m
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,10 @@ def tmd_to_downset(p: FinitePoset, members: Iterable[int]) -> frozenset:
     _require_chainmail(p)
     if not p.is_totally_mail_disconnected(members):
         raise PreconditionError("input set is not totally mail-disconnected")
-    return set_of(dominated_mask(p, mask_of(members)))
+    below = 0
+    for a in members:
+        below |= p.down[a]
+    return set_of(below)
 
 
 def downset_to_tmd(p: FinitePoset, members: Iterable[int]) -> frozenset:
@@ -120,16 +115,10 @@ def downset_to_tmd(p: FinitePoset, members: Iterable[int]) -> frozenset:
 
 
 def inclusion_poset(sets: Sequence[frozenset]) -> FinitePoset:
-    """The subset-inclusion order on a family of sets, in the given order."""
-    k = len(sets)
-    rows = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            if sets[i] <= sets[j]:
-                row |= 1 << j
-        rows.append(row)
-    return FinitePoset(k, tuple(rows))
+    """The subset-inclusion order on a family of sets of elements, in the
+    given order."""
+    masks = [mask_of(s) for s in sets]
+    return FinitePoset(len(masks), inclusion_rows(masks, masks))
 
 
 def exterior_as_absolute(p: FinitePoset, limit: int = DEFAULT_MAX_EXTERIOR_SETS) -> ConnectivityPair:

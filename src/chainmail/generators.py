@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from .config import DEFAULT_VERTEX_CAP
 from .errors import FormatError, GuardExceeded, PreconditionError
@@ -50,7 +50,7 @@ class Graph:
         return adj
 
     def is_connected_set(self, vmask: int) -> bool:
-        return len(component_masks(self.n, self.adjacency(), vmask)) == 1
+        return len(component_masks(self.adjacency(), vmask)) == 1
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class Hypergraph:
                 covered |= e
                 for v in bits_of(e):
                     adjacency[v] |= e
-        return covered == vmask != 0 and len(component_masks(self.n, adjacency, vmask)) == 1
+        return covered == vmask != 0 and len(component_masks(adjacency, vmask)) == 1
 
 
 def _check_cap(vertices: int, cap: int) -> None:
@@ -93,20 +93,21 @@ def _check_cap(vertices: int, cap: int) -> None:
         )
 
 
+def _powerset_pair(n: int, connected: Callable[[int], bool], cap: int) -> ConnectivityPair:
+    """(powerset of n points, the subsets that ``connected`` accepts)."""
+    _check_cap(n, cap)
+    lattice = FinitePoset.powerset_lattice(n)
+    return ConnectivityPair(lattice, frozenset(filter(connected, range(1 << n))))
+
+
 def graph_connectivity_pair(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> ConnectivityPair:
     """(powerset of vertices, non-empty connected vertex sets)."""
-    _check_cap(g.n, cap)
-    lattice = FinitePoset.powerset_lattice(g.n)
-    connected = frozenset(m for m in range(1 << g.n) if g.is_connected_set(m))
-    return ConnectivityPair(lattice, connected)
+    return _powerset_pair(g.n, g.is_connected_set, cap)
 
 
 def hypergraph_connectivity_pair(h: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> ConnectivityPair:
     """(powerset of vertices, hyperedge-chain-connected sets)."""
-    _check_cap(h.n, cap)
-    lattice = FinitePoset.powerset_lattice(h.n)
-    connected = frozenset(m for m in range(1 << h.n) if h.is_connected_set(m))
-    return ConnectivityPair(lattice, connected)
+    return _powerset_pair(h.n, h.is_connected_set, cap)
 
 
 def is_k_connected_set(g: Graph, vmask: int, k: int) -> bool:
@@ -119,16 +120,13 @@ def is_k_connected_set(g: Graph, vmask: int, k: int) -> bool:
     if k < 1:
         raise PreconditionError("k must be a positive integer")
     adjacency = g.adjacency()
-    return all(len(component_masks(g.n, adjacency, vmask & ~removed)) == 1
+    return all(len(component_masks(adjacency, vmask & ~removed)) == 1
                for removed in submasks(vmask) if removed.bit_count() < k)
 
 
 def k_connectivity_pair(g: Graph, k: int, cap: int = DEFAULT_VERTEX_CAP) -> ConnectivityPair:
     """(powerset of vertices, k-connected vertex sets)."""
-    _check_cap(g.n, cap)
-    lattice = FinitePoset.powerset_lattice(g.n)
-    connected = frozenset(m for m in range(1 << g.n) if is_k_connected_set(g, m, k))
-    return ConnectivityPair(lattice, connected)
+    return _powerset_pair(g.n, lambda m: is_k_connected_set(g, m, k), cap)
 
 
 def topology_pair(n: int, opens: Sequence[Iterable[int]], cap: int = DEFAULT_VERTEX_CAP) -> ConnectivityPair:
@@ -167,7 +165,7 @@ def topological_connected_sets_pair(n: int, opens: Sequence[Iterable[int]], cap:
                     return False
         return True
 
-    return ConnectivityPair(topo.lattice, frozenset(m for m in range(1 << n) if connected(m)))
+    return _powerset_pair(n, connected, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -99,21 +99,14 @@ def least_of_upset(mask: int, rows: Sequence[int]) -> Optional[int]:
 
 
 def join_mask(n: int, up: Sequence[int], xmask: int) -> Optional[int]:
+    """Least common upper bound of the members of ``xmask`` under ``up``, or
+    None; under the down-rows, the greatest common lower bound."""
     ub = (1 << n) - 1
     for x in bits_of(xmask):
         ub &= up[x]
         if not ub:
             return None
     return least_of_upset(ub, up)
-
-
-def meet_mask(n: int, down: Sequence[int], xmask: int) -> Optional[int]:
-    lb = (1 << n) - 1
-    for x in bits_of(xmask):
-        lb &= down[x]
-        if not lb:
-            return None
-    return least_of_upset(lb, down)
 
 
 def maximal_mask(up: Sequence[int], within: int) -> int:
@@ -363,7 +356,7 @@ def reduced_mail_scan(
     return first_mail(n, up, down, full, full, bad)
 
 
-def component_masks(n: int, adjacency: Sequence[int], within: int) -> list:
+def component_masks(adjacency: Sequence[int], within: int) -> list:
     """Connected components of ``within`` under a bitmask adjacency, sorted
     by least member."""
     out = []
@@ -419,16 +412,13 @@ class FinitePoset:
                 raise FormatError(f"pair ({a},{b}) out of range for n={n}")
             rows[a] |= 1 << b
         if close:
-            changed = True
-            while changed:
-                changed = False
+            # Warshall: after step k, row a holds every b reached from a
+            # through intermediates among 0..k
+            for k in range(n):
+                bit, row_k = 1 << k, rows[k]
                 for a in range(n):
-                    grown = rows[a]
-                    for b in bits_of(rows[a]):
-                        grown |= rows[b]
-                    if grown != rows[a]:
-                        rows[a] = grown
-                        changed = True
+                    if rows[a] & bit:
+                        rows[a] |= row_k
         return FinitePoset(n, tuple(rows))
 
     @staticmethod
@@ -496,6 +486,8 @@ class FinitePoset:
         """None when the relation is a partial order, else the first failed
         axiom with a witness."""
         n, up = self.n, self.up
+        if up and (min(up) < 0 or max(up) >> n):
+            return Violation("range", (next(a for a in range(n) if up[a] < 0 or up[a] >> n),))
         for a in range(n):
             if not up[a] >> a & 1:
                 return Violation("reflexivity", (a,))
@@ -542,9 +534,7 @@ class FinitePoset:
     def meet(self, members: Iterable[int]) -> Optional[int]:
         """Greatest lower bound, or None.  meet(()) is the top when one
         exists."""
-        if self.n == 0:
-            return None
-        return meet_mask(self.n, self.down, mask_of(members))
+        return join_mask(self.n, self.down, mask_of(members))
 
     def bottom(self) -> Optional[int]:
         return join_mask(self.n, self.up, 0)
@@ -571,13 +561,13 @@ class FinitePoset:
         m = mask_of(members)
         if not m:
             return False
-        comps = component_masks(self.n, self.mail_mates, m)
+        comps = component_masks(self.mail_mates, m)
         return len(comps) == 1
 
     def mail_connected_components(self, members: Iterable[int]) -> list:
         """Partition into maximal mail-connected subsets, by least member."""
         m = mask_of(members)
-        return [set_of(c) for c in component_masks(self.n, self.mail_mates, m)]
+        return [set_of(c) for c in component_masks(self.mail_mates, m)]
 
     def is_totally_mail_disconnected(self, members: Iterable[int]) -> bool:
         """No two distinct members share a lower bound.  The empty set
@@ -591,7 +581,7 @@ class FinitePoset:
     def order_connected_components(self) -> list:
         """Components of the comparability graph, by least member."""
         adjacency = tuple(self.up[a] | self.down[a] for a in range(self.n))
-        return [set_of(c) for c in component_masks(self.n, adjacency, self.full_mask)]
+        return [set_of(c) for c in component_masks(adjacency, self.full_mask)]
 
     # -- chainmail and lattice predicates --------------------------------
 
@@ -620,7 +610,7 @@ class FinitePoset:
             raise PreconditionError("distributivity is defined here for complete lattices")
         n = self.n
         jt = [[join_mask(n, self.up, (1 << a) | (1 << b)) for b in range(n)] for a in range(n)]
-        mt = [[meet_mask(n, self.down, (1 << a) | (1 << b)) for b in range(n)] for a in range(n)]
+        mt = [[join_mask(n, self.down, (1 << a) | (1 << b)) for b in range(n)] for a in range(n)]
         for x in range(n):
             for y in range(n):
                 for z in range(y, n):

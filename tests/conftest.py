@@ -181,6 +181,25 @@ def oracle_inclusion_rows(masks, ceilings) -> tuple:
     return tuple(rows)
 
 
+def oracle_closure(n: int, pairs) -> tuple:
+    """Up-rows of the reflexive-transitive closure of the pairs (a, b),
+    by sweeping every row until no row grows."""
+    rows = [1 << a for a in range(n)]
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            grown = rows[a]
+            for b in bits_of(rows[a]):
+                grown |= rows[b]
+            if grown != rows[a]:
+                rows[a] = grown
+                changed = True
+    return tuple(rows)
+
+
 def oracle_covers(p: FinitePoset) -> tuple:
     """(a, b) pairs where b covers a, by testing every b above a for an
     element strictly between; the loop ``FinitePoset.covers`` ran before

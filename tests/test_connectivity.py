@@ -304,7 +304,7 @@ class TestEConditions:
         assert condition(FinitePoset.chain(3), a) is False
 
     @pytest.mark.parametrize("condition", [e1, e2, e3, e4])
-    @pytest.mark.parametrize("a", [0, 1, 99])
+    @pytest.mark.parametrize("a", [-1, 0, 1, 99])
     def test_poset_without_a_bottom_is_refused(self, condition, a):
         with pytest.raises(PreconditionError, match="complete lattices"):
             condition(FinitePoset.antichain(2), a)

@@ -10,12 +10,13 @@ import pytest
 from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import named_fixture
 from chainmail.enumeration import enumerate_posets
-from chainmail.exterior import exterior, inclusion_poset
+from chainmail.exterior import exterior
 from chainmail.poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, mail_mates,
                              mail_pairs, mask_of, reduced_mail_scan, set_of, tmd_masks)
 
 from conftest import (
     lex_subsets,
+    oracle_closure,
     oracle_covers,
     oracle_inclusion_rows,
     oracle_is_chainmail_all_mails,
@@ -55,6 +56,28 @@ class TestValidate:
     def test_reflexivity_violation(self):
         p = FinitePoset(2, (0b01, 0b00))
         assert p.validate().axiom == "reflexivity"
+
+    @pytest.mark.parametrize("up, row", [((0b101, 0b10), 0), ((-1, 0b10), 0), ((0b00, 0b110), 1)])
+    def test_row_out_of_range_is_reported_before_the_axioms(self, up, row):
+        v = FinitePoset(2, up).validate()
+        assert v.axiom == "range"
+        assert v.witness == (row,)
+
+
+class TestClosure:
+    def test_one_warshall_pass_matches_the_repeated_sweep(self):
+        # random relations, cyclic ones included: the closure is a
+        # preorder there, and both must give the same rows
+        rng = random.Random(17)
+        cyclic = 0
+        for n in range(9):
+            for _ in range(60):
+                density = rng.random()
+                pairs = [(a, b) for a in range(n) for b in range(n) if rng.random() < density / 2]
+                closed = FinitePoset.from_leq_pairs(n, pairs, close=True)
+                assert closed.up == oracle_closure(n, pairs)
+                cyclic += closed.validate() is not None
+        assert cyclic > 100
 
 
 class TestBounds:
@@ -384,8 +407,8 @@ class TestCovers:
 class TestPowersetLattice:
     def test_is_the_inclusion_order_on_subsets(self):
         for k in range(5):
-            sets = [set_of(i) for i in range(1 << k)]
-            assert FinitePoset.powerset_lattice(k) == inclusion_poset(sets)
+            subsets_k = range(1 << k)
+            assert FinitePoset.powerset_lattice(k).up == oracle_inclusion_rows(subsets_k, subsets_k)
 
 
 class TestCompleteLattice:
