@@ -34,6 +34,19 @@ with L's encoding: L itself, or the image of L under the generator that
 leaf added.  An automorphism that maps a leaf to itself is the identity,
 so g is a product of generators.
 
+One leaf.  When every cell of the first stable partition with two or more
+elements is one group of twins, the search reaches one leaf, the cells
+flattened in list order, and ``canonicalize`` reads it off without
+searching.  Individualizing a member v of a twin group splits nothing:
+its twins are incomparable to v (v < w would put w in v's own strict
+up-set), and the members of any other twin group all compare with v
+alike, so the partition stays equitable.  So each level individualizes
+the first member of what is left of a twin group, and every later
+sibling is pruned, since the swaps of consecutive twins in that rest fix
+the path and put the sibling in the orbit of the first.  The one leaf
+adds no generator, and the key, ``perm``, the canonical rows and the
+generator list are those the search returns.
+
 Bound.  Refinement and individualization only split a cell into
 fragments that take its place in the list, so every leaf, the canonical
 labeling among them, places each element at a position inside the span
@@ -161,23 +174,25 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     The canonical labeling is the first leaf with the least encoding
     (``seen_encodings`` keeps each encoding's first leaf); n = 0 has one
     leaf, the empty labeling, encoded as 0.  ``generators`` opens with the
-    swaps of consecutive twins in each cell (see the module docstring).
+    swaps of consecutive twins in each cell, and when those cells with two
+    or more elements are all twin groups there is no search (see the
+    module docstring).
     """
     if cells is None:
         cells = stable_partition(n, up, down)
     generators: list = []
+    twins_only = True
     for cell in cells:
         twins: dict = {}
         for v in cell if len(cell) > 1 else ():
             twins.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), []).append(v)
+        twins_only = twins_only and len(twins) < 2
         for group in twins.values():
             for a, b in zip(group, group[1:]):
                 g = list(range(n))
                 g[a], g[b] = b, a
                 generators.append(tuple(g))
     seen_encodings: dict = {}
-
-    above = [[w for w in range(n) if up[v] >> w & 1] for v in range(n)]
 
     def encode(perm):
         """Row i holds bit j when perm[i] <= perm[j]; row i sits at bit i * n."""
@@ -187,8 +202,11 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
         enc = 0
         for v in reversed(perm):
             row = 0
-            for w in above[v]:
-                row |= 1 << pos[w]
+            rest = up[v]
+            while rest:
+                low = rest & -rest
+                row |= 1 << pos[low.bit_length() - 1]
+                rest ^= low
             enc = (enc << n) | row
         return enc
 
@@ -225,7 +243,13 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
             refined = _refine(n, up, down, new_cells, [[v]])
             search(refined, path + (v,))
 
-    search(cells, ())
+    if twins_only:
+        # the search's one leaf: the cells in list order (see "One leaf" in
+        # the module docstring)
+        perm = tuple(v for cell in cells for v in cell)
+        seen_encodings[encode(perm)] = perm
+    else:
+        search(cells, ())
     # search refers to itself through its closure; unbinding it breaks that
     # cycle, so the search state is freed on return, not at a later collection
     del search

@@ -155,7 +155,17 @@ def _accepted(k1: int, up1: Tuple[int, ...], down1: Tuple[int, ...]):
 def _orbit_firsts(masks: list, gens: Sequence) -> Iterator[int]:
     """The first of ``masks`` in each orbit of the group generated by
     ``gens``; ``masks`` must be closed under that group."""
-    moves = [{d: sum(1 << g[a] for a in bits_of(d)) for d in masks} for g in gens]
+    moves = []
+    for g in gens:
+        move = {}
+        for d in masks:
+            image, rest = 0, d
+            while rest:
+                low = rest & -rest
+                image |= 1 << g[low.bit_length() - 1]
+                rest ^= low
+            move[d] = image
+        moves.append(move)
     covered: set = set()
     for d in masks:
         if d not in covered:

@@ -86,19 +86,43 @@ def test_distinct_classes_get_distinct_keys(poset_corpus):
 LABELING_SHA256 = "6ffd2c9ade837bf64e8ab10aa6e00d7da9384f93670688543edb135aae3871cc"
 
 
-def test_labelings_are_pinned(poset_corpus):
-    h = hashlib.sha256()
+# SHA-256 over all four fields of ``canonicalize`` (key, perm, canonical
+# up-rows and the generator list, in order) on the same corpus; taken when
+# every partition still went through the search
+CANON_RESULT_SHA256 = "20a1e93051a4f341d7e5ede99fedb6e3e31869543698167fa15edca5a504ab78"
+
+
+@pytest.fixture(scope="module")
+def corpus_to_7(poset_corpus):
+    """Every poset with at most 7 elements, as catalogued and then seeded-
+    relabeled, in catalog order."""
     rng = random.Random(20261019)
     catalogs = [poset_corpus[n] for n in range(7)] + [enumerate_posets(7, want_catalog=True).catalog]
+    corpus = []
     for posets in catalogs:
         for p in posets:
             perm = list(range(p.n))
             rng.shuffle(perm)
-            for q in (p, relabel(p, perm)):
-                h.update(q.canonical_key())
-                h.update(repr([sorted(o) for o in q.automorphism_orbits()]).encode())
-                h.update(repr(q.canonical_form().up).encode())
+            corpus += [p, relabel(p, perm)]
+    return corpus
+
+
+def test_labelings_are_pinned(corpus_to_7):
+    h = hashlib.sha256()
+    for q in corpus_to_7:
+        h.update(q.canonical_key())
+        h.update(repr([sorted(o) for o in q.automorphism_orbits()]).encode())
+        h.update(repr(q.canonical_form().up).encode())
     assert h.hexdigest() == LABELING_SHA256
+
+
+def test_canon_results_are_pinned(corpus_to_7):
+    h = hashlib.sha256()
+    for q in corpus_to_7:
+        result = canon.canonicalize(q.n, q.up, q.down)
+        h.update(result.key)
+        h.update(repr((result.perm, result.relabeled_up, result.generators)).encode())
+    assert h.hexdigest() == CANON_RESULT_SHA256
 
 
 def test_least_leaf_wins_where_cells_are_not_orbits():
@@ -211,9 +235,8 @@ def test_generators_generate_the_automorphism_group_n6(poset_corpus):
     assert_generators_generate_the_automorphism_group({6: poset_corpus[6]})
 
 
-def test_twin_swaps_prune_the_antichain_to_one_path(monkeypatch):
-    # one refinement for the stable partition and one per level; the seven
-    # swaps of consecutive twins generate S_8, so no leaf adds a generator
+def counting_refinements(monkeypatch) -> list:
+    """Record the arguments of every ``canon._refine`` call from now on."""
     calls = []
     real = canon._refine
 
@@ -222,11 +245,73 @@ def test_twin_swaps_prune_the_antichain_to_one_path(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(canon, "_refine", counting)
+    return calls
+
+
+def consecutive_twin_swaps(n: int, cells) -> list:
+    swaps = []
+    for cell in cells:
+        for a, b in zip(cell, cell[1:]):
+            g = list(range(n))
+            g[a], g[b] = b, a
+            swaps.append(tuple(g))
+    return swaps
+
+
+def test_twin_swaps_prune_the_antichain_to_one_path(monkeypatch):
+    # the stable partition is one twin group, so its refinement is the only
+    # one: the search would follow one path and meet no new generator, and
+    # the seven swaps of consecutive twins generate S_8
+    calls = counting_refinements(monkeypatch)
     p = FinitePoset.antichain(8)
     result = canon.canonicalize(p.n, p.up, p.down)
-    assert len(calls) == 8
+    assert len(calls) == 1
     assert len(result.generators) == 7
     assert result.perm == tuple(range(8))
+
+
+def test_twin_pruning_inside_a_search(monkeypatch):
+    # three isolated points beside the 4-crown and 6-crown: the crowns'
+    # cells are not twins, so the search runs, and the twin cell costs one
+    # refinement per level before the crowns' search, as it runs alone
+    covers = [(a, b) for a in (0, 1) for b in (5, 6)]
+    covers += [(2, 7), (2, 8), (3, 8), (3, 9), (4, 9), (4, 7)]
+    crowns = FinitePoset.from_cover_pairs(10, covers)
+    p = FinitePoset.from_cover_pairs(13, covers)
+    cells = canon.stable_partition(p.n, p.up, p.down)
+    assert cells == [[10, 11, 12], [0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    calls = counting_refinements(monkeypatch)
+    canon.canonicalize(crowns.n, crowns.up, crowns.down)
+    crown_search = [args[4] for args in calls[1:]]
+    calls.clear()
+    result = canon.canonicalize(p.n, p.up, p.down)
+    assert [args[4] for args in calls[1:]] == [[[10]], [[11]]] + crown_search
+    assert result.generators[:2] == consecutive_twin_swaps(13, [[10, 11, 12]])
+    assert result.perm[:3] == (10, 11, 12)
+    assert (result.key, result.perm, result.relabeled_up) == oracle_canonical(p.n, p.up, p.down)
+    assert result.orbit(10) == {10, 11, 12}
+    assert len(p.automorphism_orbits()) == 5
+
+
+def test_twin_only_partitions_skip_the_search(monkeypatch, corpus_to_7):
+    # wherever each stable cell of two or more elements is one twin group,
+    # the result is the search's one leaf without another refinement
+    calls = counting_refinements(monkeypatch)
+    skipped = 0
+    for q in corpus_to_7:
+        n, up, down = q.n, q.up, q.down
+        cells = canon.stable_partition(n, up, down)
+        if any(len({(up[v] ^ 1 << v, down[v] ^ 1 << v) for v in cell}) > 1 for cell in cells):
+            continue
+        calls.clear()
+        result = canon.canonicalize(n, up, down, cells=cells)
+        assert calls == []
+        assert result.perm == tuple(v for cell in cells for v in cell)
+        assert result.generators == consecutive_twin_swaps(n, cells)
+        assert (result.key, result.perm, result.relabeled_up) == oracle_canonical(n, up, down)
+        skipped += 1
+    # 4,438 of the 4,902 posets
+    assert skipped == 4438
 
 
 def test_chain_vs_v_shape():
