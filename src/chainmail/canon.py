@@ -56,7 +56,8 @@ partition, so each orbit lies inside one of its cells.
 Fresh cells.  A refinement round counts only against the cells the
 previous round made, less the last fragment of each split cell; see
 :func:`_refine` for why that gives the same ordered partition as counting
-against every cell.
+against every cell.  Round one, against the unit cell, groups the
+elements by ``(|down|, |up|)`` (see :func:`stable_partition`).
 """
 
 from __future__ import annotations
@@ -93,9 +94,25 @@ def _orbit(v: int, gens) -> set:
 
 def stable_partition(n: int, up: Sequence[int], down: Sequence[int]) -> list:
     """The equitable refinement of the unit partition: the first stable
-    partition, root of the search."""
-    every = list(range(n))
-    return _refine(n, up, down, [every], [every])
+    partition, root of the search.
+
+    Round one is formed here.  Counted against the unit cell, the one
+    cell there is, each element's signature is its ``(|down|, |up|)``, so
+    the round groups the elements by that pair, packed into one int as in
+    :func:`_refine`, and orders the groups by it.  Every fragment but the
+    last is fresh: that is the start state of the "Fresh cells" invariant,
+    since the partition is equitable against the unit cell, whose last
+    fragment is the one cell not fresh.  One fragment is already
+    equitable, and then ``_refine`` is not called.
+    """
+    width = (n + 1).bit_length()
+    groups: dict = {}
+    for v in range(n):
+        groups.setdefault((down[v].bit_count() << width) | up[v].bit_count(), []).append(v)
+    cells = [groups[sig] for sig in sorted(groups)]
+    if len(cells) < 2:
+        return cells
+    return _refine(n, up, down, cells, cells[:-1])
 
 
 def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: list) -> list:
@@ -103,13 +120,13 @@ def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: 
     ordered by signature, which keeps the result isomorphism-invariant.
 
     ``fresh`` lists, in list order, the cells against which ``cells`` may
-    not be equitable yet: the one cell of the unit partition, or ``[v]``
-    for a search branch that split ``v`` off the front of a cell.  Each
-    round splits every cell by the counts of strict predecessors and
-    successors of its members in the fresh cells alone, and every fragment
-    it makes but the last of each split cell is the next round's fresh
-    cell.  This gives the same ordered partition as counting against every
-    cell, round by round.
+    not be equitable yet: the fragments of round one but the last (see
+    :func:`stable_partition`), or ``[v]`` for a search branch that split
+    ``v`` off the front of a cell.  Each round splits every cell by the
+    counts of strict predecessors and successors of its members in the
+    fresh cells alone, and every fragment it makes but the last of each
+    split cell is the next round's fresh cell.  This gives the same
+    ordered partition as counting against every cell, round by round.
 
     Invariant: against each cell X not in ``fresh``, the partition is
     equitable, or X is the last fragment of a cell C against which it is
@@ -163,6 +180,65 @@ def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: 
     return cells
 
 
+def _relabel(n: int, up: Sequence[int], perm: tuple):
+    """Up-rows of the copy labeled by ``perm``, and their encoding: row i
+    holds bit j when perm[i] <= perm[j], and sits at bit i * n."""
+    pos = [0] * n
+    for i, v in enumerate(perm):
+        pos[v] = i
+    rows = []
+    enc = 0
+    shift = 0
+    for v in perm:
+        row = 0
+        rest = up[v]
+        while rest:
+            low = rest & -rest
+            row |= 1 << pos[low.bit_length() - 1]
+            rest ^= low
+        rows.append(row)
+        enc |= row << shift
+        shift += n
+    return rows, enc
+
+
+def _search(n: int, up, down, cells: list, path: tuple, generators: list, leaves: dict) -> None:
+    """Individualize the first cell of two or more elements, member by
+    member, below ``path``; ``leaves`` maps each encoding to its first leaf,
+    and a leaf that repeats an encoding adds an automorphism."""
+    idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+    if idx is None:
+        perm = tuple(c[0] for c in cells)
+        enc = _relabel(n, up, perm)[1]
+        prev = leaves.get(enc)
+        if prev is None:
+            leaves[enc] = perm
+        else:
+            g = [0] * n
+            for i in range(n):
+                g[prev[i]] = perm[i]
+            generators.append(tuple(g))
+        return
+    cell = cells[idx]
+    tried: list = []
+    fixing: list = []
+    scanned = 0
+    for v in cell:
+        # skip candidates in the orbit of an already-explored sibling,
+        # under automorphisms that fix the individualized path; the
+        # generators found since the last sibling are the only new ones
+        fixing += [g for g in generators[scanned:] if all(g[e] == e for e in path)]
+        scanned = len(generators)
+        if fixing and tried and _orbit(v, fixing) & set(tried):
+            tried.append(v)
+            continue
+        tried.append(v)
+        rest = [w for w in cell if w != v]
+        new_cells = cells[:idx] + [[v], rest] + cells[idx + 1:]
+        refined = _refine(n, up, down, new_cells, [[v]])
+        _search(n, up, down, refined, path + (v,), generators, leaves)
+
+
 def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
                  cells: Optional[list] = None) -> CanonResult:
     """Canonical key, labeling and automorphism generators of a poset.
@@ -171,12 +247,11 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     already computed it; the search starts from it rather than refining
     the unit partition again.
 
-    The canonical labeling is the first leaf with the least encoding
-    (``seen_encodings`` keeps each encoding's first leaf); n = 0 has one
-    leaf, the empty labeling, encoded as 0.  ``generators`` opens with the
-    swaps of consecutive twins in each cell, and when those cells with two
-    or more elements are all twin groups there is no search (see the
-    module docstring).
+    The canonical labeling is the first leaf with the least encoding; n = 0
+    has one leaf, the empty labeling, encoded as 0.  ``generators`` opens
+    with the swaps of consecutive twins in each cell, and when those cells
+    with two or more elements are all twin groups there is no search, and
+    the one leaf is the labeling (see the module docstring).
     """
     if cells is None:
         cells = stable_partition(n, up, down)
@@ -192,71 +267,14 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
                 g = list(range(n))
                 g[a], g[b] = b, a
                 generators.append(tuple(g))
-    seen_encodings: dict = {}
-
-    def encode(perm):
-        """Row i holds bit j when perm[i] <= perm[j]; row i sits at bit i * n."""
-        pos = [0] * n
-        for i, v in enumerate(perm):
-            pos[v] = i
-        enc = 0
-        for v in reversed(perm):
-            row = 0
-            rest = up[v]
-            while rest:
-                low = rest & -rest
-                row |= 1 << pos[low.bit_length() - 1]
-                rest ^= low
-            enc = (enc << n) | row
-        return enc
-
-    def search(cells, path):
-        idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if idx is None:
-            perm = tuple(c[0] for c in cells)
-            enc = encode(perm)
-            prev = seen_encodings.get(enc)
-            if prev is None:
-                seen_encodings[enc] = perm
-            else:
-                g = [0] * n
-                for i in range(n):
-                    g[prev[i]] = perm[i]
-                generators.append(tuple(g))
-            return
-        cell = cells[idx]
-        tried: list = []
-        fixing: list = []
-        scanned = 0
-        for v in cell:
-            # skip candidates in the orbit of an already-explored sibling,
-            # under automorphisms that fix the individualized path; the
-            # generators found since the last sibling are the only new ones
-            fixing += [g for g in generators[scanned:] if all(g[e] == e for e in path)]
-            scanned = len(generators)
-            if fixing and tried and _orbit(v, fixing) & set(tried):
-                tried.append(v)
-                continue
-            tried.append(v)
-            rest = [w for w in cell if w != v]
-            new_cells = cells[:idx] + [[v], rest] + cells[idx + 1:]
-            refined = _refine(n, up, down, new_cells, [[v]])
-            search(refined, path + (v,))
-
     if twins_only:
         # the search's one leaf: the cells in list order (see "One leaf" in
         # the module docstring)
         perm = tuple(v for cell in cells for v in cell)
-        seen_encodings[encode(perm)] = perm
     else:
-        search(cells, ())
-    # search refers to itself through its closure; unbinding it breaks that
-    # cycle, so the search state is freed on return, not at a later collection
-    del search
-
-    enc = min(seen_encodings)
-    perm = seen_encodings[enc]
-    rows = tuple((enc >> (i * n)) & ((1 << n) - 1) for i in range(n))
-    nbytes = (n * n + 7) // 8
-    key = n.to_bytes(2, "big") + enc.to_bytes(nbytes, "big")
-    return CanonResult(key=key, perm=perm, relabeled_up=rows, generators=generators)
+        leaves: dict = {}
+        _search(n, up, down, cells, (), generators, leaves)
+        perm = leaves[min(leaves)]
+    rows, enc = _relabel(n, up, perm)
+    key = n.to_bytes(2, "big") + enc.to_bytes((n * n + 7) // 8, "big")
+    return CanonResult(key=key, perm=perm, relabeled_up=tuple(rows), generators=generators)

@@ -49,7 +49,9 @@ holds a maximal element holds the maximal elements with the largest
 |down|, and the last stable cell holding one lies inside it.  So a new
 element over D is accepted only when |D| + 1 >= |down[a]| for every
 maximal a of the parent outside D: those are the child's other maximal
-elements, and their down-sets are unchanged.
+elements, and their down-sets are unchanged.  ``_children`` reads this
+off one table per parent: need[c] is the mask of the parent's maximal
+elements with |down| > c + 1, and D passes when need[|D|] lies inside D.
 The join test, this degree test and the bottom rule below depend on the
 parent alone and are kept by its automorphisms.  They are applied to the
 list of down-sets before one per orbit is picked, so the list stays
@@ -173,15 +175,12 @@ def _orbit_firsts(masks: list, gens: Sequence) -> Iterator[int]:
             yield d
 
 
-def _maxima_by_down(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
-    """(|down|, bit) of the parent's maximal elements, largest |down| first."""
-    return sorted(((down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a), reverse=True)
-
-
-def _fits_round_one(dmask: int, maxima: list) -> bool:
-    """The degree test: the new element over ``dmask`` has a |down| no
-    smaller than that of any maximal element it leaves maximal."""
-    return next((s for s, bit in maxima if not dmask & bit), 0) <= dmask.bit_count() + 1
+def _degree_table(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
+    """The degree test of a parent (see "Round one" in the module
+    docstring): entry c is the mask of the maximal elements with
+    |down| > c + 1, and a down-set d passes when entry |d| lies inside d."""
+    maxima = [(down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a]
+    return [sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)]
 
 
 def _children(k: int, up: Tuple[int, ...], gens: Sequence, completable: bool, bottom: bool):
@@ -196,10 +195,10 @@ def _children(k: int, up: Tuple[int, ...], gens: Sequence, completable: bool, bo
     down = transpose(k, up)
     k1 = k + 1
     newbit = 1 << k
-    maxima = _maxima_by_down(k, up, down)
+    need = _degree_table(k, up, down)
     joins = pair_joins(up, down) if completable else []
     masks = [d for d in downset_masks(k, down)
-             if (d or not (bottom and k)) and _fits_round_one(d, maxima) and joins_inside(d, joins)]
+             if (d or not (bottom and k)) and not need[d.bit_count()] & ~d and joins_inside(d, joins)]
     for dmask in _orbit_firsts(masks, gens):
         up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
         down1 = down + (dmask | newbit,)

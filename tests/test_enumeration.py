@@ -56,6 +56,16 @@ DISTRIBUTIVE_COUNTS_BY_SIZE = {2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8, 8: 15}
 # `chainmail enumerate --n 7 --catalog FILE`
 N7_CATALOG_SHA256 = "b0b5453937d00ed7a567b44d6cfe13065050cbc53504eb93ed6309608b87a762"
 
+# SHA-256 of the same JSON lines for the catalogs made by the search itself:
+# enumerate_posets(7, want_catalog=True), 2,045 classes, and
+# enumerate_complete_lattices(8), 300 lattices of 1 to 8 elements
+POSETS7_CATALOG_SHA256 = "98490e9ccc7da2c41faf9e2c028c4c4e8fb6d3233c92e5eb2c2ee036a8bc310a"
+LATTICES8_CATALOG_SHA256 = "50c1ed308b267ad665d6b6103b66ed706ad74c9d8cd785268dbeb0bae1fc3aeb"
+
+
+def catalog_sha256(catalog) -> str:
+    return hashlib.sha256("".join(p.to_json_line() + "\n" for p in catalog).encode()).hexdigest()
+
 
 class TestPosetCounts:
     @pytest.mark.parametrize("n", range(5))
@@ -133,11 +143,21 @@ class TestTopAddition:
 
     def test_n7_catalog_bytes_are_pinned(self):
         catalog = enumerate_connected_chainmails(7, want_catalog=True).catalog
-        text = "".join(p.to_json_line() + "\n" for p in catalog)
-        assert hashlib.sha256(text.encode()).hexdigest() == N7_CATALOG_SHA256
+        assert catalog_sha256(catalog) == N7_CATALOG_SHA256
 
 
 class TestCatalogs:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_poset_catalog_bytes_are_pinned(self, threads):
+        result = enumerate_posets(7, want_catalog=True, threads=threads)
+        assert result.count == len(result.catalog) == POSET_COUNTS[7]
+        assert catalog_sha256(result.catalog) == POSETS7_CATALOG_SHA256
+
+    def test_lattice_catalog_bytes_are_pinned(self):
+        catalog = enumerate_complete_lattices(8)
+        assert len(catalog) == sum(LATTICE_COUNTS_BY_SIZE[n] for n in range(1, 9))
+        assert catalog_sha256(catalog) == LATTICES8_CATALOG_SHA256
+
     def test_entries_are_canonical_distinct_and_qualify(self):
         result = enumerate_connected_chainmails(6, want_catalog=True)
         assert result.count == len(result.catalog)
@@ -256,7 +276,11 @@ class TestCanonicalAugmentation:
                 got = enumeration._accepted(k + 1, up1, down1)
                 want = oracle_accepted(k + 1, up1, down1)
                 assert (got is None) == (want is None)
-                assert got is None or got.key == want.key
+                # all four fields: an accepted child's generators serve its
+                # own children
+                if got is not None:
+                    assert (got.key, got.perm, got.relabeled_up, got.generators) == \
+                        (want.key, want.perm, want.relabeled_up, want.generators)
 
     @pytest.mark.parametrize("c4_maxes, c6_maxes, accepted", [
         ((5, 9), (6, 7, 8), False),
@@ -311,9 +335,9 @@ class TestChildFilters:
         rule, nodes = rule_nodes
         dropped = 0
         for k, up, _entry, _gens in nodes:
-            maxima = enumeration._maxima_by_down(k, up, transpose(k, up))
+            need = enumeration._degree_table(k, up, transpose(k, up))
             for dmask, up1, down1 in children_over_every_downset(k, up):
-                if not enumeration._fits_round_one(dmask, maxima):
+                if need[dmask.bit_count()] & ~dmask:
                     assert oracle_accepted(k + 1, up1, down1) is None
                     dropped += 1
         assert dropped
