@@ -60,6 +60,14 @@ def _read_json_input(path: str) -> dict:
         raise FormatError(f"malformed JSON: {exc}") from None
 
 
+def _write_file(path: str, chunks: Iterable[str]) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
+
+
 def _load_structure(args) -> object:
     """Fixture or JSON input, as a FinitePoset or ConnectivityPair."""
     if getattr(args, "fixture", None):
@@ -146,9 +154,7 @@ def _cmd_enumerate(args) -> int:
                                                 threads=args.threads, deep=args.deep)
     obj = {"kind": args.kind, "n": result.n, "count": result.count}
     if args.catalog:
-        with open(args.catalog, "w", encoding="utf-8") as fh:
-            for p in result.catalog:
-                fh.write(p.to_json_line() + "\n")
+        _write_file(args.catalog, (p.to_json_line() + "\n" for p in result.catalog))
         obj["catalog"] = args.catalog
     print(f"elapsed: {result.elapsed:.3f}s", file=sys.stderr)
     if args.pretty:
@@ -182,8 +188,7 @@ def _cmd_export_dot(args) -> int:
     else:
         text = export_dot(structure)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(args.output, [text])
     else:
         sys.stdout.write(text)
     return 0

@@ -113,7 +113,7 @@ from .config import (
 )
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
-from .poset import FinitePoset, bits_of, downset_masks, joins_inside, pair_joins, transpose
+from .poset import FinitePoset, bits_of, downset_masks, joins_inside, pair_joins
 
 
 @dataclass(frozen=True)
@@ -138,17 +138,15 @@ def _accepted(k1: int, up1: Tuple[int, ...], down1: Tuple[int, ...]):
     automorphisms keep those cells, so that orbit lies in the last cell
     holding a maximal element; a new element outside that cell is rejected
     before any search.  A cell holds maximal elements only or none, since
-    refinement counts each element's up-set.
+    refinement counts each element's up-set, so that cell spans the last
+    maximal positions, and the choice is the last maximal one in ``perm``.
     """
     cells = canon.stable_partition(k1, up1, down1)
     last = next(c for c in reversed(cells) if up1[c[0]] == 1 << c[0])
     if k1 - 1 not in last:
         return None
     result = canon.canonicalize(k1, up1, down1, cells=cells)
-    pos = [0] * k1
-    for i, e in enumerate(result.perm):
-        pos[e] = i
-    best = max(last, key=pos.__getitem__)
+    best = next(e for e in reversed(result.perm) if up1[e] == 1 << e)
     if k1 - 1 in result.orbit(best):
         return result
     return None
@@ -183,17 +181,15 @@ def _degree_table(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
     return [sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)]
 
 
-def _children(k: int, up: Tuple[int, ...], gens: Sequence, completable: bool, bottom: bool):
-    """Accepted children of a parent, as search nodes (k + 1, up-rows,
-    (canonical key, canonical up-rows), automorphism generators).
-    ``gens`` generate the parent's automorphism group, and one down-set
-    per orbit of it is tried.  ``completable`` keeps the completable
-    children only; ``bottom`` keeps, once the parent has an element, only
-    new elements with a non-empty strict down-set.  These rules and the
-    degree test run on the down-set list before the orbits are taken (see
-    the module docstring)."""
-    down = transpose(k, up)
-    k1 = k + 1
+def _children(up: tuple, down: tuple, gens: Sequence, completable: bool, bottom: bool):
+    """Accepted children of the parent with these up- and down-rows, as
+    search nodes.  One down-set per orbit of the group generated by
+    ``gens``, the parent's automorphisms, is tried.  ``completable`` keeps
+    the completable children only; ``bottom`` keeps, once the parent has
+    an element, only new elements with a non-empty strict down-set.  These
+    rules and the degree test run on the down-set list before the orbits
+    are taken (see the module docstring)."""
+    k = len(up)
     newbit = 1 << k
     need = _degree_table(k, up, down)
     joins = pair_joins(up, down) if completable else []
@@ -202,33 +198,36 @@ def _children(k: int, up: Tuple[int, ...], gens: Sequence, completable: bool, bo
     for dmask in _orbit_firsts(masks, gens):
         up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
         down1 = down + (dmask | newbit,)
-        result = _accepted(k1, up1, down1)
+        result = _accepted(k + 1, up1, down1)
         if result is not None:
-            yield k1, up1, (result.key, result.relabeled_up), result.generators
+            yield up1, down1, result
 
 
-# the empty poset, root of every search; it has no automorphism to carry
-_ROOT = (0, (), (canon.canonicalize(0, (), ()).key, ()), ())
+# a search node is (up-rows, down-rows, CanonResult); the empty poset is the root
+_ROOT = ((), (), canon.canonicalize(0, (), ()))
 
 
-def _grow(node, rule: tuple, target: int, want_catalog: bool, sink: list) -> int:
-    """Depth-first: the number of classes on ``target`` elements at or under
-    ``node``; their (key, canonical up-rows) go to ``sink`` when
-    ``want_catalog``."""
-    k, up, entry, gens = node
-    if k == target:
-        if want_catalog:
-            sink.append(entry)
-        return 1
-    return sum(_grow(child, rule, target, want_catalog, sink)
-               for child in _children(k, up, gens, *rule))
+def _nodes(node, rule: tuple, depth: int):
+    """Pre-order walk from ``node``: the node, then the walks of its
+    children, down to nodes on ``depth`` elements.  ``rule`` is the
+    (completable, bottom) pair that :func:`_children` takes."""
+    yield node
+    up, down, result = node
+    if len(up) < depth:
+        for child in _children(up, down, result.generators, *rule):
+            yield from _nodes(child, rule, depth)
 
 
 def _worker(payload):
     rule, target, want_catalog, roots = payload
-    sink: list = []
-    count = sum(_grow(root, rule, target, want_catalog, sink) for root in roots)
-    return count, sink
+    count, entries = 0, []
+    for root in roots:
+        for up, _down, result in _nodes(root, rule, target):
+            if len(up) == target:
+                count += 1
+                if want_catalog:
+                    entries.append((result.key, result.relabeled_up))
+    return count, entries
 
 
 def _with_top(k: int, rows: Sequence[int]) -> tuple:
@@ -242,16 +241,13 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
     ``target`` elements, where ``rule`` is the (completable, bottom) pair
     passed to :func:`_children`.
 
-    The tree is grown breadth-first to ``target - 3`` elements, those nodes
-    are dealt round-robin into chunks, and ``_worker`` searches each chunk:
-    in this process, or in a pool of ``threads`` processes, or one per
-    chunk when there are fewer chunks.  Each node goes with the
-    automorphism generators that its children need.
+    The frontier is the walk's nodes on ``target - 3`` elements, each with
+    its canonicalization, dealt round-robin into chunks; ``_worker`` walks
+    each chunk: in this process, or in a pool of ``threads`` processes, or
+    one per chunk when there are fewer chunks.
     """
-    frontier = [_ROOT]
-    for _ in range(target - 3):
-        frontier = [child for k, up, _entry, gens in frontier
-                    for child in _children(k, up, gens, *rule)]
+    depth = max(target - 3, 0)
+    frontier = [node for node in _nodes(_ROOT, rule, depth) if len(node[0]) == depth]
     nchunks = min(4 * threads, len(frontier))
     payloads = [(rule, target, want_catalog, frontier[i::nchunks]) for i in range(nchunks)]
     if threads > 1 and nchunks > 1:
@@ -263,9 +259,9 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
         results = map(_worker, payloads)
     count = 0
     entries: list = []
-    for found, sink in results:
+    for found, chunk in results:
         count += found
-        entries.extend(sink)
+        entries.extend(chunk)
     entries.sort(key=lambda e: e[0])
     return count, entries
 
@@ -322,17 +318,15 @@ def enumerate_complete_lattices(max_size: int) -> List[FinitePoset]:
     first, canonical-key order inside a size.
 
     For n >= 2 the lattices on n elements are the completable posets with
-    a bottom on n - 1 elements with a top added (see the module docstring);
-    the search with the bottom rule returns them, and at n = 1 the empty
-    poset, its root.
+    a bottom on n - 1 elements with a top added (see the module docstring),
+    and at n = 1 the root with a top.  One walk with the bottom rule, to
+    max_size - 1 elements, serves every size; it yields its root always.
     """
     if max_size > DEFAULT_POSET_ENUM_CAP:
         raise GuardExceeded(f"poset enumeration capped at n={DEFAULT_POSET_ENUM_CAP}")
-    out = []
-    for size in range(1, max_size + 1):
-        _count, entries = _enumerate((True, True), size - 1, True, 1)
-        out.extend(FinitePoset(size, _with_top(size - 1, rows)) for _key, rows in entries)
-    return out
+    found = sorted((len(up), result.key, result.relabeled_up)
+                   for up, _down, result in _nodes(_ROOT, (True, True), max_size - 1) if len(up) < max_size)
+    return [FinitePoset(k + 1, _with_top(k, rows)) for k, _key, rows in found]
 
 
 def enumerate_connectivity_pairs(max_lattice_size: int) -> Iterator[ConnectivityPair]:

@@ -381,6 +381,13 @@ class TestEnumerate:
         assert code == 2
         assert "deep" in err
 
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_unwritable_catalog_exits_1(self, tmp_path, where):
+        path = tmp_path / "missing" / "x.jsonl" if where == "missing-dir" else tmp_path
+        code, out, err = invoke(["enumerate", "--n", "4", "--catalog", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("kind", ["chainmails", "posets"])
     def test_threads_below_one_exit_1(self, kind):
         code, out, err = invoke(["enumerate", "--kind", kind, "--n", "5", "--threads", "0"])
@@ -431,6 +438,13 @@ class TestExportDot:
             payload = {"n": poset.n, "leq": covers, "closure": "reflexive-transitive"}
             again = FinitePoset.from_json(payload)
             assert again.is_isomorphic(poset)
+
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_unwritable_output_exits_1(self, tmp_path, where):
+        path = tmp_path / "missing" / "x.dot" if where == "missing-dir" else tmp_path
+        code, out, err = invoke(["export-dot", "--fixture", "exaN", "--output", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
     def test_output_file(self, tmp_path):
         path = tmp_path / "d.dot"

@@ -231,14 +231,8 @@ RULES = {"posets": (False, False), "completable": (True, False), "lattices": (Tr
 
 def search_nodes(rule: tuple, max_k: int) -> list:
     """Every node of the search on at most ``max_k`` elements, each with
-    the automorphism generators it carries."""
-    level = [enumeration._ROOT]
-    nodes = list(level)
-    for _ in range(max_k):
-        level = [child for k, up, _entry, gens in level
-                 for child in enumeration._children(k, up, gens, *rule)]
-        nodes += level
-    return nodes
+    the canonicalization it carries."""
+    return list(enumeration._nodes(enumeration._ROOT, rule, max_k))
 
 
 def children_over_every_downset(k: int, up: tuple):
@@ -271,7 +265,8 @@ def rule_nodes(request):
 class TestCanonicalAugmentation:
     def test_accepted_matches_the_full_canonicalization(self, rule_nodes):
         rule, nodes = rule_nodes
-        for k, up, _entry, _gens in nodes:
+        for up, _down, _result in nodes:
+            k = len(up)
             for up1, down1 in candidates(k, up, rule):
                 got = enumeration._accepted(k + 1, up1, down1)
                 want = oracle_accepted(k + 1, up1, down1)
@@ -303,11 +298,14 @@ class TestCanonicalAugmentation:
         # parent's automorphisms are never isomorphic, so no per-parent
         # dedup by key is needed
         rule, nodes = rule_nodes
-        for k, up, _entry, gens in nodes:
-            for g in gens:
+        for up, down, parent in nodes:
+            k = len(up)
+            assert down == transpose(k, up)
+            for g in parent.generators:
                 assert all(sum(1 << g[b] for b in range(k) if up[a] >> b & 1) == up[g[a]]
                            for a in range(k))
-            keys = [entry[0] for _k1, _up1, entry, _gens in enumeration._children(k, up, gens, *rule)]
+            children = enumeration._children(up, down, parent.generators, *rule)
+            keys = [child.key for _up1, _down1, child in children]
             assert len(set(keys)) == len(keys)
             accepted = (oracle_accepted(k + 1, up1, down1) for up1, down1 in candidates(k, up, rule))
             assert set(keys) == {result.key for result in accepted if result is not None}
@@ -321,7 +319,8 @@ class TestChildFilters:
         # the lemma needs a completable parent, which every node of the
         # completable searches is, and some nodes of the poset search are
         rule, nodes = rule_nodes
-        for k, up, _entry, _gens in nodes:
+        for up, _down, _result in nodes:
+            k = len(up)
             down = transpose(k, up)
             if reduced_mail_scan(k, up, down, allow_unbounded=True) is not None:
                 assert not rule[0]
@@ -334,7 +333,8 @@ class TestChildFilters:
     def test_degree_test_drops_only_rejected_children(self, rule_nodes):
         rule, nodes = rule_nodes
         dropped = 0
-        for k, up, _entry, _gens in nodes:
+        for up, _down, _result in nodes:
+            k = len(up)
             need = enumeration._degree_table(k, up, transpose(k, up))
             for dmask, up1, down1 in children_over_every_downset(k, up):
                 if need[dmask.bit_count()] & ~dmask:
@@ -426,11 +426,16 @@ class TestLatticeCorpus:
         catalog = enumerate_connected_chainmails(n, want_catalog=True).catalog
         assert [p for p in catalog if p.bottom() is not None] == [p for p in lattices if p.n == n]
 
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_no_sizes_give_no_lattices(self, max_size):
+        assert enumerate_complete_lattices(max_size) == []
+
     def test_guard_fires_before_any_search(self, monkeypatch):
         def search(*args):
             raise AssertionError("the search ran")
 
         monkeypatch.setattr(enumeration, "_enumerate", search)
+        monkeypatch.setattr(enumeration, "_nodes", search)
         with pytest.raises(GuardExceeded):
             enumerate_complete_lattices(10)
 
@@ -465,6 +470,9 @@ def test_pool_runs_under_spawn():
 
 
 class TestPairCorpus:
+    def test_size_zero_yields_nothing(self):
+        assert list(enumerate_connectivity_pairs(0)) == []
+
     def test_size_one(self):
         pairs = [p for p in enumerate_connectivity_pairs(1)]
         assert len(pairs) == 2
