@@ -20,7 +20,7 @@ from .enumeration import enumerate_connected_chainmails, enumerate_posets
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .exterior import exterior
 from .generators import fixture_description, fixture_names, named_fixture
-from .poset import FinitePoset, connectivity_from_json
+from .poset import FinitePoset, bits_of, connectivity_from_json
 
 
 def export_dot(p: FinitePoset, connected: Optional[Iterable[int]] = None) -> str:
@@ -64,6 +64,20 @@ def _write_file(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Raise now the error that writing ``path`` would raise after a long
+    run.  An existing file is opened without truncation, and a new one is
+    created and removed at once, so nothing is left behind."""
+    try:
+        if os.path.exists(path):
+            os.close(os.open(path, os.O_WRONLY))
+        else:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(path)
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from None
 
@@ -127,16 +141,16 @@ def _cmd_exterior(args) -> int:
     obj = {
         "base_n": poset.n,
         "base_is_chainmail": poset.is_chainmail(),
-        "set_count": len(family.sets),
-        "sets": [sorted(s) for s in family.sets],
+        "set_count": len(family.masks),
+        "sets": [list(bits_of(m)) for m in family.masks],
         "is_complete_lattice": family.order.is_complete_lattice(),
         "covers": [list(e) for e in sorted(family.order.covers)],
     }
     if args.pretty:
-        width = len(str(len(family.sets)))
-        lines = [f"exterior of a poset on {poset.n} elements: {len(family.sets)} TMD sets"]
-        for i, s in enumerate(family.sets):
-            lines.append(f"  [{i:>{width}}] {{{', '.join(map(str, sorted(s)))}}}")
+        width = len(str(len(family.masks)))
+        lines = [f"exterior of a poset on {poset.n} elements: {len(family.masks)} TMD sets"]
+        for i, m in enumerate(family.masks):
+            lines.append(f"  [{i:>{width}}] {{{', '.join(map(str, bits_of(m)))}}}")
         lines.append(f"complete lattice: {obj['is_complete_lattice']}")
         lines.append(f"base is a chainmail: {obj['base_is_chainmail']}")
         print("\n".join(lines))
@@ -146,6 +160,8 @@ def _cmd_exterior(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.catalog:
+        _check_writable(args.catalog)
     if args.kind == "posets":
         result = enumerate_posets(args.n, want_catalog=args.catalog is not None,
                                   threads=args.threads)

@@ -33,7 +33,6 @@ from .poset import (
     bits_of,
     component_masks,
     first_mail,
-    join_mask,
     least_of_upset,
     mail_mates,
     mask_of,
@@ -84,7 +83,17 @@ def _component_mask(pair: ConnectivityPair, x: int) -> int:
 def kernel(pair: ConnectivityPair, x: int) -> int:
     """Join of the components of x; the interior when C is a topology."""
     lat = pair.lattice
-    return join_mask(lat.n, lat.up, _component_mask(pair, x))
+    return lat.up_index[_upper_bounds(lat, _component_mask(pair, x))]
+
+
+def _upper_bounds(lat: FinitePoset, xmask: int) -> int:
+    """The common upper bounds of the members of ``xmask``, as a mask.  In
+    a lattice they are the up-row of the join, so the join is their
+    ``up_index`` entry, and it is x exactly when they are ``up[x]``."""
+    ub = lat.full_mask
+    for x in bits_of(xmask):
+        ub &= lat.up[x]
+    return ub
 
 
 def is_subchainmail_of(p: FinitePoset, members: Iterable[int]) -> bool:
@@ -124,7 +133,7 @@ def _dc_tables(pair: ConnectivityPair) -> tuple:
     """
     lat = pair.lattice
     masks, ubs, doms = tmd_masks(lat, pair.cmask)
-    join_of = {row: j for j, row in enumerate(lat.up)}
+    join_of = lat.up_index
     return masks, tuple(join_of[ub] for ub in ubs), doms
 
 
@@ -245,7 +254,7 @@ def _joins_connected(lat: FinitePoset, cmask: int, x: int) -> bool:
     membership in the join closure of ``cmask``: if x is the join of some
     S inside it, then S lies inside ``cmask & down[x]``, whose join lies
     between that of S and x."""
-    return join_mask(lat.n, lat.up, cmask & lat.down[x]) == x
+    return _upper_bounds(lat, cmask & lat.down[x]) == lat.up[x]
 
 
 def cl3(pair: ConnectivityPair) -> bool:
@@ -308,7 +317,7 @@ def _e1_e2_masks(lat: FinitePoset) -> tuple:
     is one of its members, so it refutes neither.  A poset without a
     bottom has no L+, and one where such a pair has no join is no lattice
     either."""
-    n, up, down = lat.n, lat.up, lat.down
+    up, down = lat.up, lat.down
     bot = lat.bottom()
     if bot is None:
         raise PreconditionError("E conditions are defined over complete lattices")
@@ -318,7 +327,7 @@ def _e1_e2_masks(lat: FinitePoset) -> tuple:
     for x in bits_of(l_plus):
         for y in bits_of(l_plus & ~((2 << x) - 1)):
             if down[x] & down[y] == botbit:
-                j = join_mask(n, up, 1 << x | 1 << y)
+                j = lat.up_index.get(up[x] & up[y])
                 if j is None:
                     raise PreconditionError("E conditions are defined over complete lattices")
                 e1_mask &= ~(down[j] & ~down[x] & ~down[y])
@@ -397,7 +406,7 @@ def _l_plus_survivors(lat: FinitePoset, at_risk, limit: int = DEFAULT_MAX_TMD_SE
     up, down = lat.up, lat.down
     l_plus = lat.full_mask & ~(1 << lat.bottom())
     mates = mail_mates(lat.n, up, down, l_plus)
-    join_of = {row: j for j, row in enumerate(up)}
+    join_of = lat.up_index
     alive = lat.full_mask
     entered = 0
 
@@ -541,9 +550,7 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
         bot = lat.bottom()
         preserves_bottom = table[bot] == 0
         reflects_bottom = all(table[x] != 0 for x in range(lat.n) if x != bot)
-        right_inverse = all(
-            join_mask(lat.n, lat.up, table[x]) == x for x in range(lat.n)
-        )
+        right_inverse = all(_upper_bounds(lat, table[x]) == lat.up[x] for x in range(lat.n))
         left_inverse = all(table[j] == m for m, j in zip(fam, joins))
         adjoint_view = {
             "right_adjoint_preserves_bottom": preserves_bottom,

@@ -10,6 +10,7 @@ subchainmails of G.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_MAX_EXTERIOR_SETS, DEFAULT_MAX_TMD_SETS
@@ -31,24 +32,30 @@ class TmdFamily:
     materialized as a FinitePoset so the whole poset toolkit applies."""
 
     base: FinitePoset
-    sets: tuple          # frozensets, in the deterministic enumeration order
+    masks: tuple         # bitmasks, in the deterministic enumeration order
     order: FinitePoset   # order.leq(i, j) iff sets[i] <= sets[j] componentwise
+
+    @cached_property
+    def sets(self) -> tuple:
+        """The TMD sets as frozensets, in the order of ``masks``; built on
+        first read."""
+        return tuple(set_of(m) for m in self.masks)
 
     def index_of(self, members: Iterable[int]) -> int:
         target = frozenset(members)
-        for i, s in enumerate(self.sets):
-            if s == target:
-                return i
-        raise KeyError(f"{sorted(target)} is not a TMD set of the base poset")
+        try:
+            return self.masks.index(mask_of(target))
+        except ValueError:   # a negative member, or no such set
+            raise KeyError(f"{sorted(target)} is not a TMD set of the base poset") from None
 
     def singleton_indices(self) -> frozenset:
-        return frozenset(i for i, s in enumerate(self.sets) if len(s) == 1)
+        return frozenset(i for i, m in enumerate(self.masks) if m.bit_count() == 1)
 
 
 def exterior(p: FinitePoset, limit: int = DEFAULT_MAX_EXTERIOR_SETS) -> TmdFamily:
     masks, _ubs, doms = tmd_masks(p, p.full_mask, limit)
     order = FinitePoset(len(masks), inclusion_rows(masks, doms))
-    return TmdFamily(base=p, sets=tuple(set_of(m) for m in masks), order=order)
+    return TmdFamily(base=p, masks=masks, order=order)
 
 
 def exterior_is_complete(p: FinitePoset, limit: int = DEFAULT_MAX_EXTERIOR_SETS) -> bool:

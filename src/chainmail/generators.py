@@ -211,7 +211,9 @@ def forest_poset_check(p: FinitePoset) -> bool:
 def downset_lattice_pair(p: FinitePoset) -> ConnectivityPair:
     """(lattice of down-closed subsets ordered by inclusion, principal
     down-sets).  For forest posets this pair is a separated Serra
-    connectivity, hence absolute."""
+    connectivity, hence absolute.  The converse, that the pair is
+    separated, Serra or absolute only for forests, is not proved here; it
+    holds on all 2,450 posets with 1 to 7 elements."""
     if p.n > 20:
         raise GuardExceeded("down-set lattice construction is capped at 2^20 subsets")
     downsets = downset_masks(p.n, p.down)

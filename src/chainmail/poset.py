@@ -467,6 +467,14 @@ class FinitePoset:
         return (1 << self.n) - 1
 
     @cached_property
+    def up_index(self) -> dict:
+        """{up-row: element}.  The upper bounds of a set have a least
+        element exactly when they are some element's up-row, and that
+        element is the join, so a join is one lookup of the AND of the
+        members' up-rows (in a lattice the lookup always succeeds)."""
+        return dict(zip(self.up, range(self.n)))
+
+    @cached_property
     def mail_mates(self) -> tuple:
         """mail_mates[a] = bitmask of b such that {a, b} is a mail."""
         return mail_mates(self.n, self.up, self.down, self.full_mask)
@@ -537,6 +545,11 @@ class FinitePoset:
         return join_mask(self.n, self.down, mask_of(members))
 
     def bottom(self) -> Optional[int]:
+        """The least element, or None; found once per instance."""
+        return self._bottom
+
+    @cached_property
+    def _bottom(self) -> Optional[int]:
         return join_mask(self.n, self.up, 0)
 
     def top(self) -> Optional[int]:
@@ -596,7 +609,12 @@ class FinitePoset:
     def is_complete_lattice(self) -> bool:
         """Every subset has a join.  For a finite poset this reduces to a
         bottom element plus binary joins, and the upper bounds of a pair
-        have a least element exactly when they are some element's up-row."""
+        have a least element exactly when they are some element's up-row.
+        Decided once per instance."""
+        return self._complete_lattice
+
+    @cached_property
+    def _complete_lattice(self) -> bool:
         n, up = self.n, self.up
         rows = set(up)
         return self.bottom() is not None and all(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import chainmail
+from chainmail import enumeration
 from chainmail.cli import export_dot, run
 from chainmail.connectivity import ConnectivityPair
 from chainmail.generators import fixture_names, named_fixture
@@ -220,6 +221,24 @@ class TestExteriorBytes:
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of ``exterior --input -`` stdout (JSON, then --pretty) over the
+# 406 posets with at most 6 elements, in catalog order
+POSETS6_EXTERIOR_SHA256 = ("414f14121c969c7daa7bf023ffd42b70b9eae0551a1e6dd595d1050e758ed382",
+                           "9607609918dd7399820be1aaa3256456746afd1287735b3cbefe24b195c6c102")
+
+
+def test_exteriors_of_every_small_poset_are_pinned(poset_corpus):
+    posets = [p for n in range(7) for p in poset_corpus[n]]
+    assert len(posets) == 406
+    for extra, digest in zip(([], ["--pretty"]), POSETS6_EXTERIOR_SHA256):
+        text = ""
+        for p in posets:
+            code, out, err = invoke(["exterior", "--input", "-", *extra], json.dumps(p.to_json()))
+            assert (code, err) == (0, "")
+            text += out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestJsonIntegers:
     """Only JSON integers name elements: anything else exits 1 with a
     message, never a traceback, a truncation or a bool read as 0/1."""
@@ -355,6 +374,15 @@ class TestExterior:
         assert json.loads(out)["set_count"] == 4096
 
 
+@pytest.fixture
+def no_search(monkeypatch):
+    """The enumerator's search, replaced by one that fails if it starts."""
+    def search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(enumeration, "_enumerate", search)
+
+
 class TestEnumerate:
     def test_chainmail_count_json(self):
         code, out, err = invoke(["enumerate", "--kind", "chainmails", "--n", "5"])
@@ -387,6 +415,25 @@ class TestEnumerate:
         code, out, err = invoke(["enumerate", "--n", "4", "--catalog", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_unwritable_catalog_exits_1_before_the_search(self, tmp_path, no_search, where):
+        path = tmp_path / "missing" / "x.jsonl" if where == "missing-dir" else tmp_path
+        code, out, err = invoke(["enumerate", "--deep", "--n", "9", "--catalog", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--n", "9"], ["--deep", "--n", "12"],
+                                      ["--kind", "posets", "--n", "10"]])
+    def test_refused_run_leaves_the_catalog_path_alone(self, tmp_path, no_search, argv):
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        old.write_text("kept\n", encoding="utf-8")
+        for path in (new, old):
+            code, out, err = invoke(["enumerate", *argv, "--catalog", str(path)])
+            assert (code, out) == (2, "")
+            assert err.startswith("resource guard: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+        assert old.read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("kind", ["chainmails", "posets"])
     def test_threads_below_one_exit_1(self, kind):

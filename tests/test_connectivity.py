@@ -4,6 +4,7 @@ join closure, sink machinery."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import random
 import weakref
@@ -41,6 +42,7 @@ from chainmail.connectivity import (
     kernel,
     local_join,
     local_joins,
+    report_to_json_text,
     sigma_closure,
     sigma_members,
 )
@@ -90,6 +92,21 @@ class TestPair:
         assert read == fresh and fresh == read
         assert hash(read) == hash(fresh)
         assert fresh in {read} and read in {fresh}
+
+    def test_lattice_test_runs_once_per_lattice_instance(self, monkeypatch):
+        pair_test = FinitePoset.__dict__["_complete_lattice"]
+        original = pair_test.func
+        tested = []
+
+        def counted(poset):
+            tested.append(poset)
+            return original(poset)
+
+        monkeypatch.setattr(pair_test, "func", counted)
+        lat = FinitePoset.powerset_lattice(3)
+        for cmask in range(1 << lat.n):
+            classify(ConnectivityPair(lat, set_of(cmask)))
+        assert len(tested) == 1 and tested[0] is lat
 
 
 class TestSubchainmail:
@@ -463,7 +480,17 @@ class TestFrameEquivalence:
             frame_equivalence_check(named_fixture("M3"))
 
 
+# SHA-256 of the compact JSON reports, witnesses and adjoint view included,
+# of the 1,166 pairs of enumerate_connectivity_pairs(6), one line each
+PAIRS6_REPORTS_SHA256 = "667d4c1bbebc260bba8dc55aefde56e93b206eeef5a96a8d66f17b09303eaace"
+
+
 class TestClassify:
+    def test_reports_of_every_small_pair_are_pinned(self):
+        lines = [report_to_json_text(classify(pair)) + "\n" for pair in enumerate_connectivity_pairs(6)]
+        assert len(lines) == 1166
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == PAIRS6_REPORTS_SHA256
+
     def test_degenerate_profile(self, ps3):
         report = classify(ConnectivityPair(ps3, frozenset(range(8))))
         assert report.degenerate and report.kernel and report.saturated and report.connectivity
@@ -499,6 +526,41 @@ class TestClassify:
         del pair
         gc.collect()
         assert ref() is None
+
+
+class TestTaxonomyFacts:
+    def test_e4_equality_without_cl3(self):
+        """C equal to the absolutely connected elements implies neither
+        CL3 nor separation.  This pair is the first counterexample in
+        (size, lattice key, C mask) order over every pair with |L| <= 8:
+        atoms 1, 2, 3 below 4, then 5 and 6 above 4, and the top 7."""
+        lat = FinitePoset(8, (255, 242, 244, 248, 240, 160, 192, 128))
+        pair = ConnectivityPair(lat, frozenset({5, 6, 7}))
+        report = classify(pair)
+        assert report.connected_equals_absolutely_connected and report.connectivity
+        assert not report.cl3 and not report.separated
+        assert report.witnesses["cl3"] == [5, 6]
+        assert oracle_e4_elements(lat) == oracle_absolutely_connected(lat) == pair.connected
+        # {5, 6} is TMD in the order induced on C, and its join, the top,
+        # has the one component 7
+        family = oracle_dc_family(pair)
+        assert family == _dc_tables(pair)[0] == (0, 1 << 5, 1 << 5 | 1 << 6, 1 << 6, 1 << 7)
+        assert oracle_join(lat, [5, 6]) == 7
+        assert [c for c in (5, 6, 7) if lat.leq(c, 7)
+                and not any(d != c and lat.leq(c, d) and lat.leq(d, 7) for d in (5, 6, 7))] == [7]
+
+    @pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                        reason="set CHM_ACCEPT_DEEP=1 for the pairs on 8 elements")
+    def test_no_earlier_pair_separates_e4_equality_from_separation(self):
+        for lat in enumerate_complete_lattices(8):
+            for cmask in range(1 << lat.n):
+                report = classify(ConnectivityPair(lat, set_of(cmask)))
+                # separated implies CL3, so the first pair failing either
+                # implication fails separation
+                if report.connected_equals_absolutely_connected and not report.separated:
+                    assert (lat.up, cmask) == ((255, 242, 244, 248, 240, 160, 192, 128), 0b11100000)
+                    return
+        pytest.fail("no pair separates E4 equality from separation")
 
 
 class TestSigmaClosure:

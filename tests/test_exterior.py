@@ -91,6 +91,21 @@ class TestExterior:
                 assert set(fam.sets) == tmd_family_oracle(p)
                 assert fam.order.validate() is None
 
+    def test_masks_give_the_frozenset_answers(self, poset_corpus):
+        for posets in poset_corpus.values():
+            for p in posets:
+                fam = exterior(p)
+                sets = fam.sets
+                assert sets is fam.sets
+                assert sets == tuple(frozenset(bits_of(m)) for m in tmd_masks(p, p.full_mask)[0])
+                for i, s in enumerate(sets):
+                    assert fam.index_of(s) == fam.index_of(sorted(s)) == i
+                assert fam.singleton_indices() == frozenset(i for i, s in enumerate(sets) if len(s) == 1)
+        fam = exterior(FinitePoset.chain(2))
+        for members in ({0, 1}, {2}, {-1}):
+            with pytest.raises(KeyError):
+                fam.index_of(members)
+
     def test_tmd_masks_come_in_lex_order(self, poset_corpus):
         rng = random.Random(3)
         for posets in poset_corpus.values():

@@ -208,11 +208,19 @@ class TestForests:
             for p in poset_corpus[n]:
                 forest_poset_check(p)
 
-    def test_forest_downset_pairs_are_absolute(self, small_poset_corpus):
-        for n in range(6):
-            for p in small_poset_corpus[n]:
-                if forest_poset_check(p):
-                    assert classify(downset_lattice_pair(p)).absolute
+    def test_forest_downset_pairs_are_absolute(self, poset_corpus):
+        # and only they: the down-set pair is separated, Serra and absolute
+        # exactly when p is a forest; the forests count as OEIS A000081,
+        # shifted by one
+        forests = []
+        for n in range(1, 7):
+            forests.append(0)
+            for p in poset_corpus[n]:
+                report = classify(downset_lattice_pair(p))
+                forest = forest_poset_check(p)
+                assert report.separated == report.serra == report.absolute == forest, p
+                forests[-1] += forest
+        assert forests == [1, 2, 4, 9, 20, 48]
 
     def test_downset_lattice_matches_the_pairwise_inclusion_order(self, small_poset_corpus):
         for posets in small_poset_corpus.values():

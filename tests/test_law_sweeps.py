@@ -8,6 +8,9 @@ the exterior union-join law.
 
 from __future__ import annotations
 
+import os
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainmail.connectivity import ConnectivityPair, borger_implication_check
@@ -37,6 +40,19 @@ def test_exterior_laws_small(small_poset_corpus):
     for posets in small_poset_corpus.values():
         for p in posets:
             failures += check_exterior_laws(p)
+    assert not failures, failures[:5]
+
+
+@pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                    reason="set CHM_ACCEPT_DEEP=1 for the posets on 7 elements")
+def test_exterior_laws_on_7_elements():
+    from chainmail.enumeration import enumerate_posets
+
+    posets = enumerate_posets(7, want_catalog=True).catalog
+    assert len(posets) == 2045
+    failures = []
+    for p in posets:
+        failures += check_exterior_laws(p)
     assert not failures, failures[:5]
 
 

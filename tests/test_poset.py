@@ -9,10 +9,11 @@ import pytest
 
 from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import named_fixture
-from chainmail.enumeration import enumerate_posets
+from chainmail.enumeration import enumerate_complete_lattices, enumerate_posets
 from chainmail.exterior import exterior
-from chainmail.poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, mail_mates,
-                             mail_pairs, mask_of, reduced_mail_scan, set_of, tmd_masks)
+from chainmail.poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, join_mask,
+                             mail_mates, mail_pairs, mask_of, reduced_mail_scan, set_of,
+                             tmd_masks)
 
 from conftest import (
     lex_subsets,
@@ -433,6 +434,27 @@ class TestCompleteLattice:
         for posets in poset_corpus.values():
             for p in posets:
                 assert p.is_complete_lattice() == oracle_is_complete_lattice(p)
+
+    def test_cached_facts_match_a_recomputation(self, poset_corpus):
+        # a fresh instance per poset, so no earlier test filled its caches
+        for posets in poset_corpus.values():
+            for p in posets:
+                q = FinitePoset(p.n, p.up)
+                for _ in range(2):
+                    assert q.up_index == {q.up[a]: a for a in range(q.n)}
+                    assert q.bottom() == join_mask(q.n, q.up, 0) == oracle_join(q, [])
+                    assert q.is_complete_lattice() == oracle_is_complete_lattice(p)
+
+    def test_up_index_reads_every_join_of_a_lattice(self):
+        lattices = enumerate_complete_lattices(6)
+        assert len(lattices) == 25
+        for lat in lattices:
+            for members in subsets(lat.n):
+                ub = lat.full_mask
+                for x in members:
+                    ub &= lat.up[x]
+                join = lat.up_index[ub]
+                assert join == join_mask(lat.n, lat.up, mask_of(members)) == oracle_join(lat, members)
 
 
 class TestDistributive:
