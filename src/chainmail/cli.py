@@ -82,10 +82,15 @@ def _check_writable(path: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from None
 
 
-def _load_structure(args) -> object:
-    """Fixture or JSON input, as a FinitePoset or ConnectivityPair."""
+def _load_structure(args) -> tuple:
+    """(poset, connectivity members or None) from a fixture or JSON input.
+    Only ``classify`` makes a pair of them, so the other commands take any
+    poset, a lattice or not."""
     if getattr(args, "fixture", None):
-        return named_fixture(args.fixture)
+        value = named_fixture(args.fixture)
+        if isinstance(value, ConnectivityPair):
+            return value.lattice, value.connected
+        return value, None
     if getattr(args, "input", None):
         obj = _read_json_input(args.input)
         if isinstance(obj, dict) and "connectivity" in obj:
@@ -95,23 +100,8 @@ def _load_structure(args) -> object:
         violation = poset.validate()
         if violation is not None:
             raise FormatError(f"input is not a poset: {violation.describe()}")
-        return poset if members is None else ConnectivityPair(poset, members)
+        return poset, members
     raise FormatError("either --fixture or --input is required")
-
-
-def _as_pair(structure) -> ConnectivityPair:
-    if isinstance(structure, ConnectivityPair):
-        return structure
-    raise FormatError(
-        "classification needs a connectivity pair; supply a fixture that is a "
-        'pair or JSON with a "connectivity" field'
-    )
-
-
-def _as_poset(structure) -> FinitePoset:
-    if isinstance(structure, ConnectivityPair):
-        return structure.lattice
-    return structure
 
 
 def _cmd_validate(args) -> int:
@@ -128,15 +118,19 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    pair = _as_pair(_load_structure(args))
-    report = classify(pair)
+    poset, members = _load_structure(args)
+    if members is None:
+        raise FormatError(
+            "classification needs a connectivity pair; supply a fixture that is a "
+            'pair or JSON with a "connectivity" field'
+        )
+    report = classify(ConnectivityPair(poset, members))
     print(report_to_json_text(report, pretty=args.pretty))
     return 0
 
 
 def _cmd_exterior(args) -> int:
-    structure = _load_structure(args)
-    poset = _as_poset(structure)
+    poset, _members = _load_structure(args)
     family = exterior(poset)
     obj = {
         "base_n": poset.n,
@@ -198,11 +192,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    structure = _load_structure(args)
-    if isinstance(structure, ConnectivityPair):
-        text = export_dot(structure.lattice, structure.connected)
-    else:
-        text = export_dot(structure)
+    text = export_dot(*_load_structure(args))
     if args.output:
         _write_file(args.output, [text])
     else:

@@ -33,7 +33,6 @@ from .poset import (
     bits_of,
     component_masks,
     first_mail,
-    least_of_upset,
     mail_mates,
     mask_of,
     maximal_mask,
@@ -81,19 +80,10 @@ def _component_mask(pair: ConnectivityPair, x: int) -> int:
 
 
 def kernel(pair: ConnectivityPair, x: int) -> int:
-    """Join of the components of x; the interior when C is a topology."""
+    """Join of the components of x; the interior when C is a topology.
+    The join is one row lookup (the row lemma of ``FinitePoset.up_index``)."""
     lat = pair.lattice
-    return lat.up_index[_upper_bounds(lat, _component_mask(pair, x))]
-
-
-def _upper_bounds(lat: FinitePoset, xmask: int) -> int:
-    """The common upper bounds of the members of ``xmask``, as a mask.  In
-    a lattice they are the up-row of the join, so the join is their
-    ``up_index`` entry, and it is x exactly when they are ``up[x]``."""
-    ub = lat.full_mask
-    for x in bits_of(xmask):
-        ub &= lat.up[x]
-    return ub
+    return lat.up_index[lat.upper_bound_mask(_component_mask(pair, x))]
 
 
 def is_subchainmail_of(p: FinitePoset, members: Iterable[int]) -> bool:
@@ -126,10 +116,9 @@ def _dc_tables(pair: ConnectivityPair) -> tuple:
     componentwise exactly when ``S & ~dom(T) == 0``.
 
     TMD is taken inside the induced order on C: two connected elements are
-    mail-mates only via a *connected* common lower bound.  In a lattice the
-    upper bounds of a set are the up-row of its join, and distinct elements
-    have distinct up-rows, so each join is one lookup of the set's
-    upper-bound mask.
+    mail-mates only via a *connected* common lower bound.  Each join is one
+    lookup of the set's upper-bound mask (the row lemma of
+    ``FinitePoset.up_index``).
     """
     lat = pair.lattice
     masks, ubs, doms = tmd_masks(lat, pair.cmask)
@@ -209,17 +198,17 @@ def cl1_prime(pair: ConnectivityPair) -> bool:
 
 
 def _cl1_prime_violation(pair: ConnectivityPair) -> Optional[tuple]:
+    """First (x, y) whose non-empty slice of C has no largest element.  In
+    a lattice the slice has one exactly when its join lies in it."""
     lat = pair.lattice
-    cmask = pair.cmask
+    cmask, join_of = pair.cmask, lat.up_index
     bot = lat.bottom()
     for x in range(lat.n):
         if x == bot:
             continue
         for y in bits_of(lat.up[x]):
             slice_mask = cmask & lat.up[x] & lat.down[y]
-            if not slice_mask:
-                continue
-            if least_of_upset(slice_mask, lat.down) is None:
+            if slice_mask and not slice_mask >> join_of[lat.upper_bound_mask(slice_mask)] & 1:
                 return (x, y)
     return None
 
@@ -254,7 +243,7 @@ def _joins_connected(lat: FinitePoset, cmask: int, x: int) -> bool:
     membership in the join closure of ``cmask``: if x is the join of some
     S inside it, then S lies inside ``cmask & down[x]``, whose join lies
     between that of S and x."""
-    return _upper_bounds(lat, cmask & lat.down[x]) == lat.up[x]
+    return lat.upper_bound_mask(cmask & lat.down[x]) == lat.up[x]
 
 
 def cl3(pair: ConnectivityPair) -> bool:
@@ -394,8 +383,8 @@ def _l_plus_survivors(lat: FinitePoset, at_risk, limit: int = DEFAULT_MAX_TMD_SE
     does not enter S; for the same reason it stops taking S's children
     once that mask is spent.  A skipped family refutes nothing new, so
     the result is the full mask less what the entered families refute.
-    In a lattice the upper bounds of a set are the up-row of its join, so
-    each join is one lookup of an upper-bound mask.
+    Each join is one lookup of an upper-bound mask (the row lemma of
+    ``FinitePoset.up_index``).
 
     Each entered family counts against ``limit``; passing it means L+ has
     more than ``limit`` disjoint families, and the walk raises
@@ -490,8 +479,9 @@ def _preconnectivity_violation(pair: ConnectivityPair) -> Optional[frozenset]:
     same in L and in the induced order, and the common lower bound must
     lie in C, so members and lows are both C.  The upper bounds in C of a
     set with upper-bound mask ub are ``ub & C``; they have a least element
-    exactly when they are ``up[c] & C`` for some c in C (the lemma behind
-    ``is_complete_lattice``), and an empty set of upper bounds has none.
+    exactly when they are ``up[c] & C`` for some c in C (the row lemma of
+    ``FinitePoset.up_index`` in the induced order), and an empty set of
+    upper bounds has none.
     C's sorted elements keep their order as indices of L, so the lex-first
     witness is the induced order's.  Preconnectivity, connectivity and CL1
     are thus one walker call each.
@@ -550,7 +540,7 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
         bot = lat.bottom()
         preserves_bottom = table[bot] == 0
         reflects_bottom = all(table[x] != 0 for x in range(lat.n) if x != bot)
-        right_inverse = all(_upper_bounds(lat, table[x]) == lat.up[x] for x in range(lat.n))
+        right_inverse = all(lat.upper_bound_mask(table[x]) == lat.up[x] for x in range(lat.n))
         left_inverse = all(table[j] == m for m, j in zip(fam, joins))
         adjoint_view = {
             "right_adjoint_preserves_bottom": preserves_bottom,
@@ -745,10 +735,7 @@ def borger_implication_check(p: FinitePoset, members: Iterable[int]) -> SinkClos
 
     premise = True
     for m in _order_connected_subsets(p, p.full_mask):
-        ub = p.full_mask
-        for a in bits_of(m):
-            ub &= p.up[a]
-        if ub and not local_joins(p, set_of(m)):
+        if p.upper_bound_mask(m) and not local_joins(p, set_of(m)):
             premise = False
             break
 

@@ -87,28 +87,6 @@ def transpose(n: int, rows: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def least_of_upset(mask: int, rows: Sequence[int]) -> Optional[int]:
-    """Least element of ``mask`` under ``rows``, or None: the member whose
-    row holds all of ``mask``.  Under the up-rows this is the least element,
-    under the down-rows the greatest.
-    """
-    for u in bits_of(mask):
-        if mask & ~rows[u] == 0:
-            return u
-    return None
-
-
-def join_mask(n: int, up: Sequence[int], xmask: int) -> Optional[int]:
-    """Least common upper bound of the members of ``xmask`` under ``up``, or
-    None; under the down-rows, the greatest common lower bound."""
-    ub = (1 << n) - 1
-    for x in bits_of(xmask):
-        ub &= up[x]
-        if not ub:
-            return None
-    return least_of_upset(ub, up)
-
-
 def maximal_mask(up: Sequence[int], within: int) -> int:
     """The maximal elements of ``within`` under the up-rows ``up``."""
     out = 0
@@ -210,9 +188,9 @@ def mail_pairs(up: Sequence[int], down: Sequence[int], members: int, lows: int) 
     has the upper bounds of S; its maximal elements keep both and are a
     smaller such antichain, or one member, whose up-row those bounds are.
     If a, b have no upper bound, neither has S.
-    Upper bounds have a least element exactly when they are some element's
-    up-row, so with ``clean`` the rows this says that a poset is a
-    chainmail when every pair with a common lower bound has a join.
+    With ``clean`` the up-rows, the row lemma of
+    :attr:`FinitePoset.up_index` turns this into: a poset is a chainmail
+    when every pair with a common lower bound has a join.
     """
     for a in bits_of(members):
         for b in bits_of(members & ~(up[a] | down[a]) & ~((2 << a) - 1)):
@@ -347,7 +325,7 @@ def reduced_mail_scan(
     read pair joins (:func:`mail_pairs`).  It is the walking reference the
     tests compare them against, and the benchmark's tracer names it.
     """
-    principal = set(up)   # an upper-bound set has a least element iff it is a row
+    principal = set(up)   # the row lemma of FinitePoset.up_index
 
     def bad(ub: int) -> bool:
         return ub not in principal and (ub != 0 or not allow_unbounded)
@@ -468,11 +446,24 @@ class FinitePoset:
 
     @cached_property
     def up_index(self) -> dict:
-        """{up-row: element}.  The upper bounds of a set have a least
-        element exactly when they are some element's up-row, and that
-        element is the join, so a join is one lookup of the AND of the
-        members' up-rows (in a lattice the lookup always succeeds)."""
+        """{up-row: element}.
+
+        Row lemma: the upper bounds of a set have a least element exactly
+        when they are some element's up-row, and that element is the join.
+        (If u is the least upper bound, the upper bounds are the elements
+        above u, which is ``up[u]``; if they are ``up[u]``, u is one of
+        them and below the rest.)  So a join is one lookup of the set's
+        :meth:`upper_bound_mask`, and in a lattice the lookup always
+        succeeds.  Dually, a meet is one lookup of the lower-bound mask in
+        :attr:`down_index`; the bottom is the join and the top the meet of
+        the empty set, whose bounds are the full mask.
+        """
         return dict(zip(self.up, range(self.n)))
+
+    @cached_property
+    def down_index(self) -> dict:
+        """{down-row: element}, the dual of :attr:`up_index`."""
+        return dict(zip(self.down, range(self.n)))
 
     @cached_property
     def mail_mates(self) -> tuple:
@@ -522,38 +513,43 @@ class FinitePoset:
             raise IndexError(f"element {x} out of range")
         return set_of(self.up[x])
 
-    def lower_bounds(self, members: Iterable[int]) -> frozenset:
+    def upper_bound_mask(self, xmask: int) -> int:
+        """The common upper bounds of the members of ``xmask``, as a mask."""
+        ub = self.full_mask
+        for x in bits_of(xmask):
+            ub &= self.up[x]
+        return ub
+
+    def lower_bound_mask(self, xmask: int) -> int:
+        """The common lower bounds of the members of ``xmask``, as a mask."""
         lb = self.full_mask
-        for x in members:
+        for x in bits_of(xmask):
             lb &= self.down[x]
-        return set_of(lb)
+        return lb
+
+    def lower_bounds(self, members: Iterable[int]) -> frozenset:
+        return set_of(self.lower_bound_mask(mask_of(members)))
 
     def upper_bounds(self, members: Iterable[int]) -> frozenset:
-        ub = self.full_mask
-        for x in members:
-            ub &= self.up[x]
-        return set_of(ub)
+        return set_of(self.upper_bound_mask(mask_of(members)))
 
     def join(self, members: Iterable[int]) -> Optional[int]:
         """Least upper bound, or None.  join(()) is the bottom when one
         exists."""
-        return join_mask(self.n, self.up, mask_of(members))
+        return self.up_index.get(self.upper_bound_mask(mask_of(members)))
 
     def meet(self, members: Iterable[int]) -> Optional[int]:
         """Greatest lower bound, or None.  meet(()) is the top when one
         exists."""
-        return join_mask(self.n, self.down, mask_of(members))
+        return self.down_index.get(self.lower_bound_mask(mask_of(members)))
 
     def bottom(self) -> Optional[int]:
-        """The least element, or None; found once per instance."""
-        return self._bottom
-
-    @cached_property
-    def _bottom(self) -> Optional[int]:
-        return join_mask(self.n, self.up, 0)
+        """The least element, or None."""
+        return self.up_index.get(self.full_mask)
 
     def top(self) -> Optional[int]:
-        return least_of_upset(self.full_mask, self.down)
+        """The greatest element, or None."""
+        return self.down_index.get(self.full_mask)
 
     def maximal_elements(self, within: Optional[Iterable[int]] = None) -> frozenset:
         w = self.full_mask if within is None else mask_of(within)
@@ -563,12 +559,7 @@ class FinitePoset:
 
     def is_mail(self, members: Iterable[int]) -> bool:
         m = mask_of(members)
-        if not m:
-            return False
-        lb = self.full_mask
-        for x in bits_of(m):
-            lb &= self.down[x]
-        return lb != 0
+        return m != 0 and self.lower_bound_mask(m) != 0
 
     def is_mail_connected(self, members: Iterable[int]) -> bool:
         m = mask_of(members)
@@ -608,27 +599,25 @@ class FinitePoset:
 
     def is_complete_lattice(self) -> bool:
         """Every subset has a join.  For a finite poset this reduces to a
-        bottom element plus binary joins, and the upper bounds of a pair
-        have a least element exactly when they are some element's up-row.
-        Decided once per instance."""
+        bottom element plus binary joins, each of them a row lookup (the
+        row lemma of :attr:`up_index`).  Decided once per instance."""
         return self._complete_lattice
 
     @cached_property
     def _complete_lattice(self) -> bool:
-        n, up = self.n, self.up
-        rows = set(up)
-        return self.bottom() is not None and all(
-            up[a] & up[b] in rows for a in range(n) for b in range(a + 1, n)
-        )
+        if self.bottom() is None:
+            return False
+        n, up, rows = self.n, self.up, self.up_index
+        return all(up[a] & up[b] in rows for a in range(n) for b in range(a + 1, n))
 
     def is_distributive(self) -> bool:
         """Meet distributes over join; for finite lattices this is the frame
         condition."""
         if not self.is_complete_lattice():
             raise PreconditionError("distributivity is defined here for complete lattices")
-        n = self.n
-        jt = [[join_mask(n, self.up, (1 << a) | (1 << b)) for b in range(n)] for a in range(n)]
-        mt = [[join_mask(n, self.down, (1 << a) | (1 << b)) for b in range(n)] for a in range(n)]
+        n, up, down, join_of, meet_of = self.n, self.up, self.down, self.up_index, self.down_index
+        jt = [[join_of[up[a] & up[b]] for b in range(n)] for a in range(n)]
+        mt = [[meet_of[down[a] & down[b]] for b in range(n)] for a in range(n)]
         for x in range(n):
             for y in range(n):
                 for z in range(y, n):

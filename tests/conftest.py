@@ -11,7 +11,7 @@ import pytest
 
 from chainmail import canon, connectivity
 from chainmail.exterior import tmd_set_masks
-from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of, set_of, tmd_masks
+from chainmail.poset import FinitePoset, bits_of, mask_of, set_of, tmd_masks
 from chainmail.enumeration import enumerate_posets
 
 
@@ -46,6 +46,19 @@ def oracle_meet(p: FinitePoset, members):
     lbs = oracle_lower_bounds(p, members)
     greatest = [u for u in lbs if all(p.leq(v, u) for v in lbs)]
     return greatest[0] if greatest else None
+
+
+def oracle_join_mask(n: int, rows, xmask: int):
+    """Least common upper bound of the members of ``xmask`` under the
+    up-rows ``rows``, or None, by a scan of the upper bounds for one whose
+    row holds them all; under the down-rows, the greatest lower bound."""
+    ub = (1 << n) - 1
+    for x in bits_of(xmask):
+        ub &= rows[x]
+    for u in bits_of(ub):
+        if ub & ~rows[u] == 0:
+            return u
+    return None
 
 
 def oracle_is_mail(p: FinitePoset, members) -> bool:
@@ -117,9 +130,9 @@ def oracle_every_connected_set_has_join(p: FinitePoset) -> bool:
 def oracle_is_complete_lattice(p: FinitePoset) -> bool:
     """A bottom and a join for every pair, each join found by intersecting
     up-rows and scanning for the least upper bound."""
-    if p.n == 0 or p.bottom() is None:
+    if p.n == 0 or oracle_join(p, []) is None:
         return False
-    return all(join_mask(p.n, p.up, (1 << a) | (1 << b)) is not None
+    return all(oracle_join_mask(p.n, p.up, (1 << a) | (1 << b)) is not None
                for a in range(p.n) for b in range(a + 1, p.n))
 
 
@@ -295,7 +308,7 @@ def l_plus_family(lat: FinitePoset) -> list:
     ``tmd_masks``, with no pruning: what the E3 and E4 oracles scan."""
     l_plus = lat.full_mask & ~(1 << lat.bottom())
     masks = tmd_masks(lat, l_plus)[0]
-    return [(m, join_mask(lat.n, lat.up, m)) for m in masks]
+    return [(m, oracle_join_mask(lat.n, lat.up, m)) for m in masks]
 
 
 def oracle_e3_elements(lat: FinitePoset) -> frozenset:
@@ -328,7 +341,7 @@ def oracle_e1(lat: FinitePoset, a: int) -> bool:
         for y in range(x, n):
             if lat.down[x] & lat.down[y] != botbit:
                 continue
-            j = join_mask(n, lat.up, (1 << x) | (1 << y))
+            j = oracle_join_mask(n, lat.up, (1 << x) | (1 << y))
             if lat.up[a] >> j & 1 and not lat.up[a] & ((1 << x) | (1 << y)):
                 return False
     return True
@@ -345,7 +358,7 @@ def oracle_e2(lat: FinitePoset, a: int) -> bool:
         for y in range(x, n):
             if lat.down[x] & lat.down[y] != botbit:
                 continue
-            if join_mask(n, lat.up, (1 << x) | (1 << y)) == a and x != a and y != a:
+            if oracle_join_mask(n, lat.up, (1 << x) | (1 << y)) == a and x != a and y != a:
                 return False
     return True
 
@@ -361,7 +374,7 @@ def oracle_sigma_members(pair) -> list:
         current = sorted(closure)
         for a in current:
             for b in current:
-                j = join_mask(lat.n, lat.up, (1 << a) | (1 << b))
+                j = oracle_join_mask(lat.n, lat.up, (1 << a) | (1 << b))
                 if j not in closure:
                     closure.add(j)
                     changed = True

@@ -30,7 +30,7 @@ from chainmail.connectivity import (
     sigma_members,
 )
 from chainmail.exterior import exterior
-from chainmail.poset import FinitePoset, join_mask, mask_of
+from chainmail.poset import FinitePoset, mask_of
 
 from conftest import (
     dc_sets,
@@ -38,6 +38,7 @@ from conftest import (
     oracle_every_mail_connected_set_has_join,
     oracle_every_upset_complete,
     oracle_is_chainmail_all_mails,
+    oracle_join_mask,
 )
 
 
@@ -127,7 +128,7 @@ def check_exterior_union_joins(p: FinitePoset) -> list:
         if not ok or not p.is_totally_mail_disconnected(union):
             continue
         indices = {i for i in range(k) if pick >> i & 1}
-        j = join_mask(fam.order.n, fam.order.up, mask_of(indices))
+        j = oracle_join_mask(fam.order.n, fam.order.up, mask_of(indices))
         if j is None or fam.sets[j] != frozenset(union):
             failures.append(f"disjoint-family join is not the union on {p!r}")
             break
@@ -169,7 +170,7 @@ def check_lattice_invariants(lat: FinitePoset) -> list:
     if not report.typical:
         failures.append(f"absolutely-connected pair is not typical on {lat!r}")
     for s in dc_sets(pair):
-        j = join_mask(lat.n, lat.up, mask_of(s))
+        j = oracle_join_mask(lat.n, lat.up, mask_of(s))
         galois_closed = frozenset(components(pair, j)) == s
         if galois_closed != _tmd_in_lplus(lat, s):
             failures.append(f"Galois-closed TMD characterization fails at {sorted(s)} on {lat!r}")
@@ -178,12 +179,12 @@ def check_lattice_invariants(lat: FinitePoset) -> list:
 
     atoms = frozenset(a for a in range(lat.n) if lat.down[a] == (1 << a) | (1 << bot) and a != bot)
     atomistic = all(
-        join_mask(lat.n, lat.up, mask_of(atoms) & lat.down[x]) == x for x in range(lat.n)
+        oracle_join_mask(lat.n, lat.up, mask_of(atoms) & lat.down[x]) == x for x in range(lat.n)
     )
     if atomistic:
         boolean = lat.is_distributive() and all(
             any(
-                join_mask(lat.n, lat.up, (1 << x) | (1 << y)) == lat.top()
+                oracle_join_mask(lat.n, lat.up, (1 << x) | (1 << y)) == lat.top()
                 and lat.down[x] & lat.down[y] == 1 << bot
                 for y in range(lat.n)
             )
@@ -249,14 +250,14 @@ def check_pair_invariants(pair: ConnectivityPair) -> list:
             failures.append(f"bottom membership does not force mail-join closure: {pair}")
 
         closed_all_joins = (bot in pair.connected) and all(
-            join_mask(lat.n, lat.up, (1 << a) | (1 << b)) in pair.connected
+            oracle_join_mask(lat.n, lat.up, (1 << a) | (1 << b)) in pair.connected
             for a in pair.connected
             for b in pair.connected
         )
         single_component = all(len(comp_table[x]) == 1 for x in range(lat.n))
         kernel_connected = all(kernel(pair, x) in pair.connected for x in range(lat.n))
         component_is_total_join = all(
-            comp_table[x] == [join_mask(lat.n, lat.up, cmask & lat.down[x])]
+            comp_table[x] == [oracle_join_mask(lat.n, lat.up, cmask & lat.down[x])]
             for x in range(lat.n)
         )
         if not (has_cl0 == closed_all_joins == single_component == kernel_connected == component_is_total_join):
@@ -296,7 +297,7 @@ def check_pair_invariants(pair: ConnectivityPair) -> list:
             if not absolutely_connected_elements(lat) <= pair.connected:
                 failures.append(f"Serra pair misses an absolutely connected element: {pair}")
             joins_of_e4 = all(
-                join_mask(lat.n, lat.up, mask_of(absolutely_connected_elements(lat)) & lat.down[x]) == x
+                oracle_join_mask(lat.n, lat.up, mask_of(absolutely_connected_elements(lat)) & lat.down[x]) == x
                 for x in range(lat.n)
             )
             if report.absolute != (

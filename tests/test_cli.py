@@ -360,6 +360,14 @@ class TestExterior:
         assert obj["is_complete_lattice"] is True
         assert [0, 3] in obj["sets"]
 
+    def test_connectivity_field_on_a_non_lattice_is_ignored(self, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"n": 2, "leq": [], "connectivity": [0]}), encoding="utf-8")
+        code, out, err = invoke(["exterior", "--input", str(path)])
+        assert (code, err) == (0, "")
+        assert out == invoke(["exterior", "--input", "-"], json.dumps({"n": 2, "leq": []}))[1]
+        assert json.loads(out)["sets"] == [[], [0], [0, 1], [1]]
+
     def test_wide_family_exits_2_before_its_order(self, tmp_path):
         # every subset of a k-antichain is TMD: 2^12 sets pass the guard,
         # 2^13 do not
@@ -466,6 +474,17 @@ class TestExportDot:
         code, out, _ = invoke(["export-dot", "--fixture", "exaN"])
         assert out.count('fillcolor="white"') == 4
         assert out.count('fillcolor="gray25"') == 2
+
+    def test_connectivity_on_a_non_lattice_is_drawn_hollow(self, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"n": 2, "leq": [], "connectivity": [0]}), encoding="utf-8")
+        code, out, err = invoke(["export-dot", "--input", str(path)])
+        assert (code, err) == (0, "")
+        assert out == export_dot(FinitePoset.antichain(2), {0})
+        assert '  0 [fillcolor="white"];' in out and '  1 [fillcolor="gray25"' in out
+        code, out, err = invoke(["classify", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: the carrier of a connectivity pair must be a complete lattice\n"
 
     def test_round_trip_through_cover_list(self):
         from chainmail.connectivity import ConnectivityPair

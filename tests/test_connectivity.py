@@ -55,7 +55,7 @@ from chainmail.generators import (
     topology_pair,
 )
 from chainmail.enumeration import enumerate_complete_lattices, enumerate_connectivity_pairs
-from chainmail.poset import FinitePoset, bits_of, join_mask, mask_of, set_of, tmd_masks
+from chainmail.poset import FinitePoset, bits_of, mask_of, set_of, tmd_masks
 
 from conftest import (
     dc_sets,
@@ -67,6 +67,7 @@ from conftest import (
     oracle_e3_elements,
     oracle_e4_elements,
     oracle_join,
+    oracle_join_mask,
     oracle_l_plus_families,
     oracle_right_adjoint_table,
     oracle_sigma_members,
@@ -371,7 +372,7 @@ class TestTmdFamilies:
             for within in (l_plus, *(rng.getrandbits(lat.n) for _ in range(3))):
                 masks, joins, _doms = _dc_tables(ConnectivityPair(lat, set_of(within)))
                 assert masks == tmd_masks(lat, within)[0]
-                assert joins == tuple(join_mask(lat.n, lat.up, m) for m in masks)
+                assert joins == tuple(oracle_join_mask(lat.n, lat.up, m) for m in masks)
 
     def test_dc_family_matches_the_induced_route(self):
         count = 0
@@ -631,6 +632,14 @@ class TestSinkMachinery:
         assert not report.multicoreflective
         assert not report.local_join_closed
         assert report.chain_holds
+
+    def test_borger_premise_skips_sets_without_an_upper_bound(self):
+        # the V 0 < 1, 0 < 2: {0, 1, 2} is order-connected with no upper
+        # bound and no local join, and every other such set has one
+        v = FinitePoset.from_cover_pairs(3, [(0, 1), (0, 2)])
+        report = borger_implication_check(v, {0})
+        assert report.local_join_premise
+        assert report.equivalent is not None
 
     def test_borger_degenerate(self, ps3):
         report = borger_implication_check(ps3, frozenset(range(8)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 import pytest
@@ -11,9 +12,8 @@ from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import named_fixture
 from chainmail.enumeration import enumerate_complete_lattices, enumerate_posets
 from chainmail.exterior import exterior
-from chainmail.poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, join_mask,
-                             mail_mates, mail_pairs, mask_of, reduced_mail_scan, set_of,
-                             tmd_masks)
+from chainmail.poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, mail_mates,
+                             mail_pairs, mask_of, reduced_mail_scan, set_of, tmd_masks)
 
 from conftest import (
     lex_subsets,
@@ -25,6 +25,7 @@ from conftest import (
     oracle_is_mail,
     oracle_is_mail_connected,
     oracle_join,
+    oracle_join_mask,
     oracle_lower_bounds,
     oracle_meet,
     oracle_upper_bounds,
@@ -101,6 +102,12 @@ class TestBounds:
         assert exa_a.join({1, 5}) == 6
         assert exa_a.join({4, 5}) == 6
         assert exa_a.join({2, 3}) is None
+
+    @pytest.mark.parametrize("method", ["lower_bounds", "upper_bounds", "join", "meet", "is_mail"])
+    def test_negative_member_raises(self, method):
+        # a negative index would read another element's row
+        with pytest.raises(ValueError):
+            getattr(FinitePoset.chain(3), method)([-1])
 
     def test_join_of_empty_set_is_bottom(self):
         assert FinitePoset.chain(3).join(()) == 0
@@ -442,7 +449,7 @@ class TestCompleteLattice:
                 q = FinitePoset(p.n, p.up)
                 for _ in range(2):
                     assert q.up_index == {q.up[a]: a for a in range(q.n)}
-                    assert q.bottom() == join_mask(q.n, q.up, 0) == oracle_join(q, [])
+                    assert q.bottom() == oracle_join_mask(q.n, q.up, 0) == oracle_join(q, [])
                     assert q.is_complete_lattice() == oracle_is_complete_lattice(p)
 
     def test_up_index_reads_every_join_of_a_lattice(self):
@@ -454,7 +461,7 @@ class TestCompleteLattice:
                 for x in members:
                     ub &= lat.up[x]
                 join = lat.up_index[ub]
-                assert join == join_mask(lat.n, lat.up, mask_of(members)) == oracle_join(lat, members)
+                assert join == oracle_join_mask(lat.n, lat.up, mask_of(members)) == oracle_join(lat, members)
 
 
 class TestDistributive:
@@ -471,6 +478,39 @@ class TestDistributive:
 
         with pytest.raises(PreconditionError):
             exa_a.is_distributive()
+
+    @staticmethod
+    def assert_lattice_methods_match_the_oracle_tables(lattices) -> tuple:
+        """join, meet, bottom and top against join and meet tables built by
+        the subset-scanning oracles, and is_distributive against the law
+        read off those tables at every triple; returns (lattices,
+        distributive ones)."""
+        count = distributive = 0
+        for lat in lattices:
+            n = lat.n
+            jt = [[oracle_join(lat, [a, b]) for b in range(n)] for a in range(n)]
+            mt = [[oracle_meet(lat, [a, b]) for b in range(n)] for a in range(n)]
+            assert lat.bottom() == oracle_join(lat, [])
+            assert lat.top() == oracle_meet(lat, [])
+            for x, y in itertools.product(range(n), repeat=2):
+                assert lat.join((x, y)) == jt[x][y]
+                assert lat.meet((x, y)) == mt[x][y]
+            law = all(mt[x][jt[y][z]] == jt[mt[x][y]][mt[x][z]]
+                      for x, y, z in itertools.product(range(n), repeat=3))
+            assert lat.is_distributive() == law
+            count += 1
+            distributive += law
+        return count, distributive
+
+    def test_lattice_methods_match_the_oracle_tables_up_to_8_elements(self):
+        found = self.assert_lattice_methods_match_the_oracle_tables(enumerate_complete_lattices(8))
+        assert found == (300, 36)
+
+    @pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                        reason="set CHM_ACCEPT_DEEP=1 for the lattices on 9 elements")
+    def test_lattice_methods_match_the_oracle_tables_up_to_9_elements(self):
+        found = self.assert_lattice_methods_match_the_oracle_tables(enumerate_complete_lattices(9))
+        assert found == (1378, 62)
 
 
 class TestJson:
