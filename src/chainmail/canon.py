@@ -45,7 +45,13 @@ the first member of what is left of a twin group, and every later
 sibling is pruned, since the swaps of consecutive twins in that rest fix
 the path and put the sibling in the orbit of the first.  The one leaf
 adds no generator, and the key, ``perm``, the canonical rows and the
-generator list are those the search returns.
+generator list are those the search returns.  So the generators are the
+twin swaps alone, and the result keeps the twin groups and builds that
+list only when it is read.  Its orbits need no walk of the swaps: those
+of consecutive members of a group generate the symmetric group on it,
+so each twin group lies inside one orbit, and by "Bound" below each
+orbit lies inside one cell.  A cell of two or more elements is one twin
+group, so the orbit of v is its twin group, or {v} when v's cell is v.
 
 Bound.  Refinement and individualization only split a cell into
 fragments that take its place in the list, so every leaf, the canonical
@@ -62,20 +68,52 @@ elements by ``(|down|, |up|)`` (see :func:`stable_partition`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 
-@dataclass
 class CanonResult:
-    key: bytes
-    perm: tuple            # perm[i] = original element placed at canonical position i
-    relabeled_up: tuple    # up-rows of the canonical copy
-    generators: list = field(repr=False)  # automorphisms met by the search
+    """Key, labeling, canonical up-rows and automorphism generators of a
+    poset.  A one-leaf result keeps its twin groups instead of generators,
+    builds the generator list from them on first read, and reads orbits
+    off them (see "One leaf" in the module docstring)."""
+
+    __slots__ = ("key", "perm", "relabeled_up", "_generators", "_twins")
+
+    def __init__(self, key: bytes, perm: tuple, relabeled_up: tuple,
+                 generators: Optional[list] = None, twins: Optional[list] = None):
+        self.key = key
+        self.perm = perm                  # perm[i] = original element placed at canonical position i
+        self.relabeled_up = relabeled_up  # up-rows of the canonical copy
+        self._generators = generators     # None until read, on a one-leaf result
+        self._twins = twins               # twin groups of a one-leaf result, else None
+
+    @property
+    def generators(self) -> list:
+        """The automorphisms met by the search: the swaps of consecutive
+        twins, then one per leaf that repeats an encoding."""
+        if self._generators is None:
+            self._generators = _twin_swaps(len(self.perm), self._twins)
+        return self._generators
 
     def orbit(self, v: int) -> set:
         """The automorphism orbit of v."""
-        return _orbit(v, self.generators)
+        if self._twins is None:
+            return _orbit(v, self._generators)
+        for group in self._twins:
+            if v in group:
+                return set(group)
+        return {v}
+
+
+def _twin_swaps(n: int, groups: list) -> list:
+    """The swaps of consecutive members of each twin group, in order."""
+    swaps = []
+    for group in groups:
+        for a, b in zip(group, group[1:]):
+            g = list(range(n))
+            g[a], g[b] = b, a
+            swaps.append(tuple(g))
+    return swaps
 
 
 def _orbit(v: int, gens) -> set:
@@ -250,31 +288,35 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     The canonical labeling is the first leaf with the least encoding; n = 0
     has one leaf, the empty labeling, encoded as 0.  ``generators`` opens
     with the swaps of consecutive twins in each cell, and when those cells
-    with two or more elements are all twin groups there is no search, and
-    the one leaf is the labeling (see the module docstring).
+    with two or more elements are all twin groups there is no search: the
+    one leaf is the labeling, and the generators, those swaps alone, are
+    built on first read (see "One leaf" in the module docstring).
     """
     if cells is None:
         cells = stable_partition(n, up, down)
-    generators: list = []
+    groups: list = []
     twins_only = True
     for cell in cells:
-        twins: dict = {}
-        for v in cell if len(cell) > 1 else ():
-            twins.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), []).append(v)
-        twins_only = twins_only and len(twins) < 2
-        for group in twins.values():
-            for a, b in zip(group, group[1:]):
-                g = list(range(n))
-                g[a], g[b] = b, a
-                generators.append(tuple(g))
+        if len(cell) > 1:
+            twins: dict = {}
+            for v in cell:
+                twins.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), []).append(v)
+            if len(twins) > 1:
+                twins_only = False
+                groups += [group for group in twins.values() if len(group) > 1]
+            else:
+                groups.append(cell)
     if twins_only:
         # the search's one leaf: the cells in list order (see "One leaf" in
         # the module docstring)
         perm = tuple(v for cell in cells for v in cell)
+        generators = None
     else:
+        generators = _twin_swaps(n, groups)
         leaves: dict = {}
         _search(n, up, down, cells, (), generators, leaves)
         perm = leaves[min(leaves)]
+        groups = None
     rows, enc = _relabel(n, up, perm)
     key = n.to_bytes(2, "big") + enc.to_bytes((n * n + 7) // 8, "big")
-    return CanonResult(key=key, perm=perm, relabeled_up=tuple(rows), generators=generators)
+    return CanonResult(key, perm, tuple(rows), generators, groups)

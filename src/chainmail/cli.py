@@ -229,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--catalog", help="write a JSON-lines catalog here")
     p_enum.add_argument("--deep", action="store_true", help="allow the slow sizes 9 and 10")
-    p_enum.add_argument("--threads", type=int, default=1)
+    p_enum.add_argument("--threads", type=int, default=1,
+                        help="worker processes; at most the CPU count are started")
     p_enum.add_argument("--pretty", action="store_true")
 
     p_fixtures = sub.add_parser("fixtures", help="list the fixture registry")

@@ -101,6 +101,7 @@ over different posets, is their order without the top.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -219,14 +220,13 @@ def _nodes(node, rule: tuple, depth: int):
 
 
 def _worker(payload):
-    rule, target, want_catalog, roots = payload
+    rule, target, want_catalog, root = payload
     count, entries = 0, []
-    for root in roots:
-        for up, _down, result in _nodes(root, rule, target):
-            if len(up) == target:
-                count += 1
-                if want_catalog:
-                    entries.append((result.key, result.relabeled_up))
+    for up, _down, result in _nodes(root, rule, target):
+        if len(up) == target:
+            count += 1
+            if want_catalog:
+                entries.append((result.key, result.relabeled_up))
     return count, entries
 
 
@@ -242,26 +242,31 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
     passed to :func:`_children`.
 
     The frontier is the walk's nodes on ``target - 3`` elements, each with
-    its canonicalization, dealt round-robin into chunks; ``_worker`` walks
-    each chunk: in this process, or in a pool of ``threads`` processes, or
-    one per chunk when there are fewer chunks.
+    its canonicalization, and ``_worker`` walks each frontier node's subtree
+    as one task: in this process, or in a pool of ``threads`` processes,
+    capped at the number of tasks and at ``os.cpu_count()``; no pool is
+    opened for one.  The pool deals the tasks one at a time, in pre-order,
+    to whichever worker is free: subtrees differ widely in size, and the
+    largest come early, so dealing on demand evens the workers' finishing
+    times.  The entries are sorted by key, so neither the dealing nor the
+    pool size changes the output.
     """
     depth = max(target - 3, 0)
     frontier = [node for node in _nodes(_ROOT, rule, depth) if len(node[0]) == depth]
-    nchunks = min(4 * threads, len(frontier))
-    payloads = [(rule, target, want_catalog, frontier[i::nchunks]) for i in range(nchunks)]
-    if threads > 1 and nchunks > 1:
+    payloads = [(rule, target, want_catalog, node) for node in frontier]
+    processes = min(threads, len(payloads), os.cpu_count() or 1)
+    if processes > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=min(threads, nchunks)) as pool:
-            results = pool.map(_worker, payloads)
+        with multiprocessing.Pool(processes=processes) as pool:
+            results = pool.map(_worker, payloads, chunksize=1)
     else:
         results = map(_worker, payloads)
     count = 0
     entries: list = []
-    for found, chunk in results:
+    for found, found_entries in results:
         count += found
-        entries.extend(chunk)
+        entries.extend(found_entries)
     entries.sort(key=lambda e: e[0])
     return count, entries
 

@@ -669,8 +669,9 @@ class FinitePoset:
     @staticmethod
     def from_json(obj: dict) -> "FinitePoset":
         """Parse the interchange object.  ``closure: "reflexive-transitive"``
-        permits a cover/Hasse list; otherwise the relation must already be
-        transitively closed (validate() reports if it is not)."""
+        permits a cover/Hasse list; without the field the relation must
+        already be transitively closed (validate() reports if it is not),
+        and any other value of the field is refused."""
         if not isinstance(obj, dict):
             raise FormatError("poset JSON must be an object")
         n = obj.get("n")
@@ -682,7 +683,9 @@ class FinitePoset:
         cap = max_n()
         if n > cap:
             raise GuardExceeded(f"poset size {n} exceeds cap {cap} (set CHM_MAX_N to raise)")
-        close = obj.get("closure") == "reflexive-transitive"
+        close = "closure" in obj
+        if close and obj["closure"] != "reflexive-transitive":
+            raise FormatError(f'"closure" must be "reflexive-transitive" when present, got {obj["closure"]!r}')
         cleaned = []
         for p in pairs:
             if not (isinstance(p, (list, tuple)) and len(p) == 2

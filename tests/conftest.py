@@ -461,12 +461,30 @@ def oracle_canonical(n: int, up, down) -> tuple:
 
 def oracle_accepted(k1: int, up1, down1):
     """McKay acceptance by a full canonicalization of every candidate: the
-    canonicalization when k1-1 lies in the orbit of the maximal element
-    with the largest canonical position, else None."""
+    canonicalization when k1-1 lies in the orbit, walked over the
+    generators, of the maximal element with the largest canonical
+    position, else None."""
     result = canon.canonicalize(k1, up1, down1)
     pos = {e: i for i, e in enumerate(result.perm)}
     best = max((e for e in range(k1) if up1[e] == 1 << e), key=pos.__getitem__)
-    return result if k1 - 1 in result.orbit(best) else None
+    return result if k1 - 1 in canon._orbit(best, result.generators) else None
+
+
+def twin_cells(up, down, cells) -> bool:
+    """Whether every cell is one group of twins (equal strict up- and
+    down-sets): the partitions canon.canonicalize labels without a search."""
+    return all(len({(up[v] ^ 1 << v, down[v] ^ 1 << v) for v in cell}) == 1 for cell in cells)
+
+
+def consecutive_twin_swaps(n: int, cells) -> list:
+    """The swaps of consecutive members of each cell, in order."""
+    swaps = []
+    for cell in cells:
+        for a, b in zip(cell, cell[1:]):
+            g = list(range(n))
+            g[a], g[b] = b, a
+            swaps.append(tuple(g))
+    return swaps
 
 
 def mk(k):

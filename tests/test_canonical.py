@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import os
+import pickle
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from chainmail.enumeration import enumerate_posets
 from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset
 
-from conftest import oracle_canonical, oracle_refine, relabel
+from conftest import consecutive_twin_swaps, oracle_canonical, oracle_refine, relabel, twin_cells
 
 
 def brute_force_automorphisms(p: FinitePoset) -> set:
@@ -248,16 +249,6 @@ def counting_refinements(monkeypatch) -> list:
     return calls
 
 
-def consecutive_twin_swaps(n: int, cells) -> list:
-    swaps = []
-    for cell in cells:
-        for a, b in zip(cell, cell[1:]):
-            g = list(range(n))
-            g[a], g[b] = b, a
-            swaps.append(tuple(g))
-    return swaps
-
-
 def test_twin_swaps_prune_the_antichain_to_one_path(monkeypatch):
     # round one leaves one cell, a twin group, so no refinement runs at
     # all: the search would follow one path and meet no new generator, and
@@ -301,7 +292,7 @@ def test_twin_only_partitions_skip_the_search(monkeypatch, corpus_to_7):
     for q in corpus_to_7:
         n, up, down = q.n, q.up, q.down
         cells = canon.stable_partition(n, up, down)
-        if any(len({(up[v] ^ 1 << v, down[v] ^ 1 << v) for v in cell}) > 1 for cell in cells):
+        if not twin_cells(up, down, cells):
             continue
         calls.clear()
         result = canon.canonicalize(n, up, down, cells=cells)
@@ -312,6 +303,55 @@ def test_twin_only_partitions_skip_the_search(monkeypatch, corpus_to_7):
         skipped += 1
     # 4,438 of the 4,902 posets
     assert skipped == 4438
+
+
+@pytest.fixture(scope="module")
+def one_leaf_to_6(poset_corpus):
+    """(n, up, down, stable cells) of every poset with at most 6 elements,
+    as catalogued and seeded-relabeled, whose stable cells are twin groups:
+    the canonicalizations that build their generators on first read."""
+    rng = random.Random(20261022)
+    found = []
+    for n, posets in poset_corpus.items():
+        for p in posets:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for q in (p, relabel(p, perm)):
+                cells = canon.stable_partition(n, q.up, q.down)
+                if twin_cells(q.up, q.down, cells):
+                    found.append((n, q.up, q.down, cells))
+    # 738 of the 812
+    assert len(found) == 738
+    return found
+
+
+def test_one_leaf_generators_are_the_twin_swaps(one_leaf_to_6):
+    for n, up, down, cells in one_leaf_to_6:
+        result = canon.canonicalize(n, up, down)
+        assert result.generators == consecutive_twin_swaps(n, cells)
+        assert result.generators is result.generators
+
+
+def test_one_leaf_orbits_are_the_walked_orbits(one_leaf_to_6):
+    # read before the generators are, and against the twin swaps walked
+    for n, up, down, cells in one_leaf_to_6:
+        result = canon.canonicalize(n, up, down)
+        orbits = [result.orbit(v) for v in range(n)]
+        swaps = consecutive_twin_swaps(n, cells)
+        assert orbits == [canon._orbit(v, swaps) for v in range(n)]
+        assert orbits == [result.orbit(v) for v in range(n)]
+
+
+def test_one_leaf_results_survive_pickling(one_leaf_to_6):
+    # pickled before the generators are read, as the enumerator's frontier
+    # nodes are sent to its workers
+    for n, up, down, cells in one_leaf_to_6:
+        result = canon.canonicalize(n, up, down)
+        copy = pickle.loads(pickle.dumps(result))
+        swaps = consecutive_twin_swaps(n, cells)
+        assert (copy.key, copy.perm, copy.relabeled_up) == (result.key, result.perm, result.relabeled_up)
+        assert [copy.orbit(v) for v in range(n)] == [canon._orbit(v, swaps) for v in range(n)]
+        assert copy.generators == swaps == result.generators
 
 
 def test_chain_vs_v_shape():

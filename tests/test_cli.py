@@ -340,6 +340,35 @@ class TestUntrustedInput:
         assert (code, out) == (1, "")
         assert err == "error: input is not a poset: transitivity fails at (0, 1, 2)\n"
 
+    @pytest.mark.parametrize("command", ["classify", "exterior", "export-dot"])
+    @pytest.mark.parametrize("value,shown", [("transitive", "'transitive'"), (None, "None"), (1, "1")],
+                             ids=["transitive", "null", "one"])
+    def test_unknown_closure_exits_1(self, tmp_path, command, value, shown):
+        # refused, rather than read as an already closed relation
+        doc = {"n": 3, "leq": [[0, 1], [1, 2]], "closure": value}
+        if command != "exterior":
+            doc["connectivity"] = [0, 2]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke([command, "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f'error: "closure" must be "reflexive-transitive" when present, got {shown}\n'
+
+    @pytest.mark.parametrize("command", ["classify", "exterior", "export-dot"])
+    def test_reflexive_transitive_closure_is_taken(self, tmp_path, command):
+        doc = {"n": 3, "leq": [[0, 1], [1, 2]], "closure": "reflexive-transitive"}
+        closed = {"n": 3, "leq": [[0, 1], [1, 2], [0, 2]]}
+        if command != "exterior":
+            doc["connectivity"] = closed["connectivity"] = [0, 2]
+        outputs = []
+        for obj in (doc, closed):
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            code, out, err = invoke([command, "--input", str(path)])
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_invalid_size_cap_exits_1(self, tmp_path, monkeypatch, value):
         path = tmp_path / "input.json"

@@ -27,7 +27,8 @@ from chainmail.generators import forest_poset_check
 from chainmail.poset import (FinitePoset, downset_masks, joins_inside, pair_joins,
                              reduced_mail_scan, transpose)
 
-from conftest import brute_force_poset_count, lattices_by_filtering_all_posets, oracle_accepted
+from conftest import (brute_force_poset_count, consecutive_twin_swaps, lattices_by_filtering_all_posets,
+                      oracle_accepted, twin_cells)
 
 POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 CHAINMAIL_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 303}
@@ -256,6 +257,21 @@ def candidates(k: int, up: tuple, rule: tuple):
         yield up1, down1
 
 
+def eager_accepted(k1: int, up1, down1):
+    """McKay acceptance with every generator list built up front: a full
+    canonicalization, whose list is rebuilt as the swaps of consecutive
+    twins where the stable cells are twin groups, and the orbit of the
+    deletion choice walked over that list."""
+    result = canon.canonicalize(k1, up1, down1)
+    cells = canon.stable_partition(k1, up1, down1)
+    gens = consecutive_twin_swaps(k1, cells) if twin_cells(up1, down1, cells) else result.generators
+    pos = {e: i for i, e in enumerate(result.perm)}
+    best = max((e for e in range(k1) if up1[e] == 1 << e), key=pos.__getitem__)
+    if k1 - 1 not in canon._orbit(best, gens):
+        return None
+    return canon.CanonResult(result.key, result.perm, result.relabeled_up, gens)
+
+
 @pytest.fixture(scope="module", params=list(RULES))
 def rule_nodes(request):
     rule = RULES[request.param]
@@ -310,6 +326,21 @@ class TestCanonicalAugmentation:
             accepted = (oracle_accepted(k + 1, up1, down1) for up1, down1 in candidates(k, up, rule))
             assert set(keys) == {result.key for result in accepted if result is not None}
 
+    def test_children_match_an_acceptance_with_eager_generators(self, rule_nodes, monkeypatch):
+        # one-leaf children build their generators on first read; the
+        # children, and the generators their own children are picked by,
+        # are those of an acceptance that builds every list and walks
+        rule, nodes = rule_nodes
+
+        def children():
+            return [[(up1, down1, child.key, child.perm, child.relabeled_up, child.generators)
+                     for up1, down1, child in enumeration._children(up, down, parent.generators, *rule)]
+                    for up, down, parent in nodes]
+
+        found = children()
+        monkeypatch.setattr(enumeration, "_accepted", eager_accepted)
+        assert found == children()
+
 
 class TestChildFilters:
     """The tests that `_children` applies to the down-set list from the
@@ -357,30 +388,60 @@ class TestDeterminism:
             assert [p.up for p in parallel.catalog] == [p.up for p in serial.catalog]
 
 
+def frontier_size(rule: tuple, target: int) -> int:
+    """The number of search nodes on ``target - 3`` elements."""
+    depth = max(target - 3, 0)
+    return sum(len(up) == depth for up, _down, _result in enumeration._nodes(enumeration._ROOT, rule, depth))
+
+
 class TestWorkerPool:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """Stands in for ``multiprocessing.Pool``: records the pool size
-        asked for and maps in this process, so no worker is forked."""
-        sizes = []
+        """Stands in for ``multiprocessing.Pool``: records, per pool, the
+        size asked for, the number of tasks and their chunk size, and maps
+        in this process, so no worker is forked.  ``os.cpu_count`` reads
+        64, so the runner's own count plays no part."""
+        calls = []
 
         @contextlib.contextmanager
         def stub_pool(processes):
-            sizes.append(processes)
-            yield types.SimpleNamespace(map=lambda func, payloads: list(map(func, payloads)))
+            def pool_map(func, payloads, chunksize=None):
+                calls.append((processes, len(payloads), chunksize))
+                return list(map(func, payloads))
+
+            yield types.SimpleNamespace(map=pool_map)
 
         monkeypatch.setattr(multiprocessing, "Pool", stub_pool)
-        return sizes
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        return calls
 
     @pytest.mark.parametrize("threads", [2, 8, 100000])
     def test_pool_has_no_more_workers_than_chunks(self, pool_sizes, threads):
         # chainmails on 6 elements: completable posets on 5, searched from
-        # the 2 classes on 2 elements, so at most 2 chunks
+        # the 2 classes on 2 elements, so 2 tasks
         serial = enumerate_connected_chainmails(6, want_catalog=True)
         result = enumerate_connected_chainmails(6, want_catalog=True, threads=threads)
-        assert pool_sizes == [2]
+        assert pool_sizes == [(2, 2, 1)]
         assert result.count == 62
         assert [p.up for p in result.catalog] == [p.up for p in serial.catalog]
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_one_task_per_frontier_node(self, pool_sizes, threads):
+        # posets on 7 elements: the 16 classes on 4 elements, one task each,
+        # dealt one at a time
+        assert frontier_size((False, False), 7) == 16
+        serial = enumerate_posets(7, want_catalog=True)
+        result = enumerate_posets(7, want_catalog=True, threads=threads)
+        assert pool_sizes == [(threads, 16, 1)]
+        assert result.count == 2045
+        assert [p.up for p in result.catalog] == [p.up for p in serial.catalog]
+
+    @pytest.mark.parametrize("cpus,pools", [(3, [(3, 16, 1)]), (1, []), (None, [])], ids=["3", "1", "None"])
+    def test_pool_is_capped_at_the_cpu_count(self, pool_sizes, monkeypatch, cpus, pools):
+        # os.cpu_count() may return None; then one process is assumed
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert enumerate_posets(7, threads=100000).count == 2045
+        assert pool_sizes == pools
 
     def test_one_thread_opens_no_pool(self, pool_sizes):
         assert enumerate_posets(6, threads=1).count == 318
@@ -393,6 +454,19 @@ class TestWorkerPool:
         with pytest.raises(PreconditionError, match="threads must be at least 1"):
             enumerate_posets(5, threads=threads)
         assert pool_sizes == []
+
+    @pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                        reason="set CHM_ACCEPT_DEEP=1 for the posets on 8 elements")
+    def test_deep_poset_catalog_is_the_same_with_two_workers(self, monkeypatch):
+        # a real pool of two processes, on any runner, against one process
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        digests = []
+        for threads in (1, 2):
+            catalog = enumerate_posets(8, want_catalog=True, threads=threads).catalog
+            lines = "".join(p.to_json_line() + "\n" for p in catalog)
+            digests.append((len(catalog), hashlib.sha256(lines.encode()).hexdigest()))
+        assert digests[0] == digests[1]
+        assert digests[0][0] == 16999
 
 
 @pytest.fixture(scope="module")
