@@ -53,6 +53,21 @@ so each twin group lies inside one orbit, and by "Bound" below each
 orbit lies inside one cell.  A cell of two or more elements is one twin
 group, so the orbit of v is its twin group, or {v} when v's cell is v.
 
+Twin cells are equitable.  A partition whose every cell of two or more
+elements is one twin group is already equitable: twins a and b have the
+same strict down-set, so ``down[a]`` and ``down[b]`` meet a cell X in as
+many elements, one more each when X is their own cell; likewise for
+up-sets.  So when round one is such a partition, no refinement round
+splits anything, and ``stable_partition`` returns it as it is.
+
+Prefix rule.  The group of a one-leaf result is the product of the
+symmetric groups on its twin groups, each listed in ascending order.  A
+mask D lies in the orbit of every mask that agrees with it outside the
+groups and meets each group in as many members, and the least of those
+holds the first |D & G| members of each group G.  So D is the least of
+its orbit exactly when no consecutive twins a < b have b in D and a not
+in D, and :meth:`CanonResult.orbit_firsts` keeps those masks alone.
+
 Bound.  Refinement and individualization only split a cell into
 fragments that take its place in the list, so every leaf, the canonical
 labeling among them, places each element at a position inside the span
@@ -68,14 +83,15 @@ elements by ``(|down|, |up|)`` (see :func:`stable_partition`).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 
 class CanonResult:
     """Key, labeling, canonical up-rows and automorphism generators of a
     poset.  A one-leaf result keeps its twin groups instead of generators,
     builds the generator list from them on first read, and reads orbits
-    off them (see "One leaf" in the module docstring)."""
+    and orbit representatives off them (see "One leaf" and "Prefix rule"
+    in the module docstring)."""
 
     __slots__ = ("key", "perm", "relabeled_up", "_generators", "_twins")
 
@@ -95,6 +111,12 @@ class CanonResult:
             self._generators = _twin_swaps(len(self.perm), self._twins)
         return self._generators
 
+    @property
+    def twins(self) -> Optional[list]:
+        """The twin groups of a one-leaf result, each ascending; None on a
+        result that searched."""
+        return self._twins
+
     def orbit(self, v: int) -> set:
         """The automorphism orbit of v."""
         if self._twins is None:
@@ -103,6 +125,38 @@ class CanonResult:
             if v in group:
                 return set(group)
         return {v}
+
+    def orbit_firsts(self, masks: list) -> Iterator[int]:
+        """The first of ``masks`` in each automorphism orbit of element
+        sets; ``masks`` must be ascending and closed under the group.  A
+        one-leaf result keeps the masks the prefix rule allows (see the
+        module docstring); a search result walks each orbit over the
+        generators' images of the masks."""
+        if self._twins is not None:
+            pairs = [(1 << a, 1 << b) for group in self._twins for a, b in zip(group, group[1:])]
+            for d in masks:
+                for a, b in pairs:
+                    if d & b and not d & a:
+                        break
+                else:
+                    yield d
+            return
+        moves = []
+        for g in self._generators:
+            move = {}
+            for d in masks:
+                image, rest = 0, d
+                while rest:
+                    low = rest & -rest
+                    image |= 1 << g[low.bit_length() - 1]
+                    rest ^= low
+                move[d] = image
+            moves.append(move)
+        covered: set = set()
+        for d in masks:
+            if d not in covered:
+                covered |= _orbit(d, moves)
+                yield d
 
 
 def _twin_swaps(n: int, groups: list) -> list:
@@ -140,17 +194,32 @@ def stable_partition(n: int, up: Sequence[int], down: Sequence[int]) -> list:
     :func:`_refine`, and orders the groups by it.  Every fragment but the
     last is fresh: that is the start state of the "Fresh cells" invariant,
     since the partition is equitable against the unit cell, whose last
-    fragment is the one cell not fresh.  One fragment is already
-    equitable, and then ``_refine`` is not called.
+    fragment is the one cell not fresh.  When every cell of two or more
+    elements is one twin group, as a single cell is (a minimal element has
+    |down| = 1, so then all are, and the poset is an antichain), round one
+    is already equitable (see "Twin cells are equitable" in the module
+    docstring), and then ``_refine`` is not called.
     """
     width = (n + 1).bit_length()
     groups: dict = {}
     for v in range(n):
         groups.setdefault((down[v].bit_count() << width) | up[v].bit_count(), []).append(v)
     cells = [groups[sig] for sig in sorted(groups)]
-    if len(cells) < 2:
+    if _twin_cells(up, down, cells):
         return cells
     return _refine(n, up, down, cells, cells[:-1])
+
+
+def _twin_cells(up: Sequence[int], down: Sequence[int], cells: list) -> bool:
+    """Whether every cell of two or more elements is one group of twins."""
+    for cell in cells:
+        if len(cell) > 1:
+            v = cell[0]
+            su, sd = up[v] ^ 1 << v, down[v] ^ 1 << v
+            for w in cell[1:]:
+                if up[w] ^ 1 << w != su or down[w] ^ 1 << w != sd:
+                    return False
+    return True
 
 
 def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: list) -> list:
@@ -294,24 +363,20 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     """
     if cells is None:
         cells = stable_partition(n, up, down)
-    groups: list = []
-    twins_only = True
-    for cell in cells:
-        if len(cell) > 1:
-            twins: dict = {}
-            for v in cell:
-                twins.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), []).append(v)
-            if len(twins) > 1:
-                twins_only = False
-                groups += [group for group in twins.values() if len(group) > 1]
-            else:
-                groups.append(cell)
-    if twins_only:
+    if _twin_cells(up, down, cells):
         # the search's one leaf: the cells in list order (see "One leaf" in
         # the module docstring)
         perm = tuple(v for cell in cells for v in cell)
         generators = None
+        groups = [cell for cell in cells if len(cell) > 1]
     else:
+        groups = []
+        for cell in cells:
+            if len(cell) > 1:
+                twins: dict = {}
+                for v in cell:
+                    twins.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), []).append(v)
+                groups += [group for group in twins.values() if len(group) > 1]
         generators = _twin_swaps(n, groups)
         leaves: dict = {}
         _search(n, up, down, cells, (), generators, leaves)

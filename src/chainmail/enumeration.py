@@ -12,6 +12,10 @@ seen-set is needed and subtrees can run in parallel.
 One down-set per orbit.  Each search node carries generators of its
 automorphism group, found by its own canonicalization and in its own
 labels, and only the first down-set of each orbit of that group is tried.
+Where the parent's labeling took one leaf, its group permutes its twin
+groups alone, and the first down-set of an orbit is the one that holds
+the first members of each twin group (the prefix rule, see the canon
+module docstring); otherwise each orbit is walked over the generators.
 Down-sets in one orbit give isomorphic children, so no class is lost.
 Two accepted children over down-sets D and E are isomorphic only when D
 and E share an orbit.  Each new element lies in the orbit of its child's
@@ -141,37 +145,21 @@ def _accepted(k1: int, up1: Tuple[int, ...], down1: Tuple[int, ...]):
     before any search.  A cell holds maximal elements only or none, since
     refinement counts each element's up-set, so that cell spans the last
     maximal positions, and the choice is the last maximal one in ``perm``.
+    A one-leaf result (``twins`` set) takes ``perm`` from the cells in list
+    order, each ascending, so there the choice is the largest member of
+    that cell, k1-1 itself, and the child is accepted with no orbit test.
     """
     cells = canon.stable_partition(k1, up1, down1)
     last = next(c for c in reversed(cells) if up1[c[0]] == 1 << c[0])
     if k1 - 1 not in last:
         return None
     result = canon.canonicalize(k1, up1, down1, cells=cells)
+    if result.twins is not None:
+        return result
     best = next(e for e in reversed(result.perm) if up1[e] == 1 << e)
     if k1 - 1 in result.orbit(best):
         return result
     return None
-
-
-def _orbit_firsts(masks: list, gens: Sequence) -> Iterator[int]:
-    """The first of ``masks`` in each orbit of the group generated by
-    ``gens``; ``masks`` must be closed under that group."""
-    moves = []
-    for g in gens:
-        move = {}
-        for d in masks:
-            image, rest = 0, d
-            while rest:
-                low = rest & -rest
-                image |= 1 << g[low.bit_length() - 1]
-                rest ^= low
-            move[d] = image
-        moves.append(move)
-    covered: set = set()
-    for d in masks:
-        if d not in covered:
-            covered |= canon._orbit(d, moves)
-            yield d
 
 
 def _degree_table(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
@@ -182,10 +170,10 @@ def _degree_table(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
     return [sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)]
 
 
-def _children(up: tuple, down: tuple, gens: Sequence, completable: bool, bottom: bool):
+def _children(up: tuple, down: tuple, parent: canon.CanonResult, completable: bool, bottom: bool):
     """Accepted children of the parent with these up- and down-rows, as
-    search nodes.  One down-set per orbit of the group generated by
-    ``gens``, the parent's automorphisms, is tried.  ``completable`` keeps
+    search nodes.  One down-set per orbit of the parent's automorphisms,
+    read off its canonicalization ``parent``, is tried.  ``completable`` keeps
     the completable children only; ``bottom`` keeps, once the parent has
     an element, only new elements with a non-empty strict down-set.  These
     rules and the degree test run on the down-set list before the orbits
@@ -196,7 +184,7 @@ def _children(up: tuple, down: tuple, gens: Sequence, completable: bool, bottom:
     joins = pair_joins(up, down) if completable else []
     masks = [d for d in downset_masks(k, down)
              if (d or not (bottom and k)) and not need[d.bit_count()] & ~d and joins_inside(d, joins)]
-    for dmask in _orbit_firsts(masks, gens):
+    for dmask in parent.orbit_firsts(masks):
         up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
         down1 = down + (dmask | newbit,)
         result = _accepted(k + 1, up1, down1)
@@ -215,7 +203,7 @@ def _nodes(node, rule: tuple, depth: int):
     yield node
     up, down, result = node
     if len(up) < depth:
-        for child in _children(up, down, result.generators, *rule):
+        for child in _children(up, down, result, *rule):
             yield from _nodes(child, rule, depth)
 
 

@@ -434,6 +434,33 @@ def oracle_refine(n: int, up, down, cells: list) -> list:
             return cells
 
 
+def oracle_stable_partition(n: int, up, down) -> list:
+    """Round one, the elements grouped by ``(|down|, |up|)`` in that order,
+    then ``canon._refine`` from it, always; the route
+    ``canon.stable_partition`` took before it returned round one as it is
+    when its cells are twin groups."""
+    groups = {}
+    for v in range(n):
+        groups.setdefault((down[v].bit_count(), up[v].bit_count()), []).append(v)
+    cells = [groups[sig] for sig in sorted(groups)]
+    return canon._refine(n, up, down, cells, cells[:-1])
+
+
+def oracle_orbit_firsts(masks: list, gens) -> list:
+    """The first of ``masks`` in each orbit of the group generated by
+    ``gens``, by walking each orbit over the generators' images of the
+    masks; the route the enumerator took for every parent before one-leaf
+    results read their orbits off the twin groups."""
+    moves = [{d: sum(1 << g[v] for v in bits_of(d)) for d in masks} for g in gens]
+    covered: set = set()
+    firsts = []
+    for d in masks:
+        if d not in covered:
+            covered |= canon._orbit(d, moves)
+            firsts.append(d)
+    return firsts
+
+
 def oracle_canonical(n: int, up, down) -> tuple:
     """(key, perm, relabeled_up) by walking every leaf of the search tree of
     ``canon.canonicalize`` with no pruning: refine the unit partition,

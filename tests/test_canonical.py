@@ -17,7 +17,8 @@ from chainmail.enumeration import enumerate_posets
 from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset
 
-from conftest import consecutive_twin_swaps, oracle_canonical, oracle_refine, relabel, twin_cells
+from conftest import (consecutive_twin_swaps, oracle_canonical, oracle_refine, oracle_stable_partition, relabel,
+                      twin_cells)
 
 
 def brute_force_automorphisms(p: FinitePoset) -> set:
@@ -199,6 +200,28 @@ def test_refine_matches_counting_against_every_cell(poset_corpus):
                         assert canon._refine(n, up, down, cells, [[v], rest]) == want
                         # the search's call: rest follows from [v] and their cell
                         assert canon._refine(n, up, down, cells, [[v]]) == want
+
+
+def assert_stable_partition_matches_refining_round_one(corpus):
+    rng = random.Random(20261023)
+    for n, posets in corpus.items():
+        for p in posets:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for q in (p, relabel(p, perm)):
+                assert canon.stable_partition(n, q.up, q.down) == oracle_stable_partition(n, q.up, q.down)
+
+
+def test_twin_round_one_is_the_refined_partition(poset_corpus):
+    # round one is returned unrefined when its cells are twin groups; the
+    # full refinement from it gives the same partition
+    assert_stable_partition_matches_refining_round_one(poset_corpus)
+
+
+@pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                    reason="set CHM_ACCEPT_DEEP=1 for the posets on 7 elements")
+def test_twin_round_one_is_the_refined_partition_n7():
+    assert_stable_partition_matches_refining_round_one({7: enumerate_posets(7, want_catalog=True).catalog})
 
 
 def test_pruned_search_matches_the_unpruned_tree(poset_corpus):

@@ -28,7 +28,7 @@ from chainmail.poset import (FinitePoset, downset_masks, joins_inside, pair_join
                              reduced_mail_scan, transpose)
 
 from conftest import (brute_force_poset_count, consecutive_twin_swaps, lattices_by_filtering_all_posets,
-                      oracle_accepted, twin_cells)
+                      oracle_accepted, oracle_orbit_firsts, twin_cells)
 
 POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 CHAINMAIL_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 303}
@@ -57,10 +57,15 @@ DISTRIBUTIVE_COUNTS_BY_SIZE = {2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8, 8: 15}
 # `chainmail enumerate --n 7 --catalog FILE`
 N7_CATALOG_SHA256 = "b0b5453937d00ed7a567b44d6cfe13065050cbc53504eb93ed6309608b87a762"
 
+# the same for `chainmail enumerate --n 8 --catalog FILE`, 1,842 classes
+N8_CATALOG_SHA256 = "a4f2e8df827885b945e676ee1771c13571f30f1e9e8f4b0266044f36ffd453c5"
+
 # SHA-256 of the same JSON lines for the catalogs made by the search itself:
-# enumerate_posets(7, want_catalog=True), 2,045 classes, and
+# enumerate_posets(7, want_catalog=True), 2,045 classes,
+# enumerate_posets(8, want_catalog=True), 16,999 classes, and
 # enumerate_complete_lattices(8), 300 lattices of 1 to 8 elements
 POSETS7_CATALOG_SHA256 = "98490e9ccc7da2c41faf9e2c028c4c4e8fb6d3233c92e5eb2c2ee036a8bc310a"
+POSETS8_CATALOG_SHA256 = "096f25a875b58098e645b684efb4ec4861e5f0ccf52143f0ae53ca76640b9354"
 LATTICES8_CATALOG_SHA256 = "50c1ed308b267ad665d6b6103b66ed706ad74c9d8cd785268dbeb0bae1fc3aeb"
 
 
@@ -145,6 +150,11 @@ class TestTopAddition:
     def test_n7_catalog_bytes_are_pinned(self):
         catalog = enumerate_connected_chainmails(7, want_catalog=True).catalog
         assert catalog_sha256(catalog) == N7_CATALOG_SHA256
+
+    def test_n8_catalog_bytes_are_pinned(self):
+        result = enumerate_connected_chainmails(8, want_catalog=True)
+        assert result.count == len(result.catalog) == 1842
+        assert catalog_sha256(result.catalog) == N8_CATALOG_SHA256
 
 
 class TestCatalogs:
@@ -320,7 +330,7 @@ class TestCanonicalAugmentation:
             for g in parent.generators:
                 assert all(sum(1 << g[b] for b in range(k) if up[a] >> b & 1) == up[g[a]]
                            for a in range(k))
-            children = enumeration._children(up, down, parent.generators, *rule)
+            children = enumeration._children(up, down, parent, *rule)
             keys = [child.key for _up1, _down1, child in children]
             assert len(set(keys)) == len(keys)
             accepted = (oracle_accepted(k + 1, up1, down1) for up1, down1 in candidates(k, up, rule))
@@ -334,12 +344,45 @@ class TestCanonicalAugmentation:
 
         def children():
             return [[(up1, down1, child.key, child.perm, child.relabeled_up, child.generators)
-                     for up1, down1, child in enumeration._children(up, down, parent.generators, *rule)]
+                     for up1, down1, child in enumeration._children(up, down, parent, *rule)]
                     for up, down, parent in nodes]
 
         found = children()
         monkeypatch.setattr(enumeration, "_accepted", eager_accepted)
         assert found == children()
+
+
+def kept_masks(k: int, up: tuple, down: tuple, rule: tuple) -> list:
+    """The down-sets of the parent that pass the rule's filters and the
+    degree test, ascending: the list ``_children`` picks one per orbit of."""
+    completable, bottom = rule
+    need = enumeration._degree_table(k, up, down)
+    joins = pair_joins(up, down) if completable else []
+    return [d for d in downset_masks(k, down)
+            if (d or not (bottom and k)) and not need[d.bit_count()] & ~d and joins_inside(d, joins)]
+
+
+class TestOrbitFirsts:
+    def test_orbit_firsts_match_the_walked_orbits(self, rule_nodes):
+        # one-leaf parents keep the masks the prefix rule allows, search
+        # parents walk the orbits themselves; both must keep the first mask
+        # of each orbit walked over the generators, of the full down-set
+        # list and of the filtered one
+        rule, nodes = rule_nodes
+        one_leaf = 0
+        for up, down, parent in nodes:
+            k = len(up)
+            one_leaf += parent.twins is not None
+            for masks in (downset_masks(k, down), kept_masks(k, up, down, rule)):
+                assert list(parent.orbit_firsts(masks)) == oracle_orbit_firsts(masks, parent.generators)
+        assert 0 < one_leaf < len(nodes)
+
+    def test_one_leaf_parents_keep_prefixes_of_their_twin_groups(self):
+        # the antichain on 0, 1, 2 is one twin group: the down-sets that
+        # meet it in a prefix, one per orbit
+        parent = canon.canonicalize(3, (1, 2, 4), (1, 2, 4))
+        assert parent.twins == [[0, 1, 2]]
+        assert list(parent.orbit_firsts(list(range(8)))) == [0, 1, 3, 7]
 
 
 class TestChildFilters:
@@ -465,8 +508,7 @@ class TestWorkerPool:
             catalog = enumerate_posets(8, want_catalog=True, threads=threads).catalog
             lines = "".join(p.to_json_line() + "\n" for p in catalog)
             digests.append((len(catalog), hashlib.sha256(lines.encode()).hexdigest()))
-        assert digests[0] == digests[1]
-        assert digests[0][0] == 16999
+        assert digests[0] == digests[1] == (16999, POSETS8_CATALOG_SHA256)
 
 
 @pytest.fixture(scope="module")
