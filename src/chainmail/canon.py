@@ -13,7 +13,8 @@ removes encodings that are produced elsewhere in the tree.  Every leaf
 whose encoding repeats an earlier one adds an automorphism, and together
 with those used for pruning they generate the whole automorphism group
 (McKay, "Practical graph isomorphism", Congr. Numer. 30, 1981), which the
-enumerator uses twice: for orbits of elements and for orbits of down-sets.
+enumerator uses twice: for orbits of elements, in its acceptance test
+:func:`accept`, and for orbits of down-sets.
 
 Twins.  Two elements with the same strict up-set and the same strict
 down-set are twins, and swapping them keeps the order, so it is an
@@ -47,11 +48,7 @@ the path and put the sibling in the orbit of the first.  The one leaf
 adds no generator, and the key, ``perm``, the canonical rows and the
 generator list are those the search returns.  So the generators are the
 twin swaps alone, and the result keeps the twin groups and builds that
-list only when it is read.  Its orbits need no walk of the swaps: those
-of consecutive members of a group generate the symmetric group on it,
-so each twin group lies inside one orbit, and by "Bound" below each
-orbit lies inside one cell.  A cell of two or more elements is one twin
-group, so the orbit of v is its twin group, or {v} when v's cell is v.
+list only when it is read.
 
 Twin cells are equitable.  A partition whose every cell of two or more
 elements is one twin group is already equitable: twins a and b have the
@@ -89,9 +86,9 @@ from typing import Iterator, Optional, Sequence
 class CanonResult:
     """Key, labeling, canonical up-rows and automorphism generators of a
     poset.  A one-leaf result keeps its twin groups instead of generators,
-    builds the generator list from them on first read, and reads orbits
-    and orbit representatives off them (see "One leaf" and "Prefix rule"
-    in the module docstring)."""
+    builds the generator list from them on first read, and reads orbit
+    representatives off them (see "One leaf" and "Prefix rule" in the
+    module docstring)."""
 
     __slots__ = ("key", "perm", "relabeled_up", "_generators", "_twins")
 
@@ -111,20 +108,9 @@ class CanonResult:
             self._generators = _twin_swaps(len(self.perm), self._twins)
         return self._generators
 
-    @property
-    def twins(self) -> Optional[list]:
-        """The twin groups of a one-leaf result, each ascending; None on a
-        result that searched."""
-        return self._twins
-
     def orbit(self, v: int) -> set:
         """The automorphism orbit of v."""
-        if self._twins is None:
-            return _orbit(v, self._generators)
-        for group in self._twins:
-            if v in group:
-                return set(group)
-        return {v}
+        return _orbit(v, self.generators)
 
     def orbit_firsts(self, masks: list) -> Iterator[int]:
         """The first of ``masks`` in each automorphism orbit of element
@@ -184,9 +170,10 @@ def _orbit(v: int, gens) -> set:
     return seen
 
 
-def stable_partition(n: int, up: Sequence[int], down: Sequence[int]) -> list:
-    """The equitable refinement of the unit partition: the first stable
-    partition, root of the search.
+def stable_partition(n: int, up: Sequence[int], down: Sequence[int]) -> tuple:
+    """``(cells, twin)``: the equitable refinement of the unit partition,
+    the first stable partition and root of the search, and whether every
+    cell of two or more elements is one twin group.
 
     Round one is formed here.  Counted against the unit cell, the one
     cell there is, each element's signature is its ``(|down|, |up|)``, so
@@ -198,7 +185,8 @@ def stable_partition(n: int, up: Sequence[int], down: Sequence[int]) -> list:
     elements is one twin group, as a single cell is (a minimal element has
     |down| = 1, so then all are, and the poset is an antichain), round one
     is already equitable (see "Twin cells are equitable" in the module
-    docstring), and then ``_refine`` is not called.
+    docstring), and then ``_refine`` is not called.  Otherwise the twin
+    test runs once more, on the refined cells.
     """
     width = (n + 1).bit_length()
     groups: dict = {}
@@ -206,8 +194,9 @@ def stable_partition(n: int, up: Sequence[int], down: Sequence[int]) -> list:
         groups.setdefault((down[v].bit_count() << width) | up[v].bit_count(), []).append(v)
     cells = [groups[sig] for sig in sorted(groups)]
     if _twin_cells(up, down, cells):
-        return cells
-    return _refine(n, up, down, cells, cells[:-1])
+        return cells, True
+    cells = _refine(n, up, down, cells, cells[:-1])
+    return cells, _twin_cells(up, down, cells)
 
 
 def _twin_cells(up: Sequence[int], down: Sequence[int], cells: list) -> bool:
@@ -347,12 +336,12 @@ def _search(n: int, up, down, cells: list, path: tuple, generators: list, leaves
 
 
 def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
-                 cells: Optional[list] = None) -> CanonResult:
+                 partition: Optional[tuple] = None) -> CanonResult:
     """Canonical key, labeling and automorphism generators of a poset.
 
-    ``cells`` is ``stable_partition(n, up, down)`` when the caller has
-    already computed it; the search starts from it rather than refining
-    the unit partition again.
+    ``partition`` is ``stable_partition(n, up, down)`` when the caller has
+    already computed it; the search starts from its cells, and its twin
+    verdict picks the path, rather than refining and testing again.
 
     The canonical labeling is the first leaf with the least encoding; n = 0
     has one leaf, the empty labeling, encoded as 0.  ``generators`` opens
@@ -361,9 +350,8 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     one leaf is the labeling, and the generators, those swaps alone, are
     built on first read (see "One leaf" in the module docstring).
     """
-    if cells is None:
-        cells = stable_partition(n, up, down)
-    if _twin_cells(up, down, cells):
+    cells, twin = partition or stable_partition(n, up, down)
+    if twin:
         # the search's one leaf: the cells in list order (see "One leaf" in
         # the module docstring)
         perm = tuple(v for cell in cells for v in cell)
@@ -385,3 +373,30 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     rows, enc = _relabel(n, up, perm)
     key = n.to_bytes(2, "big") + enc.to_bytes((n * n + 7) // 8, "big")
     return CanonResult(key, perm, tuple(rows), generators, groups)
+
+
+def accept(n: int, up: Sequence[int], down: Sequence[int]) -> Optional[CanonResult]:
+    """McKay acceptance (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998) of a poset whose element n - 1 is maximal, as
+    a child of the poset without it: its canonicalization when n - 1 lies
+    in the automorphism orbit of the canonical deletion choice, the last
+    maximal element of ``perm``, else None.
+
+    A cell holds maximal elements only or none, since round one groups
+    the elements by |up| and only a maximal element has |up| = 1.  So by
+    "Bound" in the module docstring, the choice and its orbit lie in the
+    last stable cell holding a maximal element, and a new element outside
+    that cell is rejected before any labeling.  A one-leaf result takes
+    ``perm`` from the cells in list order, each ascending, so there the
+    choice is the largest member of that cell, n - 1 itself, and the child
+    is accepted with no orbit test.
+    """
+    cells, twin = stable_partition(n, up, down)
+    last = next(c for c in reversed(cells) if up[c[0]] == 1 << c[0])
+    if n - 1 not in last:
+        return None
+    result = canonicalize(n, up, down, partition=(cells, twin))
+    if twin:
+        return result
+    best = next(e for e in reversed(result.perm) if up[e] == 1 << e)
+    return result if n - 1 in result.orbit(best) else None

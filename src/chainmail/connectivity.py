@@ -31,6 +31,7 @@ from .errors import GuardExceeded, PreconditionError
 from .poset import (
     FinitePoset,
     bits_of,
+    check_element,
     component_masks,
     first_mail,
     mail_mates,
@@ -71,6 +72,7 @@ class ConnectivityPair:
 
 def components(pair: ConnectivityPair, x: int) -> List[int]:
     """Maximal connected elements below x, ascending."""
+    check_element(pair.lattice.n, x)
     return list(bits_of(_component_mask(pair, x)))
 
 
@@ -83,6 +85,7 @@ def kernel(pair: ConnectivityPair, x: int) -> int:
     """Join of the components of x; the interior when C is a topology.
     The join is one row lookup (the row lemma of ``FinitePoset.up_index``)."""
     lat = pair.lattice
+    check_element(lat.n, x)
     return lat.up_index[lat.upper_bound_mask(_component_mask(pair, x))]
 
 
@@ -624,6 +627,8 @@ def sigma_closure(pair: ConnectivityPair) -> ConnectivityPair:
 
 def is_orthogonal(p: FinitePoset, c: int, x: int, sink_members: Iterable[int]) -> bool:
     """c <= x exactly when c is below a unique member of the sink."""
+    check_element(p.n, c)
+    check_element(p.n, x)
     bmask = mask_of(sink_members)
     if bmask & ~p.down[x]:
         raise PreconditionError("sink members must lie below the sink vertex")

@@ -5,9 +5,10 @@ one new maximal element whose strict down-set is a down-closed subset of
 the parent.  Walking that tree and keeping exactly one representative per
 isomorphism class is done McKay-style: a child is accepted only when its
 new element lies in the automorphism orbit of a canonical deletion choice
-(the maximal element holding the largest canonical label).  Accepted
-children of distinct parents can never be isomorphic, so no global
-seen-set is needed and subtrees can run in parallel.
+(the maximal element holding the largest canonical label), the test that
+``canon.accept`` makes.  Accepted children of distinct parents can never
+be isomorphic, so no global seen-set is needed and subtrees can run in
+parallel.
 
 One down-set per orbit.  Each search node carries generators of its
 automorphism group, found by its own canonicalization and in its own
@@ -133,35 +134,6 @@ class EnumerationResult:
 # search
 # ---------------------------------------------------------------------------
 
-def _accepted(k1: int, up1: Tuple[int, ...], down1: Tuple[int, ...]):
-    """McKay acceptance for the child that added element k1-1; returns the
-    canonicalization when accepted, else None.
-
-    The child is accepted when k1-1 lies in the automorphism orbit of the
-    maximal element with the largest canonical position.  Canonical
-    positions lie inside the cells of the first stable partition, and
-    automorphisms keep those cells, so that orbit lies in the last cell
-    holding a maximal element; a new element outside that cell is rejected
-    before any search.  A cell holds maximal elements only or none, since
-    refinement counts each element's up-set, so that cell spans the last
-    maximal positions, and the choice is the last maximal one in ``perm``.
-    A one-leaf result (``twins`` set) takes ``perm`` from the cells in list
-    order, each ascending, so there the choice is the largest member of
-    that cell, k1-1 itself, and the child is accepted with no orbit test.
-    """
-    cells = canon.stable_partition(k1, up1, down1)
-    last = next(c for c in reversed(cells) if up1[c[0]] == 1 << c[0])
-    if k1 - 1 not in last:
-        return None
-    result = canon.canonicalize(k1, up1, down1, cells=cells)
-    if result.twins is not None:
-        return result
-    best = next(e for e in reversed(result.perm) if up1[e] == 1 << e)
-    if k1 - 1 in result.orbit(best):
-        return result
-    return None
-
-
 def _degree_table(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
     """The degree test of a parent (see "Round one" in the module
     docstring): entry c is the mask of the maximal elements with
@@ -187,7 +159,7 @@ def _children(up: tuple, down: tuple, parent: canon.CanonResult, completable: bo
     for dmask in parent.orbit_firsts(masks):
         up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
         down1 = down + (dmask | newbit,)
-        result = _accepted(k + 1, up1, down1)
+        result = canon.accept(k + 1, up1, down1)
         if result is not None:
             yield up1, down1, result
 

@@ -48,6 +48,12 @@ def set_of(mask: int) -> frozenset:
     return frozenset(bits_of(mask))
 
 
+def check_element(n: int, x: int) -> None:
+    """Refuse an x outside 0..n-1; a negative one reads another's row."""
+    if not 0 <= x < n:
+        raise IndexError(f"element {x} out of range")
+
+
 def submasks(mask: int) -> Iterator[int]:
     """Every subset of ``mask`` as a bitmask, from ``mask`` down to 0."""
     sub = mask
@@ -427,6 +433,7 @@ class FinitePoset:
         index = {e: i for i, e in enumerate(elems)}
         rows = []
         for e in elems:
+            check_element(base.n, e)
             row = 0
             for f in bits_of(base.up[e]):
                 if f in index:
@@ -504,13 +511,11 @@ class FinitePoset:
     # -- sets, bounds, joins -------------------------------------------
 
     def down_set(self, x: int) -> frozenset:
-        if not 0 <= x < self.n:
-            raise IndexError(f"element {x} out of range")
+        check_element(self.n, x)
         return set_of(self.down[x])
 
     def up_set(self, x: int) -> frozenset:
-        if not 0 <= x < self.n:
-            raise IndexError(f"element {x} out of range")
+        check_element(self.n, x)
         return set_of(self.up[x])
 
     def upper_bound_mask(self, xmask: int) -> int:

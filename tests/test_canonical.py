@@ -134,7 +134,7 @@ def test_least_leaf_wins_where_cells_are_not_orbits():
     covers = [(a, b) for a in (0, 1) for b in (5, 6)]
     covers += [(2, 7), (2, 8), (3, 8), (3, 9), (4, 9), (4, 7)]
     p = FinitePoset.from_cover_pairs(10, covers)
-    assert canon.stable_partition(p.n, p.up, p.down) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    assert canon.stable_partition(p.n, p.up, p.down)[0] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
     assert len(p.automorphism_orbits()) == 4
     assert p.canonical_key().hex() == "000a08010020040080701a184a0b01"
 
@@ -190,7 +190,7 @@ def test_refine_matches_counting_against_every_cell(poset_corpus):
             rng.shuffle(perm)
             for q in (p, relabel(p, perm)):
                 up, down = q.up, q.down
-                stable = canon.stable_partition(n, up, down)
+                stable = canon.stable_partition(n, up, down)[0]
                 assert stable == oracle_refine(n, up, down, [list(range(n))])
                 for idx, cell in enumerate(stable):
                     for v in cell if len(cell) > 1 else ():
@@ -209,12 +209,15 @@ def assert_stable_partition_matches_refining_round_one(corpus):
             perm = list(range(n))
             rng.shuffle(perm)
             for q in (p, relabel(p, perm)):
-                assert canon.stable_partition(n, q.up, q.down) == oracle_stable_partition(n, q.up, q.down)
+                cells, twin = canon.stable_partition(n, q.up, q.down)
+                assert cells == oracle_stable_partition(n, q.up, q.down)
+                assert twin == twin_cells(q.up, q.down, cells)
 
 
 def test_twin_round_one_is_the_refined_partition(poset_corpus):
     # round one is returned unrefined when its cells are twin groups; the
-    # full refinement from it gives the same partition
+    # full refinement from it gives the same partition, and the twin
+    # verdict is taken on the cells returned, refined or not
     assert_stable_partition_matches_refining_round_one(poset_corpus)
 
 
@@ -292,7 +295,7 @@ def test_twin_pruning_inside_a_search(monkeypatch):
     covers += [(2, 7), (2, 8), (3, 8), (3, 9), (4, 9), (4, 7)]
     crowns = FinitePoset.from_cover_pairs(10, covers)
     p = FinitePoset.from_cover_pairs(13, covers)
-    cells = canon.stable_partition(p.n, p.up, p.down)
+    cells = canon.stable_partition(p.n, p.up, p.down)[0]
     assert cells == [[10, 11, 12], [0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
     calls = counting_refinements(monkeypatch)
     canon.canonicalize(crowns.n, crowns.up, crowns.down)
@@ -314,11 +317,12 @@ def test_twin_only_partitions_skip_the_search(monkeypatch, corpus_to_7):
     skipped = 0
     for q in corpus_to_7:
         n, up, down = q.n, q.up, q.down
-        cells = canon.stable_partition(n, up, down)
+        partition = canon.stable_partition(n, up, down)
+        cells = partition[0]
         if not twin_cells(up, down, cells):
             continue
         calls.clear()
-        result = canon.canonicalize(n, up, down, cells=cells)
+        result = canon.canonicalize(n, up, down, partition=partition)
         assert calls == []
         assert result.perm == tuple(v for cell in cells for v in cell)
         assert result.generators == consecutive_twin_swaps(n, cells)
@@ -340,7 +344,7 @@ def one_leaf_to_6(poset_corpus):
             perm = list(range(n))
             rng.shuffle(perm)
             for q in (p, relabel(p, perm)):
-                cells = canon.stable_partition(n, q.up, q.down)
+                cells = canon.stable_partition(n, q.up, q.down)[0]
                 if twin_cells(q.up, q.down, cells):
                     found.append((n, q.up, q.down, cells))
     # 738 of the 812

@@ -167,6 +167,21 @@ class TestKernel:
             assert kernel(pair, x) == x
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("call", [
+    lambda pair, x: FinitePoset.induced(pair.lattice, [x]),
+    components,
+    kernel,
+    lambda pair, x: is_orthogonal(pair.lattice, x, 3, [1]),
+], ids=["induced", "components", "kernel", "is_orthogonal"])
+def test_element_out_of_range_raises(call, bad):
+    # a negative element would read another element's row: the top's, on
+    # the 4-element powerset lattice
+    pair = ConnectivityPair(FinitePoset.powerset_lattice(2), frozenset({1, 2}))
+    with pytest.raises(IndexError, match=f"element {bad} out of range"):
+        call(pair, bad)
+
+
 class TestAdjunction:
     def test_exa_n_fails(self, exa_n):
         assert not galois_adjunction_holds(exa_n)

@@ -273,7 +273,7 @@ def eager_accepted(k1: int, up1, down1):
     twins where the stable cells are twin groups, and the orbit of the
     deletion choice walked over that list."""
     result = canon.canonicalize(k1, up1, down1)
-    cells = canon.stable_partition(k1, up1, down1)
+    cells = canon.stable_partition(k1, up1, down1)[0]
     gens = consecutive_twin_swaps(k1, cells) if twin_cells(up1, down1, cells) else result.generators
     pos = {e: i for i, e in enumerate(result.perm)}
     best = max((e for e in range(k1) if up1[e] == 1 << e), key=pos.__getitem__)
@@ -294,7 +294,7 @@ class TestCanonicalAugmentation:
         for up, _down, _result in nodes:
             k = len(up)
             for up1, down1 in candidates(k, up, rule):
-                got = enumeration._accepted(k + 1, up1, down1)
+                got = canon.accept(k + 1, up1, down1)
                 want = oracle_accepted(k + 1, up1, down1)
                 assert (got is None) == (want is None)
                 # all four fields: an accepted child's generators serve its
@@ -315,8 +315,8 @@ class TestCanonicalAugmentation:
         covers = [(m, top) for top in c4_maxes for m in (0, 1)]
         covers += [(m, top) for (a, b), top in zip([(2, 3), (3, 4), (4, 2)], c6_maxes) for m in (a, b)]
         p = FinitePoset.from_cover_pairs(10, covers)
-        assert canon.stable_partition(10, p.up, p.down) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
-        assert (enumeration._accepted(10, p.up, p.down) is not None) == accepted
+        assert canon.stable_partition(10, p.up, p.down)[0] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+        assert (canon.accept(10, p.up, p.down) is not None) == accepted
         assert (oracle_accepted(10, p.up, p.down) is not None) == accepted
 
     def test_one_child_per_class_and_every_class_of_the_seen_route(self, rule_nodes):
@@ -348,8 +348,23 @@ class TestCanonicalAugmentation:
                     for up, down, parent in nodes]
 
         found = children()
-        monkeypatch.setattr(enumeration, "_accepted", eager_accepted)
+        monkeypatch.setattr(canon, "accept", eager_accepted)
         assert found == children()
+
+    def test_canon_work_of_the_chainmail_catalog_on_8_elements(self, monkeypatch):
+        # one stable partition per child that passes the parent's filters,
+        # one canonicalization through the public entry point per accepted
+        # child, and one twin test per partition, two where round one is
+        # refined
+        counts = Counter()
+        for name in ("stable_partition", "canonicalize", "_twin_cells"):
+            def counting(*args, _real=getattr(canon, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(canon, name, counting)
+        assert enumerate_connected_chainmails(8, want_catalog=True).count == 1842
+        assert counts == {"stable_partition": 2407, "canonicalize": 2231, "_twin_cells": 3370}
 
 
 def kept_masks(k: int, up: tuple, down: tuple, rule: tuple) -> list:
@@ -372,7 +387,7 @@ class TestOrbitFirsts:
         one_leaf = 0
         for up, down, parent in nodes:
             k = len(up)
-            one_leaf += parent.twins is not None
+            one_leaf += twin_cells(up, down, canon.stable_partition(k, up, down)[0])
             for masks in (downset_masks(k, down), kept_masks(k, up, down, rule)):
                 assert list(parent.orbit_firsts(masks)) == oracle_orbit_firsts(masks, parent.generators)
         assert 0 < one_leaf < len(nodes)
@@ -381,7 +396,7 @@ class TestOrbitFirsts:
         # the antichain on 0, 1, 2 is one twin group: the down-sets that
         # meet it in a prefix, one per orbit
         parent = canon.canonicalize(3, (1, 2, 4), (1, 2, 4))
-        assert parent.twins == [[0, 1, 2]]
+        assert parent.generators == consecutive_twin_swaps(3, [[0, 1, 2]])
         assert list(parent.orbit_firsts(list(range(8)))) == [0, 1, 3, 7]
 
 
