@@ -47,15 +47,28 @@ sibling is pruned, since the swaps of consecutive twins in that rest fix
 the path and put the sibling in the orbit of the first.  The one leaf
 adds no generator, and the key, ``perm``, the canonical rows and the
 generator list are those the search returns.  So the generators are the
-twin swaps alone, and the result keeps the twin groups and builds that
-list only when it is read.
+twin swaps alone.  Such a result keeps n, the up-rows and the cells, and
+builds each field on first read: ``perm``, the cells flattened; the twin
+groups, the cells of two or more elements; the key and the canonical
+rows, from one relabeling by ``perm``; the generators, the twin swaps.
+A leaf of the enumeration that is only counted reads none of them.
+
+The same holds at a search node, which is equitable, whose every cell of
+two or more elements runs, in order, through consecutive members of one
+twin group the search was seeded with: individualizing the first member
+of a run splits nothing, by the argument above, and each later member is
+pruned, since the seed swaps between it and the first move no element of
+the path.  So the node reaches one leaf, its cells flattened, and the
+search records it as it records any leaf, without refining below it; the
+leaf record and the generator list are those of the walk down to it.
 
 Twin cells are equitable.  A partition whose every cell of two or more
 elements is one twin group is already equitable: twins a and b have the
 same strict down-set, so ``down[a]`` and ``down[b]`` meet a cell X in as
 many elements, one more each when X is their own cell; likewise for
 up-sets.  So when round one is such a partition, no refinement round
-splits anything, and ``stable_partition`` returns it as it is.
+splits anything, and ``stable_partition`` returns it as it is; and
+``_refine`` stops after any round that leaves such a partition.
 
 Prefix rule.  The group of a one-leaf result is the product of the
 symmetric groups on its twin groups, each listed in ascending order.  A
@@ -85,27 +98,57 @@ from typing import Iterator, Optional, Sequence
 
 class CanonResult:
     """Key, labeling, canonical up-rows and automorphism generators of a
-    poset.  A one-leaf result keeps its twin groups instead of generators,
-    builds the generator list from them on first read, and reads orbit
-    representatives off them (see "One leaf" and "Prefix rule" in the
-    module docstring)."""
+    poset.  A search result holds all four.  A one-leaf result holds n, the
+    up-rows and the stable cells, builds each field from them on first
+    read, and reads orbit representatives off its twin groups (see "One
+    leaf" and "Prefix rule" in the module docstring)."""
 
-    __slots__ = ("key", "perm", "relabeled_up", "_generators", "_twins")
+    __slots__ = ("_key", "_perm", "_rows", "_generators", "_n", "_up", "_cells")
 
-    def __init__(self, key: bytes, perm: tuple, relabeled_up: tuple,
-                 generators: Optional[list] = None, twins: Optional[list] = None):
-        self.key = key
-        self.perm = perm                  # perm[i] = original element placed at canonical position i
-        self.relabeled_up = relabeled_up  # up-rows of the canonical copy
-        self._generators = generators     # None until read, on a one-leaf result
-        self._twins = twins               # twin groups of a one-leaf result, else None
+    def __init__(self, key: bytes, perm: tuple, relabeled_up: tuple, generators: list):
+        self._key = key
+        self._perm = perm
+        self._rows = relabeled_up
+        self._generators = generators
+        self._cells = None
+
+    @classmethod
+    def _one_leaf(cls, n: int, up: Sequence[int], cells: list) -> "CanonResult":
+        result = cls.__new__(cls)
+        result._key = result._perm = result._rows = result._generators = None
+        result._n, result._up, result._cells = n, up, cells
+        return result
+
+    @property
+    def perm(self) -> tuple:
+        """perm[i] is the original element placed at canonical position i."""
+        if self._perm is None:
+            self._perm = tuple(v for cell in self._cells for v in cell)
+        return self._perm
+
+    @property
+    def key(self) -> bytes:
+        if self._key is None:
+            self._label()
+        return self._key
+
+    @property
+    def relabeled_up(self) -> tuple:
+        """Up-rows of the canonical copy."""
+        if self._rows is None:
+            self._label()
+        return self._rows
+
+    def _label(self) -> None:
+        self._rows, enc = _relabel(self._n, self._up, self.perm)
+        self._key = _key(self._n, enc)
 
     @property
     def generators(self) -> list:
         """The automorphisms met by the search: the swaps of consecutive
         twins, then one per leaf that repeats an encoding."""
         if self._generators is None:
-            self._generators = _twin_swaps(len(self.perm), self._twins)
+            self._generators = _twin_swaps(self._n, self._cells)
         return self._generators
 
     def orbit(self, v: int) -> set:
@@ -118,8 +161,8 @@ class CanonResult:
         one-leaf result keeps the masks the prefix rule allows (see the
         module docstring); a search result walks each orbit over the
         generators' images of the masks."""
-        if self._twins is not None:
-            pairs = [(1 << a, 1 << b) for group in self._twins for a, b in zip(group, group[1:])]
+        if self._cells is not None:
+            pairs = [(1 << a, 1 << b) for group in self._cells if len(group) > 1 for a, b in zip(group, group[1:])]
             for d in masks:
                 for a, b in pairs:
                     if d & b and not d & a:
@@ -146,7 +189,8 @@ class CanonResult:
 
 
 def _twin_swaps(n: int, groups: list) -> list:
-    """The swaps of consecutive members of each twin group, in order."""
+    """The swaps of consecutive members of each twin group, in order;
+    a cell of one element adds none."""
     swaps = []
     for group in groups:
         for a, b in zip(group, group[1:]):
@@ -185,8 +229,8 @@ def stable_partition(n: int, up: Sequence[int], down: Sequence[int]) -> tuple:
     elements is one twin group, as a single cell is (a minimal element has
     |down| = 1, so then all are, and the poset is an antichain), round one
     is already equitable (see "Twin cells are equitable" in the module
-    docstring), and then ``_refine`` is not called.  Otherwise the twin
-    test runs once more, on the refined cells.
+    docstring), and then ``_refine`` is not called.  Otherwise
+    ``_refine`` gives the verdict on the cells it returns.
     """
     width = (n + 1).bit_length()
     groups: dict = {}
@@ -195,8 +239,7 @@ def stable_partition(n: int, up: Sequence[int], down: Sequence[int]) -> tuple:
     cells = [groups[sig] for sig in sorted(groups)]
     if _twin_cells(up, down, cells):
         return cells, True
-    cells = _refine(n, up, down, cells, cells[:-1])
-    return cells, _twin_cells(up, down, cells)
+    return _refine(n, up, down, cells, cells[:-1])
 
 
 def _twin_cells(up: Sequence[int], down: Sequence[int], cells: list) -> bool:
@@ -211,9 +254,16 @@ def _twin_cells(up: Sequence[int], down: Sequence[int], cells: list) -> bool:
     return True
 
 
-def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: list) -> list:
-    """Equitable refinement of an ordered partition; split fragments are
-    ordered by signature, which keeps the result isomorphism-invariant.
+def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: list) -> tuple:
+    """``(cells, twin)``: the equitable refinement of an ordered partition,
+    its split fragments ordered by signature, which keeps the result
+    isomorphism-invariant, and whether a round that split a cell left
+    every cell of two or more elements one twin group.  After such a
+    round no later round splits anything (see "Twin cells are equitable"
+    in the module docstring), so the refinement returns there.  When the
+    cells passed in are not twin groups, ``twin`` says whether the cells
+    returned are, which :func:`stable_partition` passes on; the search
+    ignores it.
 
     ``fresh`` lists, in list order, the cells against which ``cells`` may
     not be equitable yet: the fragments of round one but the last (see
@@ -273,46 +323,69 @@ def _refine(n: int, up: Sequence[int], down: Sequence[int], cells: list, fresh: 
                 new_cells += fragments
                 fresh += fragments[:-1]
         cells = new_cells
-    return cells
+        if fresh and _twin_cells(up, down, cells):
+            return cells, True
+    return cells, False
 
 
-def _relabel(n: int, up: Sequence[int], perm: tuple):
+def _key(n: int, enc: int) -> bytes:
+    return n.to_bytes(2, "big") + enc.to_bytes((n * n + 7) // 8, "big")
+
+
+def _relabel(n: int, up: Sequence[int], perm: tuple) -> tuple:
     """Up-rows of the copy labeled by ``perm``, and their encoding: row i
-    holds bit j when perm[i] <= perm[j], and sits at bit i * n."""
-    pos = [0] * n
-    for i, v in enumerate(perm):
-        pos[v] = i
-    rows = []
+    holds bit j when perm[i] <= perm[j], and sits at bit i * n.
+
+    The rows move as columns, not bit by bit.  Packed with up[perm[i]] at
+    bit i * n, bit w of every row lies in column w, and
+    ``(packed >> w) & ones``, where ``ones`` has bit 0 of every n-bit
+    field, holds that column at bit 0 of each field; shifted left by i, it
+    is column i.  Moving column perm[i] to column i for every i sets bit j
+    of row i exactly when perm[i] <= perm[j]: three loops of n steps each,
+    to pack, move and unpack, rather than one step per set bit.
+    """
+    packed = 0
+    for v in reversed(perm):
+        packed = packed << n | up[v]
+    ones = ((1 << n * n) - 1) // ((1 << n) - 1) if n else 0
     enc = 0
-    shift = 0
-    for v in perm:
-        row = 0
-        rest = up[v]
-        while rest:
-            low = rest & -rest
-            row |= 1 << pos[low.bit_length() - 1]
-            rest ^= low
-        rows.append(row)
-        enc |= row << shift
-        shift += n
-    return rows, enc
+    for i, w in enumerate(perm):
+        enc |= (packed >> w & ones) << i
+    row = (1 << n) - 1
+    rows = []
+    rest = enc
+    for _ in perm:
+        rows.append(rest & row)
+        rest >>= n
+    return tuple(rows), enc
 
 
-def _search(n: int, up, down, cells: list, path: tuple, generators: list, leaves: dict) -> None:
+def _search(n: int, up, down, cells: list, path: tuple, generators: list, leaves: dict,
+            follows: dict) -> None:
     """Individualize the first cell of two or more elements, member by
-    member, below ``path``; ``leaves`` maps each encoding to its first leaf,
-    and a leaf that repeats an encoding adds an automorphism."""
-    idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-    if idx is None:
-        perm = tuple(c[0] for c in cells)
-        enc = _relabel(n, up, perm)[1]
+    member, below ``path``; ``leaves`` maps each encoding to the labeling
+    and canonical rows of its first leaf, and a leaf that repeats an
+    encoding adds an automorphism.  ``follows`` maps each member of a
+    seeded twin group to the next; a node whose cells of two or more
+    elements are all runs of it reaches one leaf, its cells flattened (see
+    "One leaf" in the module docstring)."""
+    idx = None
+    for i, cell in enumerate(cells):
+        if len(cell) > 1:
+            if idx is None:
+                idx = i
+            if any(follows.get(a) != b for a, b in zip(cell, cell[1:])):
+                break
+    else:
+        perm = tuple(v for cell in cells for v in cell)
+        rows, enc = _relabel(n, up, perm)
         prev = leaves.get(enc)
         if prev is None:
-            leaves[enc] = perm
+            leaves[enc] = (perm, rows)
         else:
             g = [0] * n
-            for i in range(n):
-                g[prev[i]] = perm[i]
+            for i, v in enumerate(prev[0]):
+                g[v] = perm[i]
             generators.append(tuple(g))
         return
     cell = cells[idx]
@@ -331,8 +404,8 @@ def _search(n: int, up, down, cells: list, path: tuple, generators: list, leaves
         tried.append(v)
         rest = [w for w in cell if w != v]
         new_cells = cells[:idx] + [[v], rest] + cells[idx + 1:]
-        refined = _refine(n, up, down, new_cells, [[v]])
-        _search(n, up, down, refined, path + (v,), generators, leaves)
+        refined = _refine(n, up, down, new_cells, [[v]])[0]
+        _search(n, up, down, refined, path + (v,), generators, leaves, follows)
 
 
 def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
@@ -347,32 +420,28 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     has one leaf, the empty labeling, encoded as 0.  ``generators`` opens
     with the swaps of consecutive twins in each cell, and when those cells
     with two or more elements are all twin groups there is no search: the
-    one leaf is the labeling, and the generators, those swaps alone, are
-    built on first read (see "One leaf" in the module docstring).
+    result keeps the cells, the one leaf, and builds the labeling, key,
+    rows and generators, those swaps alone, on first read (see "One leaf"
+    in the module docstring).  A search result takes its key and rows from
+    the leaf record of its least encoding.
     """
     cells, twin = partition or stable_partition(n, up, down)
     if twin:
-        # the search's one leaf: the cells in list order (see "One leaf" in
-        # the module docstring)
-        perm = tuple(v for cell in cells for v in cell)
-        generators = None
-        groups = [cell for cell in cells if len(cell) > 1]
-    else:
-        groups = []
-        for cell in cells:
-            if len(cell) > 1:
-                twins: dict = {}
-                for v in cell:
-                    twins.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), []).append(v)
-                groups += [group for group in twins.values() if len(group) > 1]
-        generators = _twin_swaps(n, groups)
-        leaves: dict = {}
-        _search(n, up, down, cells, (), generators, leaves)
-        perm = leaves[min(leaves)]
-        groups = None
-    rows, enc = _relabel(n, up, perm)
-    key = n.to_bytes(2, "big") + enc.to_bytes((n * n + 7) // 8, "big")
-    return CanonResult(key, perm, tuple(rows), generators, groups)
+        return CanonResult._one_leaf(n, up, cells)
+    groups = []
+    for cell in cells:
+        if len(cell) > 1:
+            twins: dict = {}
+            for v in cell:
+                twins.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), []).append(v)
+            groups += [group for group in twins.values() if len(group) > 1]
+    generators = _twin_swaps(n, groups)
+    follows = {a: b for group in groups for a, b in zip(group, group[1:])}
+    leaves: dict = {}
+    _search(n, up, down, cells, (), generators, leaves, follows)
+    enc = min(leaves)
+    perm, rows = leaves[enc]
+    return CanonResult(_key(n, enc), perm, rows, generators)
 
 
 def accept(n: int, up: Sequence[int], down: Sequence[int]) -> Optional[CanonResult]:

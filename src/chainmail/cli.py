@@ -20,14 +20,14 @@ from .enumeration import enumerate_connected_chainmails, enumerate_posets
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .exterior import exterior
 from .generators import fixture_description, fixture_names, named_fixture
-from .poset import FinitePoset, bits_of, connectivity_from_json
+from .poset import FinitePoset, bits_of, checked_mask, connectivity_from_json, set_of
 
 
 def export_dot(p: FinitePoset, connected: Optional[Iterable[int]] = None) -> str:
     """DOT digraph of the cover relation, drawn bottom-to-top.  Members of
     the connectivity render hollow, everything else filled, matching the
     usual Hasse-diagram convention for distinguished elements."""
-    cset = set(connected) if connected is not None else None
+    cset = set_of(checked_mask(p.n, connected)) if connected is not None else None
     lines = ["digraph poset {", "  rankdir=BT;", '  node [shape=circle, style=filled];']
     for v in range(p.n):
         if cset is None:

@@ -32,6 +32,7 @@ from .poset import (
     FinitePoset,
     bits_of,
     check_element,
+    checked_mask,
     component_masks,
     first_mail,
     mail_mates,
@@ -97,7 +98,7 @@ def is_subchainmail_of(p: FinitePoset, members: Iterable[int]) -> bool:
     bounds agree with those of any mail reducing to them.  A mail with no
     join in ``p`` imposes no constraint.
     """
-    violation = _subchainmail_violation(p, mask_of(members))
+    violation = _subchainmail_violation(p, checked_mask(p.n, members))
     return violation is None
 
 
@@ -629,7 +630,7 @@ def is_orthogonal(p: FinitePoset, c: int, x: int, sink_members: Iterable[int]) -
     """c <= x exactly when c is below a unique member of the sink."""
     check_element(p.n, c)
     check_element(p.n, x)
-    bmask = mask_of(sink_members)
+    bmask = checked_mask(p.n, sink_members)
     if bmask & ~p.down[x]:
         raise PreconditionError("sink members must lie below the sink vertex")
     return _orthogonal(p, c, x, bmask)
@@ -646,7 +647,7 @@ def is_multicoreflective(p: FinitePoset, members: Iterable[int]) -> bool:
     If any sink (x, B) with B inside C works, B is forced to be the maximal
     elements of C below x, so only that candidate needs testing.
     """
-    cmask = mask_of(members)
+    cmask = checked_mask(p.n, members)
     for x in range(p.n):
         bmask = maximal_mask(p.up, cmask & p.down[x])
         if not all(_orthogonal(p, c, x, bmask) for c in bits_of(cmask)):
@@ -657,7 +658,7 @@ def is_multicoreflective(p: FinitePoset, members: Iterable[int]) -> bool:
 def local_joins(p: FinitePoset, members: Iterable[int]) -> list:
     """All local joins of the set: upper bounds x that are the join of the
     set inside every principal down-set containing x."""
-    xmask = mask_of(members)
+    xmask = checked_mask(p.n, members)
     out = []
     for x in range(p.n):
         if xmask & ~p.down[x]:
@@ -708,7 +709,7 @@ def borger_implication_check(p: FinitePoset, members: Iterable[int]) -> SinkClos
     local joins of its order-connected subsets.  When every order-connected
     subset with an upper bound has a local join the three are equivalent.
     """
-    cmask = mask_of(members)
+    cmask = checked_mask(p.n, members)
 
     cond_i = is_multicoreflective(p, members)
 

@@ -170,13 +170,17 @@ _ROOT = ((), (), canon.canonicalize(0, (), ()))
 
 def _nodes(node, rule: tuple, depth: int):
     """Pre-order walk from ``node``: the node, then the walks of its
-    children, down to nodes on ``depth`` elements.  ``rule`` is the
-    (completable, bottom) pair that :func:`_children` takes."""
+    children, down to nodes on ``depth`` elements, which come straight
+    from :func:`_children`.  ``rule`` is the (completable, bottom) pair
+    that :func:`_children` takes."""
     yield node
     up, down, result = node
-    if len(up) < depth:
+    k = len(up)
+    if k + 1 < depth:
         for child in _children(up, down, result, *rule):
             yield from _nodes(child, rule, depth)
+    elif k < depth:
+        yield from _children(up, down, result, *rule)
 
 
 def _worker(payload):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .config import DEFAULT_MAX_EXTERIOR_SETS, DEFAULT_MAX_TMD_SETS
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
-from .poset import (FinitePoset, downset_masks, inclusion_rows, joins_inside,
+from .poset import (FinitePoset, checked_mask, downset_masks, inclusion_rows, joins_inside,
                     mask_of, pair_joins, set_of, tmd_masks)
 
 
@@ -109,7 +109,7 @@ def downset_to_tmd(p: FinitePoset, members: Iterable[int]) -> frozenset:
     """Joins of the maximal mail-connected subsets of a down-closed
     subchainmail; the inverse direction of the exterior isomorphism."""
     _require_chainmail(p)
-    x = mask_of(members)
+    x = checked_mask(p.n, members)
     joins = []
     for comp in p.mail_connected_components(set_of(x)):
         j = p.join(comp)

@@ -54,6 +54,17 @@ def check_element(n: int, x: int) -> None:
         raise IndexError(f"element {x} out of range")
 
 
+def checked_mask(n: int, members: Iterable[int]) -> int:
+    """The mask of ``members``, refusing any outside 0..n-1 as
+    :func:`check_element` does: the one check of the public entries that
+    take a set of elements."""
+    m = 0
+    for x in members:
+        check_element(n, x)
+        m |= 1 << x
+    return m
+
+
 def submasks(mask: int) -> Iterator[int]:
     """Every subset of ``mask`` as a bitmask, from ``mask`` down to 0."""
     sub = mask
@@ -533,20 +544,20 @@ class FinitePoset:
         return lb
 
     def lower_bounds(self, members: Iterable[int]) -> frozenset:
-        return set_of(self.lower_bound_mask(mask_of(members)))
+        return set_of(self.lower_bound_mask(checked_mask(self.n, members)))
 
     def upper_bounds(self, members: Iterable[int]) -> frozenset:
-        return set_of(self.upper_bound_mask(mask_of(members)))
+        return set_of(self.upper_bound_mask(checked_mask(self.n, members)))
 
     def join(self, members: Iterable[int]) -> Optional[int]:
         """Least upper bound, or None.  join(()) is the bottom when one
         exists."""
-        return self.up_index.get(self.upper_bound_mask(mask_of(members)))
+        return self.up_index.get(self.upper_bound_mask(checked_mask(self.n, members)))
 
     def meet(self, members: Iterable[int]) -> Optional[int]:
         """Greatest lower bound, or None.  meet(()) is the top when one
         exists."""
-        return self.down_index.get(self.lower_bound_mask(mask_of(members)))
+        return self.down_index.get(self.lower_bound_mask(checked_mask(self.n, members)))
 
     def bottom(self) -> Optional[int]:
         """The least element, or None."""
@@ -557,17 +568,17 @@ class FinitePoset:
         return self.down_index.get(self.full_mask)
 
     def maximal_elements(self, within: Optional[Iterable[int]] = None) -> frozenset:
-        w = self.full_mask if within is None else mask_of(within)
+        w = self.full_mask if within is None else checked_mask(self.n, within)
         return set_of(maximal_mask(self.up, w))
 
     # -- mails and connectivity -----------------------------------------
 
     def is_mail(self, members: Iterable[int]) -> bool:
-        m = mask_of(members)
+        m = checked_mask(self.n, members)
         return m != 0 and self.lower_bound_mask(m) != 0
 
     def is_mail_connected(self, members: Iterable[int]) -> bool:
-        m = mask_of(members)
+        m = checked_mask(self.n, members)
         if not m:
             return False
         comps = component_masks(self.mail_mates, m)
@@ -575,13 +586,13 @@ class FinitePoset:
 
     def mail_connected_components(self, members: Iterable[int]) -> list:
         """Partition into maximal mail-connected subsets, by least member."""
-        m = mask_of(members)
+        m = checked_mask(self.n, members)
         return [set_of(c) for c in component_masks(self.mail_mates, m)]
 
     def is_totally_mail_disconnected(self, members: Iterable[int]) -> bool:
         """No two distinct members share a lower bound.  The empty set
         counts as TMD (it is the bottom of the exterior)."""
-        m = mask_of(members)
+        m = checked_mask(self.n, members)
         for a in bits_of(m):
             if self.mail_mates[a] & m != 1 << a:
                 return False

@@ -443,7 +443,7 @@ def oracle_stable_partition(n: int, up, down) -> list:
     for v in range(n):
         groups.setdefault((down[v].bit_count(), up[v].bit_count()), []).append(v)
     cells = [groups[sig] for sig in sorted(groups)]
-    return canon._refine(n, up, down, cells, cells[:-1])
+    return canon._refine(n, up, down, cells, cells[:-1])[0]
 
 
 def oracle_orbit_firsts(masks: list, gens) -> list:
@@ -459,6 +459,13 @@ def oracle_orbit_firsts(masks: list, gens) -> list:
             covered |= canon._orbit(d, moves)
             firsts.append(d)
     return firsts
+
+
+def oracle_relabel(n: int, up, perm) -> tuple:
+    """(rows, encoding) of the copy labeled by ``perm``, bit by bit: row i
+    holds bit j when perm[i] <= perm[j], and sits at bit i * n."""
+    rows = tuple(sum(1 << j for j in range(n) if up[perm[i]] >> perm[j] & 1) for i in range(n))
+    return rows, sum(row << (i * n) for i, row in enumerate(rows))
 
 
 def oracle_canonical(n: int, up, down) -> tuple:
@@ -478,8 +485,7 @@ def oracle_canonical(n: int, up, down) -> tuple:
 
     best = None
     for perm in leaves(oracle_refine(n, up, down, [list(range(n))])):
-        rows = tuple(sum(1 << j for j in range(n) if up[perm[i]] >> perm[j] & 1) for i in range(n))
-        enc = sum(row << (i * n) for i, row in enumerate(rows))
+        rows, enc = oracle_relabel(n, up, perm)
         if best is None or enc < best[0]:
             best = (enc, perm, rows)
     enc, perm, rows = best

@@ -17,8 +17,8 @@ from chainmail.enumeration import enumerate_posets
 from chainmail.generators import named_fixture
 from chainmail.poset import FinitePoset
 
-from conftest import (consecutive_twin_swaps, oracle_canonical, oracle_refine, oracle_stable_partition, relabel,
-                      twin_cells)
+from conftest import (consecutive_twin_swaps, oracle_canonical, oracle_refine, oracle_relabel,
+                      oracle_stable_partition, relabel, twin_cells)
 
 
 def brute_force_automorphisms(p: FinitePoset) -> set:
@@ -197,9 +197,9 @@ def test_refine_matches_counting_against_every_cell(poset_corpus):
                         rest = [w for w in cell if w != v]
                         cells = stable[:idx] + [[v], rest] + stable[idx + 1:]
                         want = oracle_refine(n, up, down, cells)
-                        assert canon._refine(n, up, down, cells, [[v], rest]) == want
+                        assert canon._refine(n, up, down, cells, [[v], rest])[0] == want
                         # the search's call: rest follows from [v] and their cell
-                        assert canon._refine(n, up, down, cells, [[v]]) == want
+                        assert canon._refine(n, up, down, cells, [[v]])[0] == want
 
 
 def assert_stable_partition_matches_refining_round_one(corpus):
@@ -370,15 +370,32 @@ def test_one_leaf_orbits_are_the_walked_orbits(one_leaf_to_6):
 
 
 def test_one_leaf_results_survive_pickling(one_leaf_to_6):
-    # pickled before the generators are read, as the enumerator's frontier
-    # nodes are sent to its workers
+    # pickled before any field is read, as the enumerator's frontier nodes
+    # are sent to its workers under spawn; each field is then first built
+    # in the copy, and must equal that of a result never pickled
     for n, up, down, cells in one_leaf_to_6:
         result = canon.canonicalize(n, up, down)
+        assert (result._perm, result._key, result._rows, result._generators) == (None,) * 4
         copy = pickle.loads(pickle.dumps(result))
         swaps = consecutive_twin_swaps(n, cells)
-        assert (copy.key, copy.perm, copy.relabeled_up) == (result.key, result.perm, result.relabeled_up)
+        masks = list(range(1 << n))
+        # the twin groups, read through the prefix rule
+        assert list(copy.orbit_firsts(masks)) == list(result.orbit_firsts(masks))
+        assert copy.perm == result.perm
+        assert (copy.key, copy.relabeled_up) == (result.key, result.relabeled_up)
         assert [copy.orbit(v) for v in range(n)] == [canon._orbit(v, swaps) for v in range(n)]
         assert copy.generators == swaps == result.generators
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 63, 64, 65, 70])
+def test_relabel_moves_columns_as_the_bits_move(n):
+    # any rows, not only up-rows, and sizes on both sides of a machine word
+    rng = random.Random(20261026 + n)
+    for _ in range(5):
+        up = [rng.getrandbits(n) | 1 << v for v in range(n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert canon._relabel(n, up, tuple(perm)) == oracle_relabel(n, up, perm)
 
 
 def test_chain_vs_v_shape():

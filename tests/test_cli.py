@@ -315,7 +315,7 @@ class TestUntrustedInput:
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(command=st.sampled_from(["validate", "classify", "exterior"]), doc=_documents)
+    @given(command=st.sampled_from(["validate", "classify", "exterior", "export-dot"]), doc=_documents)
     def test_any_document_exits_0_1_or_2(self, tmp_path, command, doc):
         # the file is rewritten for every example, so one tmp_path serves them all
         path = tmp_path / "input.json"

@@ -46,7 +46,9 @@ from chainmail.connectivity import (
     sigma_closure,
     sigma_members,
 )
+from chainmail.cli import export_dot
 from chainmail.errors import GuardExceeded, PreconditionError
+from chainmail.exterior import downset_to_tmd, tmd_to_downset
 from chainmail.generators import (
     Graph,
     fixture_names,
@@ -180,6 +182,39 @@ def test_element_out_of_range_raises(call, bad):
     pair = ConnectivityPair(FinitePoset.powerset_lattice(2), frozenset({1, 2}))
     with pytest.raises(IndexError, match=f"element {bad} out of range"):
         call(pair, bad)
+
+
+_SET_ENTRIES = {
+    "lower_bounds": lambda lat, s: lat.lower_bounds(s),
+    "upper_bounds": lambda lat, s: lat.upper_bounds(s),
+    "join": lambda lat, s: lat.join(s),
+    "meet": lambda lat, s: lat.meet(s),
+    "maximal_elements": lambda lat, s: lat.maximal_elements(s),
+    "is_mail": lambda lat, s: lat.is_mail(s),
+    "is_mail_connected": lambda lat, s: lat.is_mail_connected(s),
+    "mail_connected_components": lambda lat, s: lat.mail_connected_components(s),
+    "is_totally_mail_disconnected": lambda lat, s: lat.is_totally_mail_disconnected(s),
+    "is_subchainmail_of": is_subchainmail_of,
+    "is_orthogonal": lambda lat, s: is_orthogonal(lat, 1, 3, s),
+    "is_multicoreflective": is_multicoreflective,
+    "local_joins": local_joins,
+    "local_join": local_join,
+    "borger_implication_check": borger_implication_check,
+    "tmd_to_downset": tmd_to_downset,
+    "downset_to_tmd": downset_to_tmd,
+    "export_dot": export_dot,
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("name", list(_SET_ENTRIES))
+def test_set_member_out_of_range_raises(name, bad):
+    # one error for every public entry that takes a set of elements; a
+    # negative member used to fail on a negative shift, and n on a tuple
+    # index or a precondition, or to pass unnoticed
+    lattice = FinitePoset.powerset_lattice(2)
+    with pytest.raises(IndexError, match=f"element {bad} out of range"):
+        _SET_ENTRIES[name](lattice, [0, bad])
 
 
 class TestAdjunction:

@@ -354,17 +354,32 @@ class TestCanonicalAugmentation:
     def test_canon_work_of_the_chainmail_catalog_on_8_elements(self, monkeypatch):
         # one stable partition per child that passes the parent's filters,
         # one canonicalization through the public entry point per accepted
-        # child, and one twin test per partition, two where round one is
-        # refined
+        # child, one twin test per partition and one more per refinement
+        # round that splits a cell, and one relabeling per leaf a search
+        # records and per one-leaf entry of the catalog
         counts = Counter()
-        for name in ("stable_partition", "canonicalize", "_twin_cells"):
+        for name in ("stable_partition", "canonicalize", "_twin_cells", "_relabel"):
             def counting(*args, _real=getattr(canon, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(canon, name, counting)
         assert enumerate_connected_chainmails(8, want_catalog=True).count == 1842
-        assert counts == {"stable_partition": 2407, "canonicalize": 2231, "_twin_cells": 3370}
+        assert counts == {"stable_partition": 2407, "canonicalize": 2231, "_twin_cells": 3712, "_relabel": 2124}
+
+    def test_count_only_runs_relabel_at_search_leaves_alone(self, monkeypatch):
+        # a count reads no key and no canonical rows: no one-leaf result is
+        # relabeled, and a search relabels its leaves once each
+        callers = Counter()
+        real = canon._relabel
+
+        def counting(*args):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(canon, "_relabel", counting)
+        assert enumerate_connected_chainmails(8).count == 1842
+        assert list(callers) == ["_search"]
 
 
 def kept_masks(k: int, up: tuple, down: tuple, rule: tuple) -> list:

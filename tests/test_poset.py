@@ -106,7 +106,7 @@ class TestBounds:
     @pytest.mark.parametrize("method", ["lower_bounds", "upper_bounds", "join", "meet", "is_mail"])
     def test_negative_member_raises(self, method):
         # a negative index would read another element's row
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError, match="element -1 out of range"):
             getattr(FinitePoset.chain(3), method)([-1])
 
     def test_join_of_empty_set_is_bottom(self):
