@@ -16,7 +16,8 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .connectivity import ConnectivityPair, classify, report_to_json_text
-from .enumeration import enumerate_connected_chainmails, enumerate_posets
+from .config import ENUM_CAPS
+from .enumeration import enumerate_kind
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .exterior import exterior
 from .generators import fixture_description, fixture_names, named_fixture
@@ -156,12 +157,7 @@ def _cmd_exterior(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.catalog:
         _check_writable(args.catalog)
-    if args.kind == "posets":
-        result = enumerate_posets(args.n, want_catalog=args.catalog is not None,
-                                  threads=args.threads)
-    else:
-        result = enumerate_connected_chainmails(args.n, want_catalog=args.catalog is not None,
-                                                threads=args.threads, deep=args.deep)
+    result = enumerate_kind(args.kind, args.n, args.catalog is not None, args.threads, args.deep)
     obj = {"kind": args.kind, "n": result.n, "count": result.count}
     if args.catalog:
         _write_file(args.catalog, (p.to_json_line() + "\n" for p in result.catalog))
@@ -228,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--kind", choices=["posets", "chainmails"], default="chainmails")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--catalog", help="write a JSON-lines catalog here")
-    p_enum.add_argument("--deep", action="store_true", help="allow the slow sizes 9 and 10")
+    sizes = " and ".join(map(str, range(ENUM_CAPS["chainmails"][0] + 1, ENUM_CAPS["chainmails"][1] + 1)))
+    p_enum.add_argument("--deep", action="store_true", help=f"allow the slow sizes {sizes}")
     p_enum.add_argument("--threads", type=int, default=1,
                         help="worker processes; at most the CPU count are started")
     p_enum.add_argument("--pretty", action="store_true")

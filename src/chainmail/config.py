@@ -15,9 +15,8 @@ DEFAULT_MAX_N = 64
 DEFAULT_MAX_TMD_SETS = 1 << 20
 DEFAULT_MAX_EXTERIOR_SETS = 1 << 12  # the exterior's order is m x m
 DEFAULT_VERTEX_CAP = 5
-DEFAULT_POSET_ENUM_CAP = 9
-DEFAULT_CHAINMAIL_ENUM_CAP = 8
-DEEP_CHAINMAIL_ENUM_CAP = 10
+# enumeration kind -> (largest n by default, largest n with deep)
+ENUM_CAPS = {"posets": (9, 9), "chainmails": (8, 10), "lattices": (9, 9)}
 
 
 def max_n() -> int:

@@ -54,10 +54,11 @@ class ConnectivityPair:
     def __post_init__(self):
         if not self.lattice.is_complete_lattice():
             raise PreconditionError("the carrier of a connectivity pair must be a complete lattice")
-        bad = [x for x in self.connected if not 0 <= x < self.lattice.n]
+        connected = tuple(self.connected)
+        bad = [x for x in connected if not 0 <= x < self.lattice.n]
         if bad:
             raise PreconditionError(f"connected elements out of range: {bad}")
-        object.__setattr__(self, "connected", frozenset(self.connected))
+        object.__setattr__(self, "connected", frozenset(connected))
 
     @cached_property
     def cmask(self) -> int:
@@ -711,7 +712,7 @@ def borger_implication_check(p: FinitePoset, members: Iterable[int]) -> SinkClos
     """
     cmask = checked_mask(p.n, members)
 
-    cond_i = is_multicoreflective(p, members)
+    cond_i = is_multicoreflective(p, bits_of(cmask))
 
     # sinks orthogonal to every element of C
     total = sum(1 << p.down[x].bit_count() for x in range(p.n))

@@ -112,11 +112,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import canon
-from .config import (
-    DEFAULT_CHAINMAIL_ENUM_CAP,
-    DEEP_CHAINMAIL_ENUM_CAP,
-    DEFAULT_POSET_ENUM_CAP,
-)
+from .config import ENUM_CAPS
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
 from .poset import FinitePoset, bits_of, downset_masks, joins_inside, pair_joins
@@ -225,76 +221,83 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
         with multiprocessing.Pool(processes=processes) as pool:
             results = pool.map(_worker, payloads, chunksize=1)
     else:
-        results = map(_worker, payloads)
-    count = 0
-    entries: list = []
-    for found, found_entries in results:
-        count += found
-        entries.extend(found_entries)
-    entries.sort(key=lambda e: e[0])
-    return count, entries
+        results = list(map(_worker, payloads))
+    entries = sorted((entry for _count, found in results for entry in found), key=lambda e: e[0])
+    return sum(count for count, _found in results), entries
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def enumerate_posets(n: int, want_catalog: bool = False, threads: int = 1) -> EnumerationResult:
-    """All posets on n elements up to isomorphism."""
+# kind -> (rule for _children, top added, default cap, deep cap)
+_KINDS = {
+    "posets": ((False, False), False, *ENUM_CAPS["posets"]),
+    "chainmails": ((True, False), True, *ENUM_CAPS["chainmails"]),
+    "lattices": ((True, True), True, *ENUM_CAPS["lattices"]),
+}
+
+
+def _row(kind: str, n: int, threads: int = 1, deep: bool = False) -> tuple:
+    """(rule, top added) of ``kind`` once n, threads and the cap pass: the one check, before any search."""
+    for name, value in (("n", n), ("threads", threads)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
     if n < 0:
         raise PreconditionError("n must be non-negative")
     if threads < 1:
         raise PreconditionError("threads must be at least 1")
-    if n > DEFAULT_POSET_ENUM_CAP:
-        raise GuardExceeded(f"poset enumeration capped at n={DEFAULT_POSET_ENUM_CAP}")
+    rule, top, cap, deep_cap = _KINDS[kind]
+    if n > (deep_cap if deep else cap):
+        if not deep and n <= deep_cap:
+            raise GuardExceeded(f"{kind[:-1]} enumeration beyond n={cap} needs --deep")
+        raise GuardExceeded(f"{kind[:-1]} enumeration capped at n={deep_cap if deep else cap}")
+    return rule, top
+
+
+def enumerate_kind(kind: str, n: int, want_catalog: bool = False, threads: int = 1,
+                   deep: bool = False) -> EnumerationResult:
+    """Posets or mail-connected chainmails on n elements up to isomorphism; a
+    chainmail is a completable poset on n - 1 elements with a top added (see
+    the module docstring), or the empty poset at n = 0.  Catalog entries are
+    canonical, sorted by key.  Sizes past a kind's default cap need ``deep``."""
+    if kind not in ("posets", "chainmails"):
+        raise PreconditionError(f"no enumeration of kind {kind!r}")
+    rule, top = _row(kind, n, threads, deep)
     t0 = time.perf_counter()
-    count, entries = _enumerate((False, False), n, want_catalog, threads)
-    catalog = tuple(FinitePoset(n, rows) for _key, rows in entries) if want_catalog else None
+    if top and n == 0:
+        count, rows = 1, [()]
+    else:
+        count, entries = _enumerate(rule, n - top, want_catalog, threads)
+        rows = [_with_top(n - 1, r) if top else r for _key, r in entries]
+    catalog = tuple(FinitePoset(n, r) for r in rows) if want_catalog else None
     return EnumerationResult(n, count, catalog, time.perf_counter() - t0)
+
+
+def enumerate_posets(n: int, want_catalog: bool = False, threads: int = 1) -> EnumerationResult:
+    """All posets on n elements up to isomorphism (:func:`enumerate_kind`)."""
+    return enumerate_kind("posets", n, want_catalog, threads)
 
 
 def enumerate_connected_chainmails(n: int, want_catalog: bool = False, threads: int = 1,
                                    deep: bool = False) -> EnumerationResult:
-    """Isomorphism classes of mail-connected chainmails on n elements.
-
-    The empty poset counts at n = 0.  For n >= 1 these are the completable
-    posets on n - 1 elements with a top added (see the module docstring);
-    catalog entries are canonical and sorted by canonical key.  Sizes 9 and
-    10 sit behind ``deep``; they take considerably longer.
-    """
-    if n < 0:
-        raise PreconditionError("n must be non-negative")
-    if threads < 1:
-        raise PreconditionError("threads must be at least 1")
-    cap = DEEP_CHAINMAIL_ENUM_CAP if deep else DEFAULT_CHAINMAIL_ENUM_CAP
-    if n > cap:
-        if not deep and n <= DEEP_CHAINMAIL_ENUM_CAP:
-            raise GuardExceeded(f"chainmail enumeration beyond n={DEFAULT_CHAINMAIL_ENUM_CAP} needs --deep")
-        raise GuardExceeded(f"chainmail enumeration capped at n={cap}")
-    t0 = time.perf_counter()
-    if n == 0:
-        catalog = (FinitePoset(0, ()),) if want_catalog else None
-        return EnumerationResult(0, 1, catalog, time.perf_counter() - t0)
-    count, entries = _enumerate((True, False), n - 1, want_catalog, threads)
-    catalog = None
-    if want_catalog:
-        catalog = tuple(FinitePoset(n, _with_top(n - 1, rows)) for _key, rows in entries)
-    return EnumerationResult(n, count, catalog, time.perf_counter() - t0)
+    """Mail-connected chainmails on n elements up to isomorphism (:func:`enumerate_kind`)."""
+    return enumerate_kind("chainmails", n, want_catalog, threads, deep)
 
 
 def enumerate_complete_lattices(max_size: int) -> List[FinitePoset]:
     """Canonical complete lattices with 1..max_size elements, smaller sizes
-    first, canonical-key order inside a size.
+    first, canonical-key order inside a size; none for max_size <= 0.
 
     For n >= 2 the lattices on n elements are the completable posets with
     a bottom on n - 1 elements with a top added (see the module docstring),
     and at n = 1 the root with a top.  One walk with the bottom rule, to
     max_size - 1 elements, serves every size; it yields its root always.
     """
-    if max_size > DEFAULT_POSET_ENUM_CAP:
-        raise GuardExceeded(f"poset enumeration capped at n={DEFAULT_POSET_ENUM_CAP}")
+    # max keeps its first argument on a tie, so a bool is still refused
+    rule, _top = _row("lattices", max(max_size, 0))
     found = sorted((len(up), result.key, result.relabeled_up)
-                   for up, _down, result in _nodes(_ROOT, (True, True), max_size - 1) if len(up) < max_size)
+                   for up, _down, result in _nodes(_ROOT, rule, max_size - 1) if len(up) < max_size)
     return [FinitePoset(k + 1, _with_top(k, rows)) for k, _key, rows in found]
 
 

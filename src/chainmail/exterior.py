@@ -97,6 +97,7 @@ def tmd_to_downset(p: FinitePoset, members: Iterable[int]) -> frozenset:
     """The down-set of a TMD set; one direction of the exterior
     isomorphism."""
     _require_chainmail(p)
+    members = tuple(members)
     if not p.is_totally_mail_disconnected(members):
         raise PreconditionError("input set is not totally mail-disconnected")
     below = 0

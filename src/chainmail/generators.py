@@ -29,18 +29,17 @@ class Graph:
     edges: tuple  # sorted (a, b) tuples with a < b
 
     def __post_init__(self):
-        for a, b in self.edges:
+        edges = [tuple(e) for e in self.edges]
+        for a, b in edges:
             if a == b:
                 raise FormatError("self-loops are not allowed")
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise FormatError(f"edge ({a},{b}) out of range")
-        object.__setattr__(
-            self, "edges", tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        )
+        object.__setattr__(self, "edges", tuple(sorted(tuple(sorted(e)) for e in edges)))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable) -> "Graph":
-        return Graph(n, tuple(tuple(e) for e in edges))
+        return Graph(n, edges)
 
     def adjacency(self) -> list:
         adj = [0] * self.n
@@ -61,15 +60,12 @@ class Hypergraph:
     hyperedges: tuple  # sorted tuples of vertices
 
     def __post_init__(self):
-        for e in self.hyperedges:
+        hyperedges = [tuple(e) for e in self.hyperedges]
+        for e in hyperedges:
             for v in e:
                 if not 0 <= v < self.n:
                     raise FormatError(f"hyperedge vertex {v} out of range")
-        object.__setattr__(
-            self,
-            "hyperedges",
-            tuple(sorted(tuple(sorted(set(e))) for e in self.hyperedges)),
-        )
+        object.__setattr__(self, "hyperedges", tuple(sorted(tuple(sorted(set(e))) for e in hyperedges)))
 
     def is_connected_set(self, vmask: int) -> bool:
         """Non-empty, and one chain-component of the hyperedges inside the

@@ -446,6 +446,12 @@ class TestEnumerate:
         assert code == 2
         assert "deep" in err
 
+    def test_deep_size_nine_counts(self):
+        # the one deep size in tier-1: count-only, about half a second
+        code, out, err = invoke(["enumerate", "--deep", "--n", "9"])
+        assert (code, out) == (0, '{"kind":"chainmails","n":9,"count":14073}\n')
+        assert err.startswith("elapsed: ")
+
     @pytest.mark.parametrize("where", ["missing-dir", "dir"])
     def test_unwritable_catalog_exits_1(self, tmp_path, where):
         path = tmp_path / "missing" / "x.jsonl" if where == "missing-dir" else tmp_path

@@ -520,11 +520,22 @@ class TestWorkerPool:
         assert enumerate_posets(6, threads=1).count == 318
         assert pool_sizes == []
 
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_threads_below_one_are_refused(self, pool_sizes, threads):
-        with pytest.raises(PreconditionError, match="threads must be at least 1"):
+    @pytest.mark.parametrize("threads,message", [
+        pytest.param(0, "threads must be at least 1", id="0"),
+        pytest.param(-1, "threads must be at least 1", id="-1"),
+        pytest.param(1.5, "threads must be an integer, got 1.5", id="1.5"),
+        pytest.param(True, "threads must be an integer, got True", id="True"),
+    ])
+    def test_threads_below_one_are_refused(self, pool_sizes, monkeypatch, threads, message):
+        # non-integers too, before any search
+        def search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(enumeration, "_enumerate", search)
+        monkeypatch.setattr(enumeration, "_nodes", search)
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
             enumerate_connected_chainmails(0, threads=threads)
-        with pytest.raises(PreconditionError, match="threads must be at least 1"):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
             enumerate_posets(5, threads=threads)
         assert pool_sizes == []
 
@@ -582,8 +593,20 @@ class TestLatticeCorpus:
 
         monkeypatch.setattr(enumeration, "_enumerate", search)
         monkeypatch.setattr(enumeration, "_nodes", search)
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded, match="^lattice enumeration capped at n=9$"):
             enumerate_complete_lattices(10)
+        # sizes that are not integers are refused, not coerced
+        for call, message in [
+            (lambda: enumerate_complete_lattices(3.5), "n must be an integer, got 3.5"),
+            (lambda: enumerate_complete_lattices(True), "n must be an integer, got True"),
+            (lambda: enumerate_posets(3.5), "n must be an integer, got 3.5"),
+            (lambda: enumerate_posets(True), "n must be an integer, got True"),
+            (lambda: enumerate_connected_chainmails(2.0), "n must be an integer, got 2.0"),
+            (lambda: enumerate_connected_chainmails(False), "n must be an integer, got False"),
+            (lambda: enumeration.enumerate_kind("lattices", 3), "no enumeration of kind 'lattices'"),
+        ]:
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
+                call()
 
     @pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
                         reason="set CHM_ACCEPT_DEEP=1 for lattice sizes 10 and 11")

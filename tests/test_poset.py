@@ -8,10 +8,11 @@ import random
 
 import pytest
 
+from chainmail.connectivity import ConnectivityPair, borger_implication_check
 from chainmail.errors import FormatError, GuardExceeded
-from chainmail.generators import named_fixture
+from chainmail.generators import Graph, Hypergraph, named_fixture
 from chainmail.enumeration import enumerate_complete_lattices, enumerate_posets
-from chainmail.exterior import exterior
+from chainmail.exterior import exterior, tmd_to_downset
 from chainmail.poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, mail_mates,
                              mail_pairs, mask_of, reduced_mail_scan, set_of, tmd_masks)
 
@@ -108,6 +109,16 @@ class TestBounds:
         # a negative index would read another element's row
         with pytest.raises(IndexError, match="element -1 out of range"):
             getattr(FinitePoset.chain(3), method)([-1])
+
+    @pytest.mark.parametrize("entry,members", [
+        (lambda m: tmd_to_downset(FinitePoset.powerset_lattice(2), m), [1]),
+        (lambda m: borger_implication_check(FinitePoset(4, (15, 10, 12, 8)), m), (0, 1, 2)),
+        (lambda m: ConnectivityPair(FinitePoset.powerset_lattice(2), m).connected, [1, 2]),
+        (lambda m: Graph(3, m).edges, [(0, 1)]),
+        (lambda m: Hypergraph(3, m).hyperedges, [(0, 1), (1, 2)]),
+    ], ids=["tmd_to_downset", "borger_implication_check", "ConnectivityPair", "Graph", "Hypergraph"])
+    def test_a_one_shot_iterator_gives_what_its_members_give(self, entry, members):
+        assert entry(iter(members)) == entry(members)
 
     def test_join_of_empty_set_is_bottom(self):
         assert FinitePoset.chain(3).join(()) == 0
