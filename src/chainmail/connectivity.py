@@ -35,6 +35,7 @@ from .poset import (
     checked_mask,
     component_masks,
     first_mail,
+    inclusion_rows,
     mail_mates,
     mask_of,
     maximal_mask,
@@ -275,14 +276,15 @@ def is_absolute(pair: ConnectivityPair) -> bool:
     return _absolute_raw(pair.lattice, *_require_adjunction(pair))
 
 
-def _absolute_raw(lat: FinitePoset, fam: tuple, joins: tuple, doms: list) -> bool:
+def _absolute_raw(lat: FinitePoset, fam: tuple, joins: tuple, doms: tuple) -> bool:
+    """Whether the join map of D(C) (as :func:`_dc_tables` gives it) is an
+    order isomorphism onto L: a bijection under which the componentwise
+    order, ``inclusion_rows(fam, doms)``, equals L's up-rows relabeled."""
     if len(fam) != lat.n or len(set(joins)) != lat.n:
         return False
-    for i in range(len(fam)):
-        for j in range(len(fam)):
-            if (fam[i] & ~doms[j] == 0) != bool(lat.up[joins[i]] >> joins[j] & 1):
-                return False
-    return True
+    pos = {j: i for i, j in enumerate(joins)}
+    relabeled = tuple(mask_of(pos[b] for b in bits_of(lat.up[j])) for j in joins)
+    return inclusion_rows(fam, doms) == relabeled
 
 
 def _require_adjunction(pair: ConnectivityPair) -> tuple:
@@ -297,10 +299,11 @@ def _require_adjunction(pair: ConnectivityPair) -> tuple:
 # the E conditions on single lattice elements
 # ---------------------------------------------------------------------------
 
-def _lattice_of(pair_or_lattice: Union[ConnectivityPair, FinitePoset]) -> FinitePoset:
-    if isinstance(pair_or_lattice, ConnectivityPair):
-        return pair_or_lattice.lattice
-    return pair_or_lattice
+def _checked_lattice(pair_or_lattice: Union[ConnectivityPair, FinitePoset], a: int) -> FinitePoset:
+    """The lattice of the argument, once ``a`` is one of its elements."""
+    lat = pair_or_lattice.lattice if isinstance(pair_or_lattice, ConnectivityPair) else pair_or_lattice
+    check_element(lat.n, a)
+    return lat
 
 
 def _e1_e2_masks(lat: FinitePoset) -> tuple:
@@ -331,19 +334,19 @@ def _e1_e2_masks(lat: FinitePoset) -> tuple:
 
 def e1(pair_or_lattice, a: int) -> bool:
     """a != 0, and a below a disjoint join x v y forces a below x or y."""
-    e1_mask, _e2_mask = _e1_e2_masks(_lattice_of(pair_or_lattice))
-    return a >= 0 and bool(e1_mask >> a & 1)
+    e1_mask, _e2_mask = _e1_e2_masks(_checked_lattice(pair_or_lattice, a))
+    return bool(e1_mask >> a & 1)
 
 
 def e2(pair_or_lattice, a: int) -> bool:
     """a != 0, and a = x v y with x ^ y = 0 forces x = a or y = a."""
-    _e1_mask, e2_mask = _e1_e2_masks(_lattice_of(pair_or_lattice))
-    return a >= 0 and bool(e2_mask >> a & 1)
+    _e1_mask, e2_mask = _e1_e2_masks(_checked_lattice(pair_or_lattice, a))
+    return bool(e2_mask >> a & 1)
 
 
 def e3(pair_or_lattice, a: int) -> bool:
     """a is the join of a TMD subset of L+ only when a belongs to it."""
-    return a in _e3_elements(_lattice_of(pair_or_lattice))
+    return a in _e3_elements(_checked_lattice(pair_or_lattice, a))
 
 
 def _e3_elements(lat: FinitePoset) -> frozenset:
@@ -356,7 +359,7 @@ def _e3_elements(lat: FinitePoset) -> frozenset:
 def e4(pair_or_lattice, a: int) -> bool:
     """a below the join of a TMD subset of L+ is below one of its members;
     the absolutely connected elements are those satisfying this."""
-    return a in absolutely_connected_elements(_lattice_of(pair_or_lattice))
+    return a in absolutely_connected_elements(_checked_lattice(pair_or_lattice, a))
 
 
 @lru_cache(maxsize=256)
@@ -648,7 +651,10 @@ def is_multicoreflective(p: FinitePoset, members: Iterable[int]) -> bool:
     If any sink (x, B) with B inside C works, B is forced to be the maximal
     elements of C below x, so only that candidate needs testing.
     """
-    cmask = checked_mask(p.n, members)
+    return _multicoreflective(p, checked_mask(p.n, members))
+
+
+def _multicoreflective(p: FinitePoset, cmask: int) -> bool:
     for x in range(p.n):
         bmask = maximal_mask(p.up, cmask & p.down[x])
         if not all(_orthogonal(p, c, x, bmask) for c in bits_of(cmask)):
@@ -660,20 +666,17 @@ def local_joins(p: FinitePoset, members: Iterable[int]) -> list:
     """All local joins of the set: upper bounds x that are the join of the
     set inside every principal down-set containing x."""
     xmask = checked_mask(p.n, members)
-    out = []
-    for x in range(p.n):
-        if xmask & ~p.down[x]:
-            continue
-        ok = True
-        for u in range(p.n):
-            if xmask & ~p.down[u]:
-                continue
-            if p.up[x] & p.up[u] and not p.up[x] >> u & 1:
-                ok = False
-                break
-        if ok:
-            out.append(x)
-    return out
+    return list(bits_of(_local_join_mask(p, xmask, mail_mates(p.n, p.down, p.up, p.full_mask))))
+
+
+def _local_join_mask(p: FinitePoset, xmask: int, comates: tuple) -> int:
+    """The local joins of ``xmask`` as a mask.  ``comates`` is
+    ``mail_mates(n, down, up, full)``, the dual order's mail-mates: row x
+    holds the u that share an upper bound w with x.  An upper bound x is
+    the join inside every down[w] holding it exactly when it lies below
+    each upper bound in ``comates[x]``."""
+    ub = p.upper_bound_mask(xmask)
+    return mask_of(x for x in bits_of(ub) if not ub & comates[x] & ~p.up[x])
 
 
 def local_join(p: FinitePoset, members: Iterable[int]) -> Optional[int]:
@@ -712,7 +715,7 @@ def borger_implication_check(p: FinitePoset, members: Iterable[int]) -> SinkClos
     """
     cmask = checked_mask(p.n, members)
 
-    cond_i = is_multicoreflective(p, bits_of(cmask))
+    cond_i = _multicoreflective(p, cmask)
 
     # sinks orthogonal to every element of C
     total = sum(1 << p.down[x].bit_count() for x in range(p.n))
@@ -731,20 +734,11 @@ def borger_implication_check(p: FinitePoset, members: Iterable[int]) -> SinkClos
             cond_ii = False
             break
 
-    cond_iii = True
-    for m in _order_connected_subsets(p, cmask):
-        for x in local_joins(p, set_of(m)):
-            if not cmask >> x & 1:
-                cond_iii = False
-                break
-        if not cond_iii:
-            break
-
-    premise = True
-    for m in _order_connected_subsets(p, p.full_mask):
-        if p.upper_bound_mask(m) and not local_joins(p, set_of(m)):
-            premise = False
-            break
+    comates = mail_mates(p.n, p.down, p.up, p.full_mask)
+    cond_iii = all(not _local_join_mask(p, m, comates) & ~cmask
+                   for m in _order_connected_subsets(p, cmask))
+    premise = all(not p.upper_bound_mask(m) or _local_join_mask(p, m, comates)
+                  for m in _order_connected_subsets(p, p.full_mask))
 
     chain = (not cond_i or cond_ii) and (not cond_ii or cond_iii)
     equivalent = (cond_i == cond_ii == cond_iii) if premise else None

@@ -251,7 +251,7 @@ def _row(kind: str, n: int, threads: int = 1, deep: bool = False) -> tuple:
     if n > (deep_cap if deep else cap):
         if not deep and n <= deep_cap:
             raise GuardExceeded(f"{kind[:-1]} enumeration beyond n={cap} needs --deep")
-        raise GuardExceeded(f"{kind[:-1]} enumeration capped at n={deep_cap if deep else cap}")
+        raise GuardExceeded(f"{kind[:-1]} enumeration capped at n={deep_cap}")
     return rule, top
 
 

@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 from .config import DEFAULT_MAX_EXTERIOR_SETS, DEFAULT_MAX_TMD_SETS
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
-from .poset import (FinitePoset, checked_mask, downset_masks, inclusion_rows, joins_inside,
-                    mask_of, pair_joins, set_of, tmd_masks)
+from .poset import (FinitePoset, checked_mask, component_masks, downset_masks, inclusion_rows,
+                    joins_inside, mask_of, pair_joins, set_of, tmd_masks)
 
 
 def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
@@ -112,8 +112,8 @@ def downset_to_tmd(p: FinitePoset, members: Iterable[int]) -> frozenset:
     _require_chainmail(p)
     x = checked_mask(p.n, members)
     joins = []
-    for comp in p.mail_connected_components(set_of(x)):
-        j = p.join(comp)
+    for comp in component_masks(p.mail_mates, x):
+        j = p.up_index.get(p.upper_bound_mask(comp))
         if j is None or not x >> j & 1:
             raise PreconditionError(
                 "input is not a down-closed subchainmail: a component join escapes it"

@@ -495,6 +495,8 @@ class FinitePoset:
                      for b in bits_of(maximal_mask(self.down, self.up[a] & ~(1 << a))))
 
     def leq(self, a: int, b: int) -> bool:
+        check_element(self.n, a)
+        check_element(self.n, b)
         return bool(self.up[a] >> b & 1)
 
     # -- axioms ---------------------------------------------------------

@@ -225,6 +225,72 @@ def oracle_covers(p: FinitePoset) -> tuple:
     return tuple(out)
 
 
+def oracle_forest_covers(p: FinitePoset) -> bool:
+    """Forest formulation: no element has two upper covers."""
+    cover_up = {a: [] for a in range(p.n)}
+    for a, b in p.covers:
+        cover_up[a].append(b)
+    return all(len(v) <= 1 for v in cover_up.values())
+
+
+def oracle_forest_upsets(p: FinitePoset) -> bool:
+    """Forest formulation: every up-set is a chain, by testing each pair
+    of elements above each x."""
+    for x in range(p.n):
+        ups = list(bits_of(p.up[x]))
+        for i in range(len(ups)):
+            for j in range(i + 1, len(ups)):
+                a, b = ups[i], ups[j]
+                if not (p.leq(a, b) or p.leq(b, a)):
+                    return False
+    return True
+
+
+def oracle_forest_trees(p: FinitePoset) -> bool:
+    """Forest formulation: each order component has one maximal element
+    and a tree-shaped cover diagram (one cover edge fewer than elements)."""
+    for comp in p.order_connected_components():
+        edges = [e for e in p.covers if e[0] in comp]
+        maxima = [a for a in comp if p.up[a] == 1 << a]
+        if len(edges) != len(comp) - 1 or len(maxima) != 1:
+            return False
+    return True
+
+
+def oracle_is_absolute(lat: FinitePoset, fam: tuple, joins: tuple, doms: tuple) -> bool:
+    """Whether the join map of D(C), given as (masks, joins, doms), is an
+    order isomorphism onto L, by testing every pair of sets: S_i <= S_j
+    componentwise exactly when join(S_i) <= join(S_j)."""
+    if len(fam) != lat.n or len(set(joins)) != lat.n:
+        return False
+    for i in range(len(fam)):
+        for j in range(len(fam)):
+            if (fam[i] & ~doms[j] == 0) != bool(lat.up[joins[i]] >> joins[j] & 1):
+                return False
+    return True
+
+
+def oracle_local_joins(p: FinitePoset, members) -> list:
+    """Local joins by definition: upper bounds x such that every upper
+    bound u sharing an upper bound with x lies above x, by testing every
+    pair (x, u)."""
+    xmask = mask_of(members)
+    out = []
+    for x in range(p.n):
+        if xmask & ~p.down[x]:
+            continue
+        ok = True
+        for u in range(p.n):
+            if xmask & ~p.down[u]:
+                continue
+            if p.up[x] & p.up[u] and not p.up[x] >> u & 1:
+                ok = False
+                break
+        if ok:
+            out.append(x)
+    return out
+
+
 def oracle_hypergraph_connected(h, vmask: int) -> bool:
     """Chain-cover definition of a connected vertex set: non-empty, and one
     chain-component of the hyperedges inside the set (edges linked when

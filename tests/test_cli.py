@@ -478,6 +478,13 @@ class TestEnumerate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
         assert old.read_text(encoding="utf-8") == "kept\n"
 
+    @pytest.mark.parametrize("argv", [["--n", "11"], ["--deep", "--n", "11"]])
+    def test_past_the_deep_cap_names_the_deep_cap(self, no_search, argv):
+        # without --deep too: the refusal names the largest size that runs
+        code, out, err = invoke(["enumerate", *argv])
+        assert (code, out) == (2, "")
+        assert err == "resource guard: chainmail enumeration capped at n=10\n"
+
     @pytest.mark.parametrize("kind", ["chainmails", "posets"])
     def test_threads_below_one_exit_1(self, kind):
         code, out, err = invoke(["enumerate", "--kind", kind, "--n", "5", "--threads", "0"])

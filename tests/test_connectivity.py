@@ -68,12 +68,15 @@ from conftest import (
     oracle_e2,
     oracle_e3_elements,
     oracle_e4_elements,
+    oracle_is_absolute,
     oracle_join,
     oracle_join_mask,
     oracle_l_plus_families,
+    oracle_local_joins,
     oracle_right_adjoint_table,
     oracle_sigma_members,
     relabel,
+    subsets,
 )
 
 
@@ -175,7 +178,14 @@ class TestKernel:
     components,
     kernel,
     lambda pair, x: is_orthogonal(pair.lattice, x, 3, [1]),
-], ids=["induced", "components", "kernel", "is_orthogonal"])
+    lambda pair, x: pair.lattice.leq(x, 3),
+    lambda pair, x: pair.lattice.leq(0, x),
+    e1,
+    e2,
+    e3,
+    e4,
+], ids=["induced", "components", "kernel", "is_orthogonal", "leq-first", "leq-second",
+        "e1", "e2", "e3", "e4"])
 def test_element_out_of_range_raises(call, bad):
     # a negative element would read another element's row: the top's, on
     # the 4-element powerset lattice
@@ -326,6 +336,19 @@ class TestAbsolute:
         with pytest.raises(PreconditionError):
             is_absolute(exa_n)
 
+    def test_inclusion_rows_match_the_pairwise_order_test(self):
+        # every pair with |L| <= 7, with or without the adjunction: the
+        # relabeled up-rows against the test of every pair of sets
+        count = absolute = 0
+        for lat in enumerate_complete_lattices(7):
+            for cmask in range(1 << lat.n):
+                dc = _dc_tables(ConnectivityPair(lat, set_of(cmask)))
+                raw = connectivity._absolute_raw(lat, *dc)
+                assert raw == oracle_is_absolute(lat, *dc), (lat, cmask)
+                count += 1
+                absolute += raw
+        assert (count, absolute) == (7950, 33)
+
 
 class TestEConditions:
     def test_m3_atom(self):
@@ -369,12 +392,18 @@ class TestEConditions:
     @pytest.mark.parametrize("condition", [e1, e2, e3, e4])
     @pytest.mark.parametrize("a", [-1, 3, 99])
     def test_element_outside_the_lattice_fails(self, condition, a):
-        assert condition(FinitePoset.chain(3), a) is False
+        with pytest.raises(IndexError, match=f"^element {a} out of range$"):
+            condition(FinitePoset.chain(3), a)
 
     @pytest.mark.parametrize("condition", [e1, e2, e3, e4])
     @pytest.mark.parametrize("a", [-1, 0, 1, 99])
     def test_poset_without_a_bottom_is_refused(self, condition, a):
-        with pytest.raises(PreconditionError, match="complete lattices"):
+        # the element is checked first, before any walk of the poset
+        if 0 <= a < 2:
+            error, match = PreconditionError, "complete lattices"
+        else:
+            error, match = IndexError, f"^element {a} out of range$"
+        with pytest.raises(error, match=match):
             condition(FinitePoset.antichain(2), a)
 
     @pytest.mark.parametrize("condition", [e1, e2, e3, e4])
@@ -490,10 +519,6 @@ class TestTmdFamilies:
         with pytest.raises(GuardExceeded) as info:
             _l_plus_survivors(lat, e4_risk, limit=5)
         assert str(info.value) == "TMD family exceeds 5 sets; raise the limit explicitly"
-
-    def test_e3_e4_outside_the_lattice_are_false(self, ps3):
-        for a in (ps3.n, -1):
-            assert not e3(ps3, a) and not e4(ps3, a)
 
 
 class TestE4Cache:
@@ -670,6 +695,13 @@ class TestSinkMachinery:
         p = FinitePoset.antichain(2)
         assert local_joins(p, [0]) == [0]
         assert local_join(p, [0, 1]) is None
+
+    def test_local_joins_match_the_pairwise_scan(self, poset_corpus):
+        # every subset of every poset with at most 6 elements
+        for n in range(7):
+            for p in poset_corpus[n]:
+                for members in subsets(n):
+                    assert local_joins(p, members) == oracle_local_joins(p, members), (p, members)
 
     def test_borger_chain_on_lattice_pairs(self, ps3):
         atoms = ConnectivityPair(ps3, frozenset({1, 2, 4}))

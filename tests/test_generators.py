@@ -25,7 +25,13 @@ from chainmail.generators import (
 )
 from chainmail.poset import FinitePoset, bits_of, downset_masks
 
-from conftest import oracle_hypergraph_connected, oracle_inclusion_rows
+from conftest import (
+    oracle_forest_covers,
+    oracle_forest_trees,
+    oracle_forest_upsets,
+    oracle_hypergraph_connected,
+    oracle_inclusion_rows,
+)
 
 
 def brute_connected(g: Graph, members) -> bool:
@@ -203,10 +209,13 @@ class TestForests:
         assert forest_poset_check(FinitePoset.chain(4))
 
     def test_four_conditions_agree_exhaustively(self, poset_corpus):
-        # forest_poset_check raises internally if its four formulations split
+        # the mail-chain test of forest_poset_check against the other three
+        # formulations, which are the conftest oracles
         for n in range(7):
             for p in poset_corpus[n]:
-                forest_poset_check(p)
+                forest = forest_poset_check(p)
+                assert oracle_forest_covers(p) == oracle_forest_upsets(p) == forest, p
+                assert oracle_forest_trees(p) == forest, p
 
     def test_forest_downset_pairs_are_absolute(self, poset_corpus):
         # and only they: the down-set pair is separated, Serra and absolute
