@@ -35,7 +35,6 @@ from .poset import (
     checked_mask,
     component_masks,
     first_mail,
-    inclusion_rows,
     mail_mates,
     mask_of,
     maximal_mask,
@@ -273,18 +272,21 @@ def is_separated(pair: ConnectivityPair) -> bool:
 
 def is_absolute(pair: ConnectivityPair) -> bool:
     """The connectivity adjunction is an order isomorphism D(C) -> L."""
-    return _absolute_raw(pair.lattice, *_require_adjunction(pair))
+    fam, joins, _doms = _require_adjunction(pair)
+    return _absolute_raw(pair.lattice, fam, joins)
 
 
-def _absolute_raw(lat: FinitePoset, fam: tuple, joins: tuple, doms: tuple) -> bool:
-    """Whether the join map of D(C) (as :func:`_dc_tables` gives it) is an
-    order isomorphism onto L: a bijection under which the componentwise
-    order, ``inclusion_rows(fam, doms)``, equals L's up-rows relabeled."""
-    if len(fam) != lat.n or len(set(joins)) != lat.n:
-        return False
-    pos = {j: i for i, j in enumerate(joins)}
-    relabeled = tuple(mask_of(pos[b] for b in bits_of(lat.up[j])) for j in joins)
-    return inclusion_rows(fam, doms) == relabeled
+def _absolute_raw(lat: FinitePoset, fam: tuple, joins: tuple) -> bool:
+    """Whether the join map f of D(C) (as :func:`_dc_tables` gives it) is an
+    order isomorphism onto L, for a pair whose f has a right adjoint g:
+    exactly when f is a bijection.  In a Galois connection f g f = f, so an
+    injective f has g f = id, and then f(S) <= f(T) gives S <= g f(T) = T
+    by the adjunction: f is an order embedding, and a bijective f an order
+    isomorphism.  The same lemma gives g f = id iff f is injective (CL3)
+    and f g = id iff f is surjective (CL2), which :func:`classify` checks
+    against this verdict.  Without the adjunction the count alone does not
+    decide it."""
+    return len(fam) == lat.n == len(set(joins))
 
 
 def _require_adjunction(pair: ConnectivityPair) -> tuple:
@@ -537,7 +539,7 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
     if adjunction != is_conn:
         raise RuntimeError("internal inconsistency: adjunction existence vs subchainmail closure")
 
-    absolute = adjunction and _absolute_raw(lat, *dc)
+    absolute = adjunction and _absolute_raw(lat, fam, joins)
     e4_set = absolutely_connected_elements(lat)
 
     adjoint_view = None
@@ -584,8 +586,8 @@ def classify(pair: ConnectivityPair) -> TaxonomyReport:
     )
     if has["cl1"] != has["cl1_prime"]:
         raise RuntimeError("internal inconsistency: the two mail-join closure forms disagree")
-    if report.absolute and not (report.separated and report.saturated):
-        raise RuntimeError("internal inconsistency: absolute without separated + saturated")
+    if report.absolute != (report.separated and report.saturated):
+        raise RuntimeError("internal inconsistency: absolute is not separated + saturated")
     return report
 
 

@@ -239,7 +239,10 @@ _KINDS = {
 
 
 def _row(kind: str, n: int, threads: int = 1, deep: bool = False) -> tuple:
-    """(rule, top added) of ``kind`` once n, threads and the cap pass: the one check, before any search."""
+    """(rule, top added) of ``kind`` once the kind, n, threads and the cap
+    pass: the one check, before any search."""
+    if kind not in _KINDS:
+        raise PreconditionError(f"no enumeration of kind {kind!r}")
     for name, value in (("n", n), ("threads", threads)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise PreconditionError(f"{name} must be an integer, got {value!r}")
@@ -257,12 +260,12 @@ def _row(kind: str, n: int, threads: int = 1, deep: bool = False) -> tuple:
 
 def enumerate_kind(kind: str, n: int, want_catalog: bool = False, threads: int = 1,
                    deep: bool = False) -> EnumerationResult:
-    """Posets or mail-connected chainmails on n elements up to isomorphism; a
-    chainmail is a completable poset on n - 1 elements with a top added (see
-    the module docstring), or the empty poset at n = 0.  Catalog entries are
-    canonical, sorted by key.  Sizes past a kind's default cap need ``deep``."""
-    if kind not in ("posets", "chainmails"):
-        raise PreconditionError(f"no enumeration of kind {kind!r}")
+    """Posets, mail-connected chainmails or lattices on n elements up to
+    isomorphism.  A chainmail is a completable poset on n - 1 elements with
+    a top added, a lattice one with a bottom too (see the module docstring),
+    and at n = 0 both kinds are the empty poset alone (A006966(0) = 1 for
+    lattices).  Catalog entries are canonical, sorted by key.  Sizes past a
+    kind's default cap need ``deep``."""
     rule, top = _row(kind, n, threads, deep)
     t0 = time.perf_counter()
     if top and n == 0:
@@ -287,18 +290,13 @@ def enumerate_connected_chainmails(n: int, want_catalog: bool = False, threads: 
 
 def enumerate_complete_lattices(max_size: int) -> List[FinitePoset]:
     """Canonical complete lattices with 1..max_size elements, smaller sizes
-    first, canonical-key order inside a size; none for max_size <= 0.
-
-    For n >= 2 the lattices on n elements are the completable posets with
-    a bottom on n - 1 elements with a top added (see the module docstring),
-    and at n = 1 the root with a top.  One walk with the bottom rule, to
-    max_size - 1 elements, serves every size; it yields its root always.
-    """
+    first, canonical-key order inside a size; none for max_size <= 0.  Each
+    size is one catalog of :func:`enumerate_kind`; the size checks are made
+    once for max_size, before any search."""
     # max keeps its first argument on a tie, so a bool is still refused
-    rule, _top = _row("lattices", max(max_size, 0))
-    found = sorted((len(up), result.key, result.relabeled_up)
-                   for up, _down, result in _nodes(_ROOT, rule, max_size - 1) if len(up) < max_size)
-    return [FinitePoset(k + 1, _with_top(k, rows)) for k, _key, rows in found]
+    _row("lattices", max(max_size, 0))
+    return [p for k in range(1, max_size + 1)
+            for p in enumerate_kind("lattices", k, want_catalog=True).catalog]
 
 
 def enumerate_connectivity_pairs(max_lattice_size: int) -> Iterator[ConnectivityPair]:

@@ -18,7 +18,18 @@ from .config import DEFAULT_VERTEX_CAP
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .connectivity import ConnectivityPair
 from .exterior import exterior_as_absolute
-from .poset import FinitePoset, bits_of, component_masks, downset_masks, inclusion_rows, mask_of, submasks
+from .poset import (FinitePoset, bits_of, check_count, component_masks, downset_masks, inclusion_rows,
+                    mask_of, submasks)
+
+
+def _points_in_range(n: int, sets: Iterable[Iterable[int]], what: str) -> list:
+    """``sets`` as tuples, read once, after a FormatError naming the first
+    member outside 0..n-1, before any mask is built."""
+    sets = [tuple(s) for s in sets]
+    for v in (v for s in sets for v in s):
+        if not 0 <= v < n:
+            raise FormatError(f"{what} {v} out of range")
+    return sets
 
 
 @dataclass(frozen=True)
@@ -29,6 +40,7 @@ class Graph:
     edges: tuple  # sorted (a, b) tuples with a < b
 
     def __post_init__(self):
+        check_count(self.n, "vertex count")
         edges = [tuple(e) for e in self.edges]
         for a, b in edges:
             if a == b:
@@ -60,11 +72,8 @@ class Hypergraph:
     hyperedges: tuple  # sorted tuples of vertices
 
     def __post_init__(self):
-        hyperedges = [tuple(e) for e in self.hyperedges]
-        for e in hyperedges:
-            for v in e:
-                if not 0 <= v < self.n:
-                    raise FormatError(f"hyperedge vertex {v} out of range")
+        check_count(self.n, "vertex count")
+        hyperedges = _points_in_range(self.n, self.hyperedges, "hyperedge vertex")
         object.__setattr__(self, "hyperedges", tuple(sorted(tuple(sorted(set(e))) for e in hyperedges)))
 
     def is_connected_set(self, vmask: int) -> bool:
@@ -83,6 +92,7 @@ class Hypergraph:
 
 
 def _check_cap(vertices: int, cap: int) -> None:
+    check_count(vertices, "vertex count")
     if vertices > cap:
         raise GuardExceeded(
             f"{vertices} vertices exceeds the cap of {cap} (the lattice is the powerset)"
@@ -129,7 +139,7 @@ def topology_pair(n: int, opens: Sequence[Iterable[int]], cap: int = DEFAULT_VER
     """(powerset of points, open sets); the kernel map is topological
     interior."""
     _check_cap(n, cap)
-    masks = sorted({mask_of(o) for o in opens})
+    masks = sorted({mask_of(o) for o in _points_in_range(n, opens, "open set point")})
     full = (1 << n) - 1
     mset = set(masks)
     if 0 not in mset or full not in mset:
@@ -192,9 +202,17 @@ def downset_lattice_pair(p: FinitePoset) -> ConnectivityPair:
     return ConnectivityPair(lattice, principal)
 
 
+def _divisors(n: int) -> list:
+    """The divisors of n in increasing order, once n is at least 1 (every
+    integer divides 0)."""
+    if n < 1:
+        raise PreconditionError(f"divisor base must be at least 1, got {n}")
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def divisor_lattice(n: int = 360) -> FinitePoset:
     """Divisors of n under divisibility; n itself is the top element."""
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    divisors = _divisors(n)
     rows = []
     for a in divisors:
         row = 0
@@ -207,7 +225,7 @@ def divisor_lattice(n: int = 360) -> FinitePoset:
 
 def prime_power_divisor_indices(n: int = 360) -> frozenset:
     """Indices of the divisors of n that are non-trivial prime powers."""
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    divisors = _divisors(n)
 
     def is_prime_power(d: int) -> bool:
         if d < 2:

@@ -54,6 +54,13 @@ def check_element(n: int, x: int) -> None:
         raise IndexError(f"element {x} out of range")
 
 
+def check_count(n: int, what: str = "element count") -> None:
+    """Refuse a negative count before any row is built; a shift by it
+    would fail with a bare ValueError."""
+    if n < 0:
+        raise FormatError(f"{what} must be non-negative")
+
+
 def checked_mask(n: int, members: Iterable[int]) -> int:
     """The mask of ``members``, refusing any outside 0..n-1 as
     :func:`check_element` does: the one check of the public entries that
@@ -386,8 +393,7 @@ class FinitePoset:
     up: tuple
 
     def __post_init__(self):
-        if self.n < 0:
-            raise FormatError("element count must be non-negative")
+        check_count(self.n)
         if len(self.up) != self.n:
             raise FormatError("up-set table length does not match n")
 
@@ -423,6 +429,7 @@ class FinitePoset:
 
     @staticmethod
     def chain(n: int) -> "FinitePoset":
+        check_count(n)
         full = (1 << n) - 1
         return FinitePoset(n, tuple(full & ~((1 << a) - 1) for a in range(n)))
 
@@ -434,6 +441,7 @@ class FinitePoset:
     def powerset_lattice(k: int) -> "FinitePoset":
         """Subsets of a k-set ordered by inclusion; element i IS the subset
         with bitmask i."""
+        check_count(k, "point count")
         n = 1 << k
         return FinitePoset(n, inclusion_rows(range(n), range(n)))
 

@@ -336,17 +336,18 @@ class TestAbsolute:
         with pytest.raises(PreconditionError):
             is_absolute(exa_n)
 
-    def test_inclusion_rows_match_the_pairwise_order_test(self):
+    def test_absolute_verdict_matches_the_pairwise_order_test(self):
         # every pair with |L| <= 7, with or without the adjunction: the
-        # relabeled up-rows against the test of every pair of sets
+        # verdict classify reads off the adjunction and the join count,
+        # against the test of every pair of sets
         count = absolute = 0
         for lat in enumerate_complete_lattices(7):
             for cmask in range(1 << lat.n):
-                dc = _dc_tables(ConnectivityPair(lat, set_of(cmask)))
-                raw = connectivity._absolute_raw(lat, *dc)
-                assert raw == oracle_is_absolute(lat, *dc), (lat, cmask)
+                pair = ConnectivityPair(lat, set_of(cmask))
+                verdict = classify(pair).absolute
+                assert verdict == oracle_is_absolute(lat, *_dc_tables(pair)), (lat, cmask)
                 count += 1
-                absolute += raw
+                absolute += verdict
         assert (count, absolute) == (7950, 33)
 
 

@@ -583,6 +583,16 @@ class TestLatticeCorpus:
         catalog = enumerate_connected_chainmails(n, want_catalog=True).catalog
         assert [p for p in catalog if p.bottom() is not None] == [p for p in lattices if p.n == n]
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_lattice_kind_counts(self, n):
+        # A006966, with the empty poset as the one lattice on 0 elements
+        assert enumeration.enumerate_kind("lattices", n).count == {0: 1, **LATTICE_COUNTS_BY_SIZE}[n]
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_lattice_kind_catalog_is_one_size_of_the_list(self, n, lattices):
+        catalog = enumeration.enumerate_kind("lattices", n, want_catalog=True, threads=2).catalog
+        assert list(catalog) == [p for p in lattices if p.n == n]
+
     @pytest.mark.parametrize("max_size", [0, -1])
     def test_no_sizes_give_no_lattices(self, max_size):
         assert enumerate_complete_lattices(max_size) == []
@@ -593,8 +603,9 @@ class TestLatticeCorpus:
 
         monkeypatch.setattr(enumeration, "_enumerate", search)
         monkeypatch.setattr(enumeration, "_nodes", search)
-        with pytest.raises(GuardExceeded, match="^lattice enumeration capped at n=9$"):
-            enumerate_complete_lattices(10)
+        for call in (lambda: enumerate_complete_lattices(10), lambda: enumeration.enumerate_kind("lattices", 10)):
+            with pytest.raises(GuardExceeded, match="^lattice enumeration capped at n=9$"):
+                call()
         # sizes that are not integers are refused, not coerced
         for call, message in [
             (lambda: enumerate_complete_lattices(3.5), "n must be an integer, got 3.5"),
@@ -603,7 +614,7 @@ class TestLatticeCorpus:
             (lambda: enumerate_posets(True), "n must be an integer, got True"),
             (lambda: enumerate_connected_chainmails(2.0), "n must be an integer, got 2.0"),
             (lambda: enumerate_connected_chainmails(False), "n must be an integer, got False"),
-            (lambda: enumeration.enumerate_kind("lattices", 3), "no enumeration of kind 'lattices'"),
+            (lambda: enumeration.enumerate_kind("graphs", 3), "no enumeration of kind 'graphs'"),
         ]:
             with pytest.raises(PreconditionError, match=f"^{message}$"):
                 call()

@@ -12,6 +12,7 @@ from chainmail.errors import FormatError, GuardExceeded, PreconditionError
 from chainmail.generators import (
     Graph,
     Hypergraph,
+    divisor_lattice,
     downset_lattice_pair,
     fixture_names,
     forest_poset_check,
@@ -20,6 +21,7 @@ from chainmail.generators import (
     is_k_connected_set,
     k_connectivity_pair,
     named_fixture,
+    prime_power_divisor_indices,
     topological_connected_sets_pair,
     topology_pair,
 )
@@ -166,6 +168,23 @@ class TestKConnectivity:
             is_k_connected_set(Graph.from_edges(2, [(0, 1)]), 0b11, 0)
 
 
+@pytest.mark.parametrize("build,error", [
+    pytest.param(lambda: FinitePoset.chain(-1), FormatError, id="chain"),
+    pytest.param(lambda: FinitePoset.powerset_lattice(-1), FormatError, id="powerset"),
+    pytest.param(lambda: Graph(-1, []), FormatError, id="graph"),
+    pytest.param(lambda: Hypergraph(-2, []), FormatError, id="hypergraph"),
+    pytest.param(lambda: topology_pair(-1, [[]]), FormatError, id="topology"),
+    pytest.param(lambda: divisor_lattice(0), PreconditionError, id="divisors-of-0"),
+    pytest.param(lambda: divisor_lattice(-5), PreconditionError, id="divisors-of-minus-5"),
+    pytest.param(lambda: prime_power_divisor_indices(0), PreconditionError, id="prime-powers-of-0"),
+])
+def test_negative_sizes_are_refused(build, error):
+    # refused with the package's error, not a bare ValueError from a
+    # negative shift, and not an empty structure
+    with pytest.raises(error, match="must be (non-negative|at least 1)"):
+        build()
+
+
 class TestTopologyPairs:
     def test_discrete_two_points_is_degenerate(self):
         pair = topology_pair(2, [[], [0], [1], [0, 1]])
@@ -188,6 +207,12 @@ class TestTopologyPairs:
             topology_pair(2, [[0], [0, 1]])  # missing empty set
         with pytest.raises(FormatError):
             topology_pair(3, [[], [0], [1], [0, 1, 2]])  # missing the union {0,1}
+
+    @pytest.mark.parametrize("build", [topology_pair, topological_connected_sets_pair])
+    @pytest.mark.parametrize("opens,point", [([[], [-1], [0, 1]], -1), ([[], [0], [0, 1], [0, 1, 5]], 5)])
+    def test_rejects_points_out_of_range(self, build, opens, point):
+        with pytest.raises(FormatError, match=f"^open set point {point} out of range$"):
+            build(2, opens)
 
     def test_connected_sets_of_point_space(self):
         pair = topological_connected_sets_pair(3, [[], [0], [0, 1], [0, 1, 2]])
