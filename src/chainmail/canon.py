@@ -87,8 +87,18 @@ partition, so each orbit lies inside one of its cells.
 Fresh cells.  A refinement round counts only against the cells the
 previous round made, less the last fragment of each split cell; see
 :func:`_refine` for why that gives the same ordered partition as counting
-against every cell.  Round one, against the unit cell, groups the
-elements by ``(|down|, |up|)`` (see :func:`stable_partition`).
+against every cell, and :func:`stable_partition` for round one.
+
+Top.  Let t be a top added to a poset P as element n - 1.  Then
+``canonicalize(P + t)`` has P's canonical rows with bit n - 1 set in each
+and the row 1 << (n - 1) appended, and keys ordered as P's are.  Round
+one gives t a cell of its own, last, as t alone has a down-set of n
+elements; that cell adds one constant to every other signature, so
+refinement and search split P's elements as they do without t, every
+leaf ends in t, and the same automorphisms prune.  Encodings compare
+from the last row down: t's row is the same in every leaf, and each
+other row is P's with one fixed bit set, so encodings over leaves, and
+over posets, are ordered as without t.
 """
 
 from __future__ import annotations
@@ -451,14 +461,19 @@ def accept(n: int, up: Sequence[int], down: Sequence[int]) -> Optional[CanonResu
     in the automorphism orbit of the canonical deletion choice, the last
     maximal element of ``perm``, else None.
 
-    A cell holds maximal elements only or none, since round one groups
-    the elements by |up| and only a maximal element has |up| = 1.  So by
+    Round one orders the elements by ``(|down|, |up|)`` (see
+    :func:`stable_partition`), and only a maximal element has |up| = 1, so
+    a cell holds maximal elements only or none, and the last round-one
+    cell holding one holds the maximal elements of largest |down|.  By
     "Bound" in the module docstring, the choice and its orbit lie in the
-    last stable cell holding a maximal element, and a new element outside
-    that cell is rejected before any labeling.  A one-leaf result takes
-    ``perm`` from the cells in list order, each ascending, so there the
-    choice is the largest member of that cell, n - 1 itself, and the child
-    is accepted with no orbit test.
+    last stable cell holding a maximal element, inside that round-one
+    cell.  So a new element outside that stable cell is rejected here
+    before any labeling, and one with a smaller |down| than another
+    maximal element is rejected from the parent alone, by
+    :func:`degree_table`.  A one-leaf result takes ``perm`` from the cells
+    in list order, each ascending, so there the choice is the largest
+    member of that cell, n - 1 itself, and the child is accepted with no
+    orbit test.
     """
     cells, twin = stable_partition(n, up, down)
     last = next(c for c in reversed(cells) if up[c[0]] == 1 << c[0])
@@ -469,3 +484,13 @@ def accept(n: int, up: Sequence[int], down: Sequence[int]) -> Optional[CanonResu
         return result
     best = next(e for e in reversed(result.perm) if up[e] == 1 << e)
     return result if n - 1 in result.orbit(best) else None
+
+
+def degree_table(k: int, up: Sequence[int], down: Sequence[int]) -> list:
+    """The parent's half of :func:`accept` for a poset on k elements: entry
+    c is the mask of its maximal elements with |down| > c + 1.  The child
+    over a down-set d adds an element with |down| = |d| + 1, and keeps the
+    parent's maximal elements outside d with their down-sets, so it is
+    rejected when entry |d| does not lie inside d."""
+    maxima = [(down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a]
+    return [sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)]

@@ -12,19 +12,16 @@ parallel.
 
 One down-set per orbit.  Each search node carries generators of its
 automorphism group, found by its own canonicalization and in its own
-labels, and only the first down-set of each orbit of that group is tried.
-Where the parent's labeling took one leaf, its group permutes its twin
-groups alone, and the first down-set of an orbit is the one that holds
-the first members of each twin group (the prefix rule, see the canon
-module docstring); otherwise each orbit is walked over the generators.
-Down-sets in one orbit give isomorphic children, so no class is lost.
-Two accepted children over down-sets D and E are isomorphic only when D
-and E share an orbit.  Each new element lies in the orbit of its child's
-canonical deletion choice, and an isomorphism f between the children maps
-the one orbit onto the other, so f followed by an automorphism of the
-second child maps new element to new element; it then restricts to an
-automorphism of the parent that maps D onto E.  So the children of one
-parent need no deduplication by key.
+labels, and only the first down-set of each orbit of that group is tried
+(``CanonResult.orbit_firsts``).  Down-sets in one orbit give isomorphic
+children, so no class is lost.  Two accepted children over down-sets D
+and E are isomorphic only when D and E share an orbit.  Each new element
+lies in the orbit of its child's canonical deletion choice, and an
+isomorphism f between the children maps the one orbit onto the other, so
+f followed by an automorphism of the second child maps new element to
+new element; it then restricts to an automorphism of the parent that
+maps D onto E.  So the children of one parent need no deduplication by
+key.
 
 Connected chainmails are counted through completable posets: ones in
 which no reduced mail (an antichain of at least two elements with a common
@@ -48,20 +45,12 @@ join j in P is the least upper bound in P + x exactly when j < x, that
 is when j is in D.  The pairs are listed once per parent
 (poset.pair_joins), so a child costs a few mask tests.
 
-Round one.  The first refinement round sorts elements by (|down|, |up|),
-and a maximal element alone has |up| = 1, so the last round-one cell that
-holds a maximal element holds the maximal elements with the largest
-|down|, and the last stable cell holding one lies inside it.  So a new
-element over D is accepted only when |D| + 1 >= |down[a]| for every
-maximal a of the parent outside D: those are the child's other maximal
-elements, and their down-sets are unchanged.  ``_children`` reads this
-off one table per parent: need[c] is the mask of the parent's maximal
-elements with |down| > c + 1, and D passes when need[|D|] lies inside D.
-The join test, this degree test and the bottom rule below depend on the
-parent alone and are kept by its automorphisms.  They are applied to the
-list of down-sets before one per orbit is picked, so the list stays
-closed under the group: each orbit passes whole or not at all, and its
-first down-set is the same as in the full list.
+Filters kept by the group.  The join test above, the bottom rule below
+and ``canon.degree_table`` drop down-sets from the parent alone, before
+any child is built.  Each depends on the parent's order alone, so its
+automorphisms keep it, and the filtered list stays closed under the
+group: each orbit passes whole or not at all, and its first down-set is
+the same as in the full list.
 
 Bijection.  For n >= 1, the mail-connected chainmails on n elements are
 exactly the completable posets on n - 1 elements with a top added, and
@@ -90,18 +79,6 @@ The search is the completable one with one more rule: once the parent has
 an element, the new element's down-set is non-empty, so it holds the
 bottom.  Deleting a maximal element of a poset with a bottom and two or
 more elements keeps the bottom, so canonical ancestry survives.
-
-Canonical form with a top.  canon.canonicalize(P + t) gives the canonical
-up-rows of P with bit n - 1 set in each and the row 1 << (n - 1) appended,
-so catalog entries need no second canonicalization.  The refinement gives
-t a cell of its own, last, because t alone has a down-set of n elements;
-from then on t's cell adds the same constant to every other element's
-signature, so refinement and search split P's elements exactly as they do
-without t, and every leaf ends in t.  Equal encodings stay equal, so the
-same automorphisms prune the search.  An encoding is compared from its last
-row down: the top's row is the same in every leaf, and each other row is
-P's row with one fixed bit set, so the order of encodings over leaves, and
-over different posets, is their order without the top.
 """
 
 from __future__ import annotations
@@ -109,13 +86,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from . import canon
 from .config import ENUM_CAPS
 from .connectivity import ConnectivityPair
 from .errors import GuardExceeded, PreconditionError
-from .poset import FinitePoset, bits_of, downset_masks, joins_inside, pair_joins
+from .poset import FinitePoset, bits_of, downset_masks, is_integer, joins_inside, pair_joins
 
 
 @dataclass(frozen=True)
@@ -130,25 +107,18 @@ class EnumerationResult:
 # search
 # ---------------------------------------------------------------------------
 
-def _degree_table(k: int, up: Tuple[int, ...], down: Tuple[int, ...]) -> list:
-    """The degree test of a parent (see "Round one" in the module
-    docstring): entry c is the mask of the maximal elements with
-    |down| > c + 1, and a down-set d passes when entry |d| lies inside d."""
-    maxima = [(down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a]
-    return [sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)]
-
-
 def _children(up: tuple, down: tuple, parent: canon.CanonResult, completable: bool, bottom: bool):
     """Accepted children of the parent with these up- and down-rows, as
     search nodes.  One down-set per orbit of the parent's automorphisms,
     read off its canonicalization ``parent``, is tried.  ``completable`` keeps
     the completable children only; ``bottom`` keeps, once the parent has
     an element, only new elements with a non-empty strict down-set.  These
-    rules and the degree test run on the down-set list before the orbits
-    are taken (see the module docstring)."""
+    rules and ``canon.degree_table`` run on the down-set list before the
+    orbits are taken (see "Filters kept by the group" in the module
+    docstring)."""
     k = len(up)
     newbit = 1 << k
-    need = _degree_table(k, up, down)
+    need = canon.degree_table(k, up, down)
     joins = pair_joins(up, down) if completable else []
     masks = [d for d in downset_masks(k, down)
              if (d or not (bottom and k)) and not need[d.bit_count()] & ~d and joins_inside(d, joins)]
@@ -165,33 +135,35 @@ _ROOT = ((), (), canon.canonicalize(0, (), ()))
 
 
 def _nodes(node, rule: tuple, depth: int):
-    """Pre-order walk from ``node``: the node, then the walks of its
-    children, down to nodes on ``depth`` elements, which come straight
-    from :func:`_children`.  ``rule`` is the (completable, bottom) pair
-    that :func:`_children` takes."""
-    yield node
+    """The nodes on ``depth`` elements below ``node`` (``node`` itself when
+    it has that many), in pre-order; the last level comes straight from
+    :func:`_children`.  ``rule`` is the (completable, bottom) pair that
+    :func:`_children` takes."""
     up, down, result = node
     k = len(up)
-    if k + 1 < depth:
+    if k == depth:
+        yield node
+    elif k + 1 == depth:
+        yield from _children(up, down, result, *rule)
+    elif k < depth:
         for child in _children(up, down, result, *rule):
             yield from _nodes(child, rule, depth)
-    elif k < depth:
-        yield from _children(up, down, result, *rule)
 
 
 def _worker(payload):
     rule, target, want_catalog, root = payload
     count, entries = 0, []
-    for up, _down, result in _nodes(root, rule, target):
-        if len(up) == target:
-            count += 1
-            if want_catalog:
-                entries.append((result.key, result.relabeled_up))
+    for _up, _down, result in _nodes(root, rule, target):
+        count += 1
+        if want_catalog:
+            entries.append((result.key, result.relabeled_up))
     return count, entries
 
 
 def _with_top(k: int, rows: Sequence[int]) -> tuple:
-    """Up-rows of a k-element poset with a top added as element k."""
+    """Up-rows of a k-element poset with a top added as element k; on
+    canonical rows, the canonical rows of the result, in the same key
+    order (see "Top" in the canon module docstring)."""
     top = 1 << k
     return tuple(r | top for r in rows) + (top,)
 
@@ -211,9 +183,7 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
     times.  The entries are sorted by key, so neither the dealing nor the
     pool size changes the output.
     """
-    depth = max(target - 3, 0)
-    frontier = [node for node in _nodes(_ROOT, rule, depth) if len(node[0]) == depth]
-    payloads = [(rule, target, want_catalog, node) for node in frontier]
+    payloads = [(rule, target, want_catalog, node) for node in _nodes(_ROOT, rule, max(target - 3, 0))]
     processes = min(threads, len(payloads), os.cpu_count() or 1)
     if processes > 1:
         import multiprocessing
@@ -244,7 +214,7 @@ def _row(kind: str, n: int, threads: int = 1, deep: bool = False) -> tuple:
     if kind not in _KINDS:
         raise PreconditionError(f"no enumeration of kind {kind!r}")
     for name, value in (("n", n), ("threads", threads)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_integer(value):
             raise PreconditionError(f"{name} must be an integer, got {value!r}")
     if n < 0:
         raise PreconditionError("n must be non-negative")

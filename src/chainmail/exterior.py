@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 from .config import DEFAULT_MAX_EXTERIOR_SETS, DEFAULT_MAX_TMD_SETS
 from .connectivity import ConnectivityPair
-from .errors import GuardExceeded, PreconditionError
-from .poset import (FinitePoset, checked_mask, component_masks, downset_masks, inclusion_rows,
+from .errors import FormatError, GuardExceeded, PreconditionError
+from .poset import (FinitePoset, checked_mask, component_masks, downset_masks, inclusion_rows, is_integer,
                     joins_inside, mask_of, pair_joins, set_of, tmd_masks)
 
 
@@ -125,6 +125,9 @@ def downset_to_tmd(p: FinitePoset, members: Iterable[int]) -> frozenset:
 def inclusion_poset(sets: Sequence[frozenset]) -> FinitePoset:
     """The subset-inclusion order on a family of sets of elements, in the
     given order."""
+    for x in (x for s in sets for x in s):
+        if not (is_integer(x) and x >= 0):
+            raise FormatError(f"set member {x} out of range")
     masks = [mask_of(s) for s in sets]
     return FinitePoset(len(masks), inclusion_rows(masks, masks))
 

@@ -19,7 +19,7 @@ from .errors import FormatError, GuardExceeded, PreconditionError
 from .connectivity import ConnectivityPair
 from .exterior import exterior_as_absolute
 from .poset import (FinitePoset, bits_of, check_count, component_masks, downset_masks, inclusion_rows,
-                    mask_of, submasks)
+                    is_integer, mask_of, submasks)
 
 
 def _points_in_range(n: int, sets: Iterable[Iterable[int]], what: str) -> list:
@@ -27,7 +27,7 @@ def _points_in_range(n: int, sets: Iterable[Iterable[int]], what: str) -> list:
     member outside 0..n-1, before any mask is built."""
     sets = [tuple(s) for s in sets]
     for v in (v for s in sets for v in s):
-        if not 0 <= v < n:
+        if not (is_integer(v) and 0 <= v < n):
             raise FormatError(f"{what} {v} out of range")
     return sets
 
@@ -45,7 +45,7 @@ class Graph:
         for a, b in edges:
             if a == b:
                 raise FormatError("self-loops are not allowed")
-            if not (0 <= a < self.n and 0 <= b < self.n):
+            if not (is_integer(a) and is_integer(b) and 0 <= a < self.n and 0 <= b < self.n):
                 raise FormatError(f"edge ({a},{b}) out of range")
         object.__setattr__(self, "edges", tuple(sorted(tuple(sorted(e)) for e in edges)))
 
@@ -203,8 +203,10 @@ def downset_lattice_pair(p: FinitePoset) -> ConnectivityPair:
 
 
 def _divisors(n: int) -> list:
-    """The divisors of n in increasing order, once n is at least 1 (every
-    integer divides 0)."""
+    """The divisors of n in increasing order, once n is an integer of at
+    least 1 (every integer divides 0)."""
+    if not is_integer(n):
+        raise FormatError(f"divisor base must be an integer, got {n!r}")
     if n < 1:
         raise PreconditionError(f"divisor base must be at least 1, got {n}")
     return [d for d in range(1, n + 1) if n % d == 0]

@@ -48,15 +48,26 @@ def set_of(mask: int) -> frozenset:
     return frozenset(bits_of(mask))
 
 
+def is_integer(value) -> bool:
+    """An int that is not a bool: the one integer test of inputs (floats
+    and strings are refused rather than truncated or parsed, and True is
+    not taken for 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_element(n: int, x: int) -> None:
-    """Refuse an x outside 0..n-1; a negative one reads another's row."""
-    if not 0 <= x < n:
+    """Refuse an x that is not an integer in 0..n-1; a negative one reads
+    another's row, and True would read row 1."""
+    if not (is_integer(x) and 0 <= x < n):
         raise IndexError(f"element {x} out of range")
 
 
 def check_count(n: int, what: str = "element count") -> None:
-    """Refuse a negative count before any row is built; a shift by it
-    would fail with a bare ValueError."""
+    """Refuse a count that is not a non-negative integer before any row is
+    built: a bool would pass for 0 or 1, and a float or a negative count
+    would fail with a bare TypeError or ValueError."""
+    if not is_integer(n):
+        raise FormatError(f"{what} must be an integer, got {n!r}")
     if n < 0:
         raise FormatError(f"{what} must be non-negative")
 
@@ -407,6 +418,7 @@ class FinitePoset:
         closure is taken; otherwise the input must already be transitively
         closed (checked by :meth:`validate`, not here).
         """
+        check_count(n)
         rows = [1 << a for a in range(n)]
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
@@ -435,6 +447,7 @@ class FinitePoset:
 
     @staticmethod
     def antichain(n: int) -> "FinitePoset":
+        check_count(n)
         return FinitePoset(n, tuple(1 << a for a in range(n)))
 
     @staticmethod
@@ -701,7 +714,7 @@ class FinitePoset:
         if not isinstance(obj, dict):
             raise FormatError("poset JSON must be an object")
         n = obj.get("n")
-        if not _is_json_int(n):
+        if not is_integer(n):
             raise FormatError('poset JSON needs an integer field "n"')
         pairs = obj.get("leq", [])
         if not isinstance(pairs, list):
@@ -715,16 +728,10 @@ class FinitePoset:
         cleaned = []
         for p in pairs:
             if not (isinstance(p, (list, tuple)) and len(p) == 2
-                    and _is_json_int(p[0]) and _is_json_int(p[1])):
+                    and is_integer(p[0]) and is_integer(p[1])):
                 raise FormatError(f"bad leq pair: {p!r}")
             cleaned.append((p[0], p[1]))
         return FinitePoset.from_leq_pairs(n, cleaned, close=close)
-
-
-def _is_json_int(value) -> bool:
-    """A JSON integer: an int that is not a bool (floats and strings are
-    rejected rather than truncated or parsed)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def connectivity_from_json(obj: dict) -> tuple:
@@ -737,7 +744,7 @@ def connectivity_from_json(obj: dict) -> tuple:
     if not isinstance(raw, list):
         raise FormatError('"connectivity" must be a list of elements')
     for x in raw:
-        if not _is_json_int(x):
+        if not is_integer(x):
             raise FormatError(f"connectivity element {x!r} is not an integer")
     members = frozenset(raw)
     for x in members:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from chainmail import canon, connectivity
+from chainmail import canon, connectivity, enumeration
 from chainmail.exterior import tmd_set_masks
 from chainmail.poset import FinitePoset, bits_of, mask_of, set_of, tmd_masks
 from chainmail.enumeration import enumerate_posets
@@ -567,6 +567,18 @@ def oracle_accepted(k1: int, up1, down1):
     pos = {e: i for i, e in enumerate(result.perm)}
     best = max((e for e in range(k1) if up1[e] == 1 << e), key=pos.__getitem__)
     return result if k1 - 1 in canon._orbit(best, result.generators) else None
+
+
+def oracle_nodes(node, rule: tuple, depth: int):
+    """Every search node from ``node`` down to ``depth`` elements, in
+    pre-order: the node, then the walks of its children.  The one-level
+    walk ``enumeration._nodes`` must yield the nodes on one size in this
+    order, since it is the order the pool deals its tasks in."""
+    yield node
+    up, down, result = node
+    if len(up) < depth:
+        for child in enumeration._children(up, down, result, *rule):
+            yield from oracle_nodes(child, rule, depth)
 
 
 def twin_cells(up, down, cells) -> bool:

@@ -172,7 +172,7 @@ class TestKernel:
             assert kernel(pair, x) == x
 
 
-@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("bad", [-1, 4, True, 1.0])
 @pytest.mark.parametrize("call", [
     lambda pair, x: FinitePoset.induced(pair.lattice, [x]),
     components,
@@ -188,7 +188,8 @@ class TestKernel:
         "e1", "e2", "e3", "e4"])
 def test_element_out_of_range_raises(call, bad):
     # a negative element would read another element's row: the top's, on
-    # the 4-element powerset lattice
+    # the 4-element powerset lattice; True would read row 1, and a float
+    # is not an element
     pair = ConnectivityPair(FinitePoset.powerset_lattice(2), frozenset({1, 2}))
     with pytest.raises(IndexError, match=f"element {bad} out of range"):
         call(pair, bad)
@@ -216,7 +217,7 @@ _SET_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("bad", [-1, 4, True, 1.0])
 @pytest.mark.parametrize("name", list(_SET_ENTRIES))
 def test_set_member_out_of_range_raises(name, bad):
     # one error for every public entry that takes a set of elements; a

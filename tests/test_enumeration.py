@@ -28,7 +28,7 @@ from chainmail.poset import (FinitePoset, downset_masks, joins_inside, pair_join
                              reduced_mail_scan, transpose)
 
 from conftest import (brute_force_poset_count, consecutive_twin_swaps, lattices_by_filtering_all_posets,
-                      oracle_accepted, oracle_orbit_firsts, twin_cells)
+                      oracle_accepted, oracle_nodes, oracle_orbit_firsts, twin_cells)
 
 POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 CHAINMAIL_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 303}
@@ -242,8 +242,8 @@ RULES = {"posets": (False, False), "completable": (True, False), "lattices": (Tr
 
 def search_nodes(rule: tuple, max_k: int) -> list:
     """Every node of the search on at most ``max_k`` elements, each with
-    the canonicalization it carries."""
-    return list(enumeration._nodes(enumeration._ROOT, rule, max_k))
+    the canonicalization it carries, smaller nodes first."""
+    return [node for k in range(max_k + 1) for node in enumeration._nodes(enumeration._ROOT, rule, k)]
 
 
 def children_over_every_downset(k: int, up: tuple):
@@ -386,7 +386,7 @@ def kept_masks(k: int, up: tuple, down: tuple, rule: tuple) -> list:
     """The down-sets of the parent that pass the rule's filters and the
     degree test, ascending: the list ``_children`` picks one per orbit of."""
     completable, bottom = rule
-    need = enumeration._degree_table(k, up, down)
+    need = canon.degree_table(k, up, down)
     joins = pair_joins(up, down) if completable else []
     return [d for d in downset_masks(k, down)
             if (d or not (bottom and k)) and not need[d.bit_count()] & ~d and joins_inside(d, joins)]
@@ -439,12 +439,34 @@ class TestChildFilters:
         dropped = 0
         for up, _down, _result in nodes:
             k = len(up)
-            need = enumeration._degree_table(k, up, transpose(k, up))
+            need = canon.degree_table(k, up, transpose(k, up))
             for dmask, up1, down1 in children_over_every_downset(k, up):
                 if need[dmask.bit_count()] & ~dmask:
                     assert oracle_accepted(k + 1, up1, down1) is None
                     dropped += 1
         assert dropped
+
+
+class TestWalk:
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_each_level_is_that_level_of_the_pre_order_walk(self, name):
+        # the frontier and each worker's classes are one level of the
+        # search, in pre-order, which is the order the pool deals tasks in
+        rule = RULES[name]
+
+        def labels(nodes):
+            return [(up, down, result.key) for up, down, result in nodes]
+
+        def level(walk, k):
+            return [node for node in labels(walk) if len(node[0]) == k]
+
+        walk = list(oracle_nodes(enumeration._ROOT, rule, 6))
+        for k in range(7):
+            assert labels(enumeration._nodes(enumeration._ROOT, rule, k)) == level(walk, k)
+        # a worker walks from a frontier node, and the walk below it is
+        # the same
+        for root in enumeration._nodes(enumeration._ROOT, rule, 2):
+            assert labels(enumeration._nodes(root, rule, 6)) == level(oracle_nodes(root, rule, 6), 6)
 
 
 class TestDeterminism:
@@ -463,8 +485,7 @@ class TestDeterminism:
 
 def frontier_size(rule: tuple, target: int) -> int:
     """The number of search nodes on ``target - 3`` elements."""
-    depth = max(target - 3, 0)
-    return sum(len(up) == depth for up, _down, _result in enumeration._nodes(enumeration._ROOT, rule, depth))
+    return sum(1 for _node in enumeration._nodes(enumeration._ROOT, rule, max(target - 3, 0)))
 
 
 class TestWorkerPool:

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from chainmail.connectivity import absolutely_connected_elements, classify
-from chainmail.errors import GuardExceeded, PreconditionError
+from chainmail.errors import FormatError, GuardExceeded, PreconditionError
 from chainmail.exterior import (
     downclosed_subchainmails,
     downset_to_tmd,
@@ -214,6 +214,13 @@ class TestDownclosedSubchainmails:
         sets = downclosed_subchainmails(exa_a)
         assert len(sets) == 11
         assert inclusion_poset(sets).is_isomorphic(exterior(exa_a).order)
+
+    @pytest.mark.parametrize("member", [-1, 1.5, True])
+    def test_inclusion_poset_refuses_members_that_are_not_elements(self, member):
+        # not a bare ValueError from a negative shift or a TypeError from a
+        # float shift, and True is not taken for element 1
+        with pytest.raises(FormatError, match=f"^set member {member} out of range$"):
+            inclusion_poset([frozenset(), frozenset({member})])
 
     def test_precondition(self):
         p = FinitePoset.from_cover_pairs(4, [(0, 2), (1, 2), (0, 3), (1, 3)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -98,6 +99,12 @@ class TestGraphPairs:
         with pytest.raises(FormatError):
             Graph.from_edges(2, [(1, 1)])
 
+    @pytest.mark.parametrize("edge", [(0, 2), (-1, 0), (0, True), (0, 1.0)])
+    def test_rejects_endpoints_out_of_range(self, edge):
+        # a bool or float endpoint is not stored as if it were an integer
+        with pytest.raises(FormatError, match=f"^edge {re.escape(str(edge).replace(' ', ''))} out of range$"):
+            Graph(2, [edge])
+
 
 class TestHypergraphPairs:
     def test_graph_as_hypergraph(self):
@@ -112,6 +119,12 @@ class TestHypergraphPairs:
     def test_no_hyperedges(self):
         pair = hypergraph_connectivity_pair(Hypergraph(2, ()))
         assert pair.connected == frozenset()
+
+    @pytest.mark.parametrize("vertex", [-1, 2, 0.0, True])
+    def test_rejects_vertices_out_of_range(self, vertex):
+        # a float or bool vertex is not stored as if it were an integer
+        with pytest.raises(FormatError, match=f"^hyperedge vertex {re.escape(str(vertex))} out of range$"):
+            Hypergraph(2, [(vertex,)])
 
     def test_connected_sets_match_chain_cover_oracle(self):
         rng = random.Random(7)
@@ -168,20 +181,45 @@ class TestKConnectivity:
             is_k_connected_set(Graph.from_edges(2, [(0, 1)]), 0b11, 0)
 
 
-@pytest.mark.parametrize("build,error", [
-    pytest.param(lambda: FinitePoset.chain(-1), FormatError, id="chain"),
-    pytest.param(lambda: FinitePoset.powerset_lattice(-1), FormatError, id="powerset"),
-    pytest.param(lambda: Graph(-1, []), FormatError, id="graph"),
-    pytest.param(lambda: Hypergraph(-2, []), FormatError, id="hypergraph"),
-    pytest.param(lambda: topology_pair(-1, [[]]), FormatError, id="topology"),
-    pytest.param(lambda: divisor_lattice(0), PreconditionError, id="divisors-of-0"),
-    pytest.param(lambda: divisor_lattice(-5), PreconditionError, id="divisors-of-minus-5"),
-    pytest.param(lambda: prime_power_divisor_indices(0), PreconditionError, id="prime-powers-of-0"),
+@pytest.mark.parametrize("build,error,message", [
+    pytest.param(lambda: FinitePoset.chain(-1), FormatError, "element count must be non-negative", id="chain"),
+    pytest.param(lambda: FinitePoset.powerset_lattice(-1), FormatError, "point count must be non-negative",
+                 id="powerset"),
+    pytest.param(lambda: Graph(-1, []), FormatError, "vertex count must be non-negative", id="graph"),
+    pytest.param(lambda: Hypergraph(-2, []), FormatError, "vertex count must be non-negative", id="hypergraph"),
+    pytest.param(lambda: topology_pair(-1, [[]]), FormatError, "vertex count must be non-negative", id="topology"),
+    pytest.param(lambda: divisor_lattice(0), PreconditionError, "divisor base must be at least 1, got 0",
+                 id="divisors-of-0"),
+    pytest.param(lambda: divisor_lattice(-5), PreconditionError, "divisor base must be at least 1, got -5",
+                 id="divisors-of-minus-5"),
+    pytest.param(lambda: prime_power_divisor_indices(0), PreconditionError, "divisor base must be at least 1, got 0",
+                 id="prime-powers-of-0"),
+    # a bool is not taken for 0 or 1, and a float is not truncated
+    pytest.param(lambda: FinitePoset(True, (1,)), FormatError, "element count must be an integer, got True",
+                 id="poset-of-True"),
+    pytest.param(lambda: FinitePoset.chain(True), FormatError, "element count must be an integer, got True",
+                 id="chain-of-True"),
+    pytest.param(lambda: FinitePoset.antichain(True), FormatError, "element count must be an integer, got True",
+                 id="antichain-of-True"),
+    pytest.param(lambda: divisor_lattice(True), FormatError, "divisor base must be an integer, got True",
+                 id="divisors-of-True"),
+    pytest.param(lambda: Graph(2.0, []), FormatError, "vertex count must be an integer, got 2.0", id="graph-of-2.0"),
+    pytest.param(lambda: FinitePoset.chain(2.0), FormatError, "element count must be an integer, got 2.0",
+                 id="chain-of-2.0"),
+    pytest.param(lambda: FinitePoset.antichain(2.0), FormatError, "element count must be an integer, got 2.0",
+                 id="antichain-of-2.0"),
+    pytest.param(lambda: FinitePoset.powerset_lattice(2.0), FormatError, "point count must be an integer, got 2.0",
+                 id="powerset-of-2.0"),
+    pytest.param(lambda: FinitePoset.from_leq_pairs(2.0, []), FormatError,
+                 "element count must be an integer, got 2.0", id="leq-pairs-of-2.0"),
+    pytest.param(lambda: divisor_lattice(2.5), FormatError, "divisor base must be an integer, got 2.5",
+                 id="divisors-of-2.5"),
 ])
-def test_negative_sizes_are_refused(build, error):
+def test_negative_sizes_are_refused(build, error, message):
     # refused with the package's error, not a bare ValueError from a
-    # negative shift, and not an empty structure
-    with pytest.raises(error, match="must be (non-negative|at least 1)"):
+    # negative shift or a TypeError from a float, and not an empty or
+    # one-element structure
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
 
 
@@ -209,7 +247,8 @@ class TestTopologyPairs:
             topology_pair(3, [[], [0], [1], [0, 1, 2]])  # missing the union {0,1}
 
     @pytest.mark.parametrize("build", [topology_pair, topological_connected_sets_pair])
-    @pytest.mark.parametrize("opens,point", [([[], [-1], [0, 1]], -1), ([[], [0], [0, 1], [0, 1, 5]], 5)])
+    @pytest.mark.parametrize("opens,point", [([[], [-1], [0, 1]], -1), ([[], [0], [0, 1], [0, 1, 5]], 5),
+                                             ([[], [0.0], [0, 1]], 0.0), ([[], [True], [0, 1]], True)])
     def test_rejects_points_out_of_range(self, build, opens, point):
         with pytest.raises(FormatError, match=f"^open set point {point} out of range$"):
             build(2, opens)

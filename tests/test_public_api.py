@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import chainmail
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = [
     "ConnectivityPair", "ElementSet", "EnumerationResult", "FinitePoset", "FormatError",
@@ -23,3 +30,17 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_unchanged():
     assert sorted(chainmail.__all__) == PUBLIC_NAMES
+
+
+def test_readme_example_prints_what_its_comments_say():
+    # each `print(...)  # value` line of README's python block: the value,
+    # or the value then ": " and a remark, is the line it prints
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    said = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(said) == len(printed) == block.count("print(")
+    for comment, line in zip(said, printed):
+        assert comment == line or comment.startswith(line + ": ")
