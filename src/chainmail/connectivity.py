@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, List, Optional, Union
 
 from .config import DEFAULT_MAX_TMD_SETS
@@ -50,19 +50,14 @@ class ConnectivityPair:
 
     lattice: FinitePoset
     connected: frozenset
+    cmask: int = field(init=False, repr=False, compare=False)   # the mask of ``connected``
 
     def __post_init__(self):
         if not self.lattice.is_complete_lattice():
             raise PreconditionError("the carrier of a connectivity pair must be a complete lattice")
         connected = tuple(self.connected)
-        bad = [x for x in connected if not 0 <= x < self.lattice.n]
-        if bad:
-            raise PreconditionError(f"connected elements out of range: {bad}")
+        object.__setattr__(self, "cmask", checked_mask(self.lattice.n, connected))
         object.__setattr__(self, "connected", frozenset(connected))
-
-    @cached_property
-    def cmask(self) -> int:
-        return mask_of(self.connected)
 
     def bottom(self) -> int:
         return self.lattice.bottom()

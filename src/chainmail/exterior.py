@@ -42,11 +42,13 @@ class TmdFamily:
         return tuple(set_of(m) for m in self.masks)
 
     def index_of(self, members: Iterable[int]) -> int:
-        target = frozenset(members)
+        members = tuple(members)
         try:
-            return self.masks.index(mask_of(target))
-        except ValueError:   # a negative member, or no such set
-            raise KeyError(f"{sorted(target)} is not a TMD set of the base poset") from None
+            return self.masks.index(checked_mask(self.base.n, members))
+        except IndexError as exc:   # a member that is not an element
+            raise KeyError(str(exc)) from None
+        except ValueError:          # no such set
+            raise KeyError(f"{sorted(set(members))} is not a TMD set of the base poset") from None
 
     def singleton_indices(self) -> frozenset:
         return frozenset(i for i, m in enumerate(self.masks) if m.bit_count() == 1)

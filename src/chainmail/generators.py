@@ -123,7 +123,7 @@ def is_k_connected_set(g: Graph, vmask: int, k: int) -> bool:
     Read literally this admits small sets: a two-vertex edge minus one
     vertex is a non-empty connected singleton, so edges are 2-connected.
     """
-    if k < 1:
+    if not (is_integer(k) and k >= 1):
         raise PreconditionError("k must be a positive integer")
     adjacency = g.adjacency()
     return all(len(component_masks(adjacency, vmask & ~removed)) == 1
@@ -237,7 +237,6 @@ def prime_power_divisor_indices(n: int = 360) -> frozenset:
                 while d % q == 0:
                     d //= q
                 return d == 1
-        return False
 
     return frozenset(i for i, d in enumerate(divisors) if is_prime_power(d))
 

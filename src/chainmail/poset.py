@@ -416,11 +416,14 @@ class FinitePoset:
 
         Reflexive pairs are implied.  With ``close`` the reflexive-transitive
         closure is taken; otherwise the input must already be transitively
-        closed (checked by :meth:`validate`, not here).
+        closed (checked by :meth:`validate`, not here).  An end that is not
+        an integer in 0..n-1 is refused with a FormatError.
         """
         check_count(n)
         rows = [1 << a for a in range(n)]
         for a, b in pairs:
+            if not (is_integer(a) and is_integer(b)):
+                raise FormatError(f"bad leq pair: {[a, b]!r}")
             if not (0 <= a < n and 0 <= b < n):
                 raise FormatError(f"pair ({a},{b}) out of range for n={n}")
             rows[a] |= 1 << b
@@ -725,13 +728,10 @@ class FinitePoset:
         close = "closure" in obj
         if close and obj["closure"] != "reflexive-transitive":
             raise FormatError(f'"closure" must be "reflexive-transitive" when present, got {obj["closure"]!r}')
-        cleaned = []
         for p in pairs:
-            if not (isinstance(p, (list, tuple)) and len(p) == 2
-                    and is_integer(p[0]) and is_integer(p[1])):
+            if not (isinstance(p, (list, tuple)) and len(p) == 2):
                 raise FormatError(f"bad leq pair: {p!r}")
-            cleaned.append((p[0], p[1]))
-        return FinitePoset.from_leq_pairs(n, cleaned, close=close)
+        return FinitePoset.from_leq_pairs(n, pairs, close=close)
 
 
 def connectivity_from_json(obj: dict) -> tuple:
@@ -746,8 +746,6 @@ def connectivity_from_json(obj: dict) -> tuple:
     for x in raw:
         if not is_integer(x):
             raise FormatError(f"connectivity element {x!r} is not an integer")
-    members = frozenset(raw)
-    for x in members:
         if not 0 <= x < poset.n:
             raise FormatError(f"connectivity element {x} out of range")
-    return poset, members
+    return poset, frozenset(raw)

@@ -94,6 +94,9 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["absolutely_connected"] == []
 
+    def test_no_source_exits_1(self):
+        assert invoke(["classify"]) == (1, "", "error: either --fixture or --input is required\n")
+
     def test_unknown_fixture(self):
         code, _, err = invoke(["classify", "--fixture", "bogus"])
         assert code == 1
@@ -254,10 +257,16 @@ class TestJsonIntegers:
             ({"n": 2, "leq": [[0, 1]], "connectivity": [True]}, "not an integer"),
             ({"n": 2, "leq": [[0, 1]], "connectivity": [0.0]}, "not an integer"),
             ({"n": 2, "leq": [[0, 1]], "connectivity": 5}, "must be a list"),
+            ({"n": 2, "leq": [[0, 1]], "connectivity": None}, 'missing "connectivity" field'),
+            ({"n": 2, "leq": [[0, 1]], "connectivity": [5]}, "connectivity element 5 out of range"),
             (5, "must be an object"),
+            # two faults: the first in list order is named
+            ({"n": 2, "leq": [[0, 5], [0, "x"]], "connectivity": [0]}, "pair (0,5) out of range for n=2"),
+            ({"n": 2, "leq": [], "connectivity": [5, "x"]}, "connectivity element 5 out of range"),
         ],
         ids=["string", "null", "float-pair", "float-n", "bool-n", "bool-member",
-             "float-member", "scalar-connectivity", "scalar-document"],
+             "float-member", "scalar-connectivity", "null-connectivity", "member-out-of-range",
+             "scalar-document", "two-faulty-pairs", "two-faulty-members"],
     )
     def test_classify_rejects(self, payload, message):
         code, out, err = invoke(["classify", "--input", "-"], json.dumps(payload))
@@ -441,6 +450,15 @@ class TestEnumerate:
         keys = [p.canonical_key() for p in posets]
         assert keys == sorted(keys) and len(set(keys)) == 5
 
+    def test_pretty_mode(self, tmp_path):
+        code, out, err = invoke(["enumerate", "--n", "5", "--pretty"])
+        assert (code, out) == (0, "chainmails on 5 elements: 16 isomorphism classes\n")
+        assert err.startswith("elapsed: ")
+        path = tmp_path / "catalog.jsonl"
+        code, out, _ = invoke(["enumerate", "--kind", "posets", "--n", "3", "--pretty", "--catalog", str(path)])
+        assert (code, out) == (0, f"posets on 3 elements: 5 isomorphism classes\ncatalog written to {path}\n")
+        assert len(path.read_text().splitlines()) == 5
+
     def test_deep_gate_exits_2(self):
         code, _, err = invoke(["enumerate", "--kind", "chainmails", "--n", "9"])
         assert code == 2
@@ -499,6 +517,15 @@ class TestFixturesCommand:
         rows = json.loads(out)
         names = {r["name"] for r in rows}
         assert {"exaA", "exaW", "exaJ", "M3", "N5"} <= names
+
+    def test_pretty_listing(self):
+        # the JSON rows as aligned columns: name, kind, description
+        rows = json.loads(invoke(["fixtures"])[1])
+        code, out, _ = invoke(["fixtures", "--pretty"])
+        assert code == 0
+        width = max(len(r["name"]) for r in rows)
+        assert out == "".join(f"{r['name']:<{width}}  {r['kind']:<5}  {r['description']}\n" for r in rows)
+        assert out.startswith("M3          poset  diamond lattice: bottom, three atoms, top\n")
 
 
 class TestExportDot:

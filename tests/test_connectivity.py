@@ -94,7 +94,11 @@ class TestPair:
     def test_cached_cmask_leaves_equality_and_hash_alone(self, ps3):
         read, fresh = ConnectivityPair(ps3, {1, 2, 4}), ConnectivityPair(ps3, {1, 2, 4})
         assert read.cmask == 0b10110
-        assert "cmask" in vars(read) and "cmask" not in vars(fresh)
+        # set at construction, and no part of ==, hash or repr: a fresh
+        # pair whose mask is overwritten still equals the other
+        assert vars(fresh)["cmask"] == 0b10110
+        object.__setattr__(fresh, "cmask", 0)
+        assert "cmask" not in repr(read)
         assert read == fresh and fresh == read
         assert hash(read) == hash(fresh)
         assert fresh in {read} and read in {fresh}
@@ -196,6 +200,7 @@ def test_element_out_of_range_raises(call, bad):
 
 
 _SET_ENTRIES = {
+    "ConnectivityPair": ConnectivityPair,
     "lower_bounds": lambda lat, s: lat.lower_bounds(s),
     "upper_bounds": lambda lat, s: lat.upper_bounds(s),
     "join": lambda lat, s: lat.join(s),
@@ -222,7 +227,7 @@ _SET_ENTRIES = {
 def test_set_member_out_of_range_raises(name, bad):
     # one error for every public entry that takes a set of elements; a
     # negative member used to fail on a negative shift, and n on a tuple
-    # index or a precondition, or to pass unnoticed
+    # index or a precondition, or to pass unnoticed, as True did in a pair
     lattice = FinitePoset.powerset_lattice(2)
     with pytest.raises(IndexError, match=f"element {bad} out of range"):
         _SET_ENTRIES[name](lattice, [0, bad])

@@ -674,6 +674,10 @@ class TestPairCorpus:
     def test_size_zero_yields_nothing(self):
         assert list(enumerate_connectivity_pairs(0)) == []
 
+    def test_sizes_past_six_are_refused(self):
+        with pytest.raises(GuardExceeded, match="^exhaustive pair corpus is capped at lattice size 6$"):
+            list(enumerate_connectivity_pairs(7))
+
     def test_size_one(self):
         pairs = [p for p in enumerate_connectivity_pairs(1)]
         assert len(pairs) == 2

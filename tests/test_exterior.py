@@ -102,7 +102,8 @@ class TestExterior:
                     assert fam.index_of(s) == fam.index_of(sorted(s)) == i
                 assert fam.singleton_indices() == frozenset(i for i, s in enumerate(sets) if len(s) == 1)
         fam = exterior(FinitePoset.chain(2))
-        for members in ({0, 1}, {2}, {-1}):
+        # members that are not elements too, without sorting mixed types
+        for members in ({0, 1}, {2}, {-1}, {True}, {1.5}, [1, "x"]):
             with pytest.raises(KeyError):
                 fam.index_of(members)
 
@@ -274,6 +275,13 @@ class TestReconstructionMaps:
     def test_tmd_precondition(self, exa_a):
         with pytest.raises(PreconditionError):
             tmd_to_downset(exa_a, {1, 2})
+
+    def test_downset_precondition(self):
+        # {0, 1, 2} of the diamond is down-closed, but the join of its mail
+        # {1, 2} is the top, outside it
+        diamond = FinitePoset.powerset_lattice(2)
+        with pytest.raises(PreconditionError, match="a component join escapes it$"):
+            downset_to_tmd(diamond, {0, 1, 2})
 
 
 class TestExteriorAsAbsolute:

@@ -8,13 +8,16 @@ import re
 
 import pytest
 
-from chainmail.connectivity import ConnectivityPair, classify, is_subchainmail_of
+from chainmail.connectivity import ConnectivityPair, borger_implication_check, classify, is_subchainmail_of
+from chainmail.enumeration import enumerate_kind
 from chainmail.errors import FormatError, GuardExceeded, PreconditionError
+from chainmail.exterior import downclosed_subchainmails
 from chainmail.generators import (
     Graph,
     Hypergraph,
     divisor_lattice,
     downset_lattice_pair,
+    fixture_description,
     fixture_names,
     forest_poset_check,
     graph_connectivity_pair,
@@ -55,6 +58,29 @@ def brute_connected(g: Graph, members) -> bool:
                 comp.add(y)
                 frontier.append(y)
     return comp == members
+
+
+def all_topologies(n):
+    """Every topology on n points, as a sorted tuple of open-set masks:
+    {∅, X} and every family reached from it by adding one set and closing
+    under ∪ and ∩."""
+    full = (1 << n) - 1
+
+    def close(opens):
+        opens = set(opens)
+        while True:
+            new = {a | b for a in opens for b in opens} | {a & b for a in opens for b in opens}
+            if new <= opens:
+                return tuple(sorted(opens))
+            opens |= new
+
+    seen, frontier = set(), [close({0, full})]
+    while frontier:
+        opens = frontier.pop()
+        if opens not in seen:
+            seen.add(opens)
+            frontier.extend(close(opens + (s,)) for s in range(full + 1) if s not in opens)
+    return sorted(seen)
 
 
 def all_graphs(n):
@@ -177,8 +203,13 @@ class TestKConnectivity:
         assert is_subchainmail_of(pair.lattice, pair.connected)
 
     def test_positive_k_required(self):
-        with pytest.raises(PreconditionError):
-            is_k_connected_set(Graph.from_edges(2, [(0, 1)]), 0b11, 0)
+        # True is not taken for k = 1, and a float is not an integer
+        g = Graph.from_edges(2, [(0, 1)])
+        for k in (0, -1, True, 1.5):
+            with pytest.raises(PreconditionError, match="^k must be a positive integer$"):
+                is_k_connected_set(g, 0b11, k)
+            with pytest.raises(PreconditionError, match="^k must be a positive integer$"):
+                k_connectivity_pair(g, k)
 
 
 @pytest.mark.parametrize("build,error,message", [
@@ -214,12 +245,42 @@ class TestKConnectivity:
                  "element count must be an integer, got 2.0", id="leq-pairs-of-2.0"),
     pytest.param(lambda: divisor_lattice(2.5), FormatError, "divisor base must be an integer, got 2.5",
                  id="divisors-of-2.5"),
+    pytest.param(lambda: FinitePoset(2, (1,)), FormatError, "up-set table length does not match n",
+                 id="poset-with-short-table"),
+    pytest.param(lambda: enumerate_kind("posets", -1), PreconditionError, "n must be non-negative",
+                 id="enumerate-minus-1"),
+    # the ends of a leq pair are elements: True is not read as 1, and a
+    # float is refused with the package's error, not a bare TypeError
+    pytest.param(lambda: FinitePoset.from_leq_pairs(3, [(True, 2)]), FormatError, "bad leq pair: [True, 2]",
+                 id="leq-pair-with-True"),
+    pytest.param(lambda: FinitePoset.from_leq_pairs(3, [(0.0, 2)]), FormatError, "bad leq pair: [0.0, 2]",
+                 id="leq-pair-with-0.0"),
+    pytest.param(lambda: FinitePoset.from_leq_pairs(3, [(0, 1.5)]), FormatError, "bad leq pair: [0, 1.5]",
+                 id="leq-pair-with-1.5"),
+    pytest.param(lambda: fixture_description("nope"), FormatError, "unknown fixture 'nope'",
+                 id="fixture-description"),
 ])
 def test_negative_sizes_are_refused(build, error, message):
     # refused with the package's error, not a bare ValueError from a
     # negative shift or a TypeError from a float, and not an empty or
     # one-element structure
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: downclosed_subchainmails(FinitePoset.antichain(21)),
+                 "down-set enumeration is capped at 2^20 subsets", id="downclosed-subchainmails"),
+    pytest.param(lambda: downset_lattice_pair(FinitePoset.antichain(21)),
+                 "down-set lattice construction is capped at 2^20 subsets", id="downset-lattice-pair"),
+    pytest.param(lambda: borger_implication_check(FinitePoset.chain(21), ()),
+                 "too many sinks for the orthogonality-closure check", id="sinks"),
+    pytest.param(lambda: borger_implication_check(FinitePoset.antichain(21), ()),
+                 "too many subsets for the sink-closure checks", id="connected-subsets"),
+])
+def test_guards_refuse_21_elements(build, message):
+    # 2^21 subsets or sinks: refused before any is listed
+    with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
         build()
 
 
@@ -257,9 +318,25 @@ class TestTopologyPairs:
         pair = topological_connected_sets_pair(3, [[], [0], [0, 1], [0, 1, 2]])
         report = classify(pair)
         assert report.serra
-        # every set containing 0 is connected here; {1,2} splits by {0,1} and its complement? no:
-        # opens are nested, so only subsets missing a "gap" can split
-        assert 0b111 in pair.connected
+        # the opens are nested, so no two of them are disjoint on a
+        # non-empty set while covering it: every non-empty set is connected
+        assert pair.connected == frozenset(range(1, 8))
+
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29), (4, 355)])
+    def test_connected_sets_are_the_path_connected_sets(self, n, count):
+        # on a finite space, connected = path-connected = connected in the
+        # comparability graph of the specialization preorder, whose points
+        # x and y are comparable when one lies in the least open set of the
+        # other; the topologies are OEIS A000798
+        topologies = all_topologies(n)
+        assert len(topologies) == count
+        for opens in topologies:
+            least = [min((u for u in opens if u >> x & 1), key=int.bit_count) for x in range(n)]
+            comparability = Graph.from_edges(n, [(x, y) for x, y in itertools.combinations(range(n), 2)
+                                                 if least[x] >> y & 1 or least[y] >> x & 1])
+            pair = topological_connected_sets_pair(n, [list(bits_of(u)) for u in opens])
+            expected = {m for m in range(1 << n) if brute_connected(comparability, bits_of(m))}
+            assert pair.connected == expected, opens
 
 
 class TestForests:

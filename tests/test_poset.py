@@ -188,6 +188,7 @@ class TestHelpers:
 class TestMails:
     def test_empty_set_is_not_a_mail(self, exa_a):
         assert not exa_a.is_mail(())
+        assert not exa_a.is_mail_connected(())
 
     def test_exa_a_pair_with_shared_bottom(self, exa_a):
         assert exa_a.is_mail({1, 2})
