@@ -99,10 +99,25 @@ leaf ends in t, and the same automorphisms prune.  Encodings compare
 from the last row down: t's row is the same in every leaf, and each
 other row is P's with one fixed bit set, so encodings over leaves, and
 over posets, are ordered as without t.
+
+Order.  A catalog entry crosses the worker pool as one int, its canonical
+up-rows packed at a stride of s bits, ``packed = Σ rows[i] << (i·s)``.
+For posets on the same n the key is n and then ``enc = Σ rows[i] << (i·n)``
+in a fixed number of bytes, so keys compare as their ``enc`` do.  Each row
+is below 2^n and s >= n, so no field overlaps the next, and both ints
+compare the row vectors from the last row down: the highest differing bit
+lies in the field of the last row that differs.  So packed order is key
+order, and equal ints are equal rows.  :func:`stride` takes s as the least
+of 8, 16, 32 and 64 bits that holds n, so that :func:`row_struct` unpacks
+a packed entry's little-endian bytes with one ``struct`` call.  The kinds
+of ``enumeration._KINDS`` cap every walk at 9 elements
+(``config.ENUM_CAPS``: posets and lattices at 9, chainmails at 10, one
+more than their walk), so catalogs use s = 8 and s = 16 alone.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, Optional, Sequence
 
 
@@ -150,8 +165,20 @@ class CanonResult:
         return self._rows
 
     def _label(self) -> None:
-        self._rows, enc = _relabel(self._n, self._up, self.perm)
-        self._key = _key(self._n, enc)
+        enc = _relabel(self._n, self._up, self.perm, self._n)
+        self._key, self._rows = _key(self._n, enc), _rows_of(self._n, enc)
+
+    def packed(self, stride: int) -> int:
+        """The canonical up-rows with row i at bit i * stride, for a stride
+        of at least n (see "Order" in the module docstring): a one-leaf
+        result not yet labeled moves its columns there at once, with no row
+        tuple and no key."""
+        if self._rows is None:
+            return _relabel(self._n, self._up, self.perm, stride)
+        packed = 0
+        for row in reversed(self._rows):
+            packed = packed << stride | row
+        return packed
 
     @property
     def generators(self) -> list:
@@ -342,43 +369,58 @@ def _key(n: int, enc: int) -> bytes:
     return n.to_bytes(2, "big") + enc.to_bytes((n * n + 7) // 8, "big")
 
 
-def _relabel(n: int, up: Sequence[int], perm: tuple) -> tuple:
-    """Up-rows of the copy labeled by ``perm``, and their encoding: row i
-    holds bit j when perm[i] <= perm[j], and sits at bit i * n.
+def _relabel(n: int, up: Sequence[int], perm: tuple, stride: int) -> int:
+    """Up-rows of the copy labeled by ``perm``, packed with row i at bit
+    i * stride, for a stride of at least n: row i holds bit j when
+    perm[i] <= perm[j].  With a stride of n this is the encoding.
 
     The rows move as columns, not bit by bit.  Packed with up[perm[i]] at
-    bit i * n, bit w of every row lies in column w, and
-    ``(packed >> w) & ones``, where ``ones`` has bit 0 of every n-bit
-    field, holds that column at bit 0 of each field; shifted left by i, it
-    is column i.  Moving column perm[i] to column i for every i sets bit j
-    of row i exactly when perm[i] <= perm[j]: three loops of n steps each,
-    to pack, move and unpack, rather than one step per set bit.
+    bit i * stride, bit w of every row lies in column w, and
+    ``(packed >> w) & ones``, where ``ones`` has bit 0 of every field,
+    holds that column at bit 0 of each field; shifted left by i < stride,
+    it is column i.  Moving column perm[i] to column i for every i sets bit
+    j of row i exactly when perm[i] <= perm[j]: two loops of n steps each,
+    to pack and move, rather than one step per set bit.
     """
     packed = 0
     for v in reversed(perm):
-        packed = packed << n | up[v]
-    ones = ((1 << n * n) - 1) // ((1 << n) - 1) if n else 0
-    enc = 0
+        packed = packed << stride | up[v]
+    ones = ((1 << n * stride) - 1) // ((1 << stride) - 1) if n else 0
+    moved = 0
     for i, w in enumerate(perm):
-        enc |= (packed >> w & ones) << i
+        moved |= (packed >> w & ones) << i
+    return moved
+
+
+def _rows_of(n: int, enc: int) -> tuple:
+    """The rows of an encoding, row i from bit i * n."""
     row = (1 << n) - 1
-    rows = []
-    rest = enc
-    for _ in perm:
-        rows.append(rest & row)
-        rest >>= n
-    return tuple(rows), enc
+    return tuple(enc >> i * n & row for i in range(n))
+
+
+def stride(n: int) -> int:
+    """Bits per row of a packed catalog entry on n elements, n <= 64: the
+    least of 8, 16, 32 and 64 that holds n (see "Order" in the module
+    docstring)."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def row_struct(n: int) -> struct.Struct:
+    """The layout of n rows packed at :func:`stride`, as little-endian
+    bytes: ``unpack`` of a packed entry's ``to_bytes(size, "little")``
+    gives its rows."""
+    return struct.Struct(f"<{n}{'BHIQ'[stride(n).bit_length() - 4]}")
 
 
 def _search(n: int, up, down, cells: list, path: tuple, generators: list, leaves: dict,
             follows: dict) -> None:
     """Individualize the first cell of two or more elements, member by
     member, below ``path``; ``leaves`` maps each encoding to the labeling
-    and canonical rows of its first leaf, and a leaf that repeats an
-    encoding adds an automorphism.  ``follows`` maps each member of a
-    seeded twin group to the next; a node whose cells of two or more
-    elements are all runs of it reaches one leaf, its cells flattened (see
-    "One leaf" in the module docstring)."""
+    of its first leaf, and a leaf that repeats an encoding adds an
+    automorphism.  ``follows`` maps each member of a seeded twin group to
+    the next; a node whose cells of two or more elements are all runs of it
+    reaches one leaf, its cells flattened (see "One leaf" in the module
+    docstring)."""
     idx = None
     for i, cell in enumerate(cells):
         if len(cell) > 1:
@@ -388,13 +430,13 @@ def _search(n: int, up, down, cells: list, path: tuple, generators: list, leaves
                 break
     else:
         perm = tuple(v for cell in cells for v in cell)
-        rows, enc = _relabel(n, up, perm)
+        enc = _relabel(n, up, perm, n)
         prev = leaves.get(enc)
         if prev is None:
-            leaves[enc] = (perm, rows)
+            leaves[enc] = perm
         else:
             g = [0] * n
-            for i, v in enumerate(prev[0]):
+            for i, v in enumerate(prev):
                 g[v] = perm[i]
             generators.append(tuple(g))
         return
@@ -450,8 +492,7 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     leaves: dict = {}
     _search(n, up, down, cells, (), generators, leaves, follows)
     enc = min(leaves)
-    perm, rows = leaves[enc]
-    return CanonResult(_key(n, enc), perm, rows, generators)
+    return CanonResult(_key(n, enc), leaves[enc], _rows_of(n, enc), generators)
 
 
 def accept(n: int, up: Sequence[int], down: Sequence[int]) -> Optional[CanonResult]:
@@ -491,6 +532,14 @@ def degree_table(k: int, up: Sequence[int], down: Sequence[int]) -> list:
     c is the mask of its maximal elements with |down| > c + 1.  The child
     over a down-set d adds an element with |down| = |d| + 1, and keeps the
     parent's maximal elements outside d with their down-sets, so it is
-    rejected when entry |d| does not lie inside d."""
-    maxima = [(down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a]
-    return [sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)]
+    rejected when entry |d| does not lie inside d.  A maximal element with
+    |down| = m belongs to entries 0..m - 2: it goes into slot m - 2, and
+    entry c is the OR of the slots from c up."""
+    table = [0] * (k + 1)
+    for a in range(k):
+        size = down[a].bit_count()
+        if up[a] == 1 << a and size > 1:
+            table[size - 2] |= 1 << a
+    for c in range(k - 1, -1, -1):
+        table[c] |= table[c + 1]
+    return table

@@ -151,13 +151,17 @@ def _nodes(node, rule: tuple, depth: int):
 
 
 def _worker(payload):
+    """(count, packed entries) of the classes on ``target`` elements below
+    the payload's root: each class's canonical up-rows as one int, at
+    ``canon.stride(target)`` bits per row."""
     rule, target, want_catalog, root = payload
-    count, entries = 0, []
+    stride = canon.stride(target)
+    count, packed = 0, []
     for _up, _down, result in _nodes(root, rule, target):
         count += 1
         if want_catalog:
-            entries.append((result.key, result.relabeled_up))
-    return count, entries
+            packed.append(result.packed(stride))
+    return count, packed
 
 
 def _with_top(k: int, rows: Sequence[int]) -> tuple:
@@ -169,8 +173,8 @@ def _with_top(k: int, rows: Sequence[int]) -> tuple:
 
 
 def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
-    """(count, [(key, canonical up-rows)] sorted by key) of the classes on
-    ``target`` elements, where ``rule`` is the (completable, bottom) pair
+    """(count, packed entries in key order) of the classes on ``target``
+    elements, where ``rule`` is the (completable, bottom) pair
     passed to :func:`_children`.
 
     The frontier is the walk's nodes on ``target - 3`` elements, each with
@@ -180,8 +184,9 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
     opened for one.  The pool deals the tasks one at a time, in pre-order,
     to whichever worker is free: subtrees differ widely in size, and the
     largest come early, so dealing on demand evens the workers' finishing
-    times.  The entries are sorted by key, so neither the dealing nor the
-    pool size changes the output.
+    times.  Each entry crosses the pool as one int, and sorting the ints
+    sorts by key (see "Order" in the canon module docstring), so neither
+    the dealing nor the pool size changes the output.
     """
     payloads = [(rule, target, want_catalog, node) for node in _nodes(_ROOT, rule, max(target - 3, 0))]
     processes = min(threads, len(payloads), os.cpu_count() or 1)
@@ -192,8 +197,7 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
             results = pool.map(_worker, payloads, chunksize=1)
     else:
         results = list(map(_worker, payloads))
-    entries = sorted((entry for _count, found in results for entry in found), key=lambda e: e[0])
-    return sum(count for count, _found in results), entries
+    return sum(count for count, _found in results), sorted(p for _count, found in results for p in found)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +238,20 @@ def enumerate_kind(kind: str, n: int, want_catalog: bool = False, threads: int =
     isomorphism.  A chainmail is a completable poset on n - 1 elements with
     a top added, a lattice one with a bottom too (see the module docstring),
     and at n = 0 both kinds are the empty poset alone (A006966(0) = 1 for
-    lattices).  Catalog entries are canonical, sorted by key.  Sizes past a
-    kind's default cap need ``deep``."""
+    lattices).  Catalog entries are canonical, sorted by key, each unpacked
+    from its int by one call of a ``struct`` layout made once per catalog.
+    Sizes past a kind's default cap need ``deep``."""
     rule, top = _row(kind, n, threads, deep)
     t0 = time.perf_counter()
     if top and n == 0:
         count, rows = 1, [()]
     else:
-        count, entries = _enumerate(rule, n - top, want_catalog, threads)
-        rows = [_with_top(n - 1, r) if top else r for _key, r in entries]
+        k = n - top
+        count, packed = _enumerate(rule, k, want_catalog, threads)
+        layout = canon.row_struct(k)
+        rows = [layout.unpack(p.to_bytes(layout.size, "little")) for p in packed]
+        if top:
+            rows = [_with_top(k, r) for r in rows]
     catalog = tuple(FinitePoset(n, r) for r in rows) if want_catalog else None
     return EnumerationResult(n, count, catalog, time.perf_counter() - t0)
 

@@ -43,10 +43,10 @@ class Graph:
         check_count(self.n, "vertex count")
         edges = [tuple(e) for e in self.edges]
         for a, b in edges:
-            if a == b:
-                raise FormatError("self-loops are not allowed")
             if not (is_integer(a) and is_integer(b) and 0 <= a < self.n and 0 <= b < self.n):
                 raise FormatError(f"edge ({a},{b}) out of range")
+            if a == b:
+                raise FormatError("self-loops are not allowed")
         object.__setattr__(self, "edges", tuple(sorted(tuple(sorted(e)) for e in edges)))
 
     @staticmethod
@@ -122,9 +122,13 @@ def is_k_connected_set(g: Graph, vmask: int, k: int) -> bool:
 
     Read literally this admits small sets: a two-vertex edge minus one
     vertex is a non-empty connected singleton, so edges are 2-connected.
+    A ``vmask`` that is not a non-negative integer below 2^n is refused
+    before any subset is walked.
     """
     if not (is_integer(k) and k >= 1):
         raise PreconditionError("k must be a positive integer")
+    if not (is_integer(vmask) and 0 <= vmask < 1 << g.n):
+        raise IndexError(f"vertex mask {vmask!r} out of range")
     adjacency = g.adjacency()
     return all(len(component_masks(adjacency, vmask & ~removed)) == 1
                for removed in submasks(vmask) if removed.bit_count() < k)

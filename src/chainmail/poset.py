@@ -695,14 +695,18 @@ class FinitePoset:
 
     def to_json(self, connectivity: Optional[Iterable[int]] = None) -> dict:
         """The package's poset interchange object.  Reflexive pairs are
-        omitted; the relation is emitted transitively closed."""
+        omitted; the relation is emitted transitively closed.  Each member
+        of ``connectivity`` must be an element (:func:`check_element`)."""
         pairs = []
         for a in range(self.n):
             for b in bits_of(self.up[a] & ~(1 << a)):
                 pairs.append([a, b])
         obj = {"n": self.n, "leq": pairs}
         if connectivity is not None:
-            obj["connectivity"] = sorted(connectivity)
+            members = list(connectivity)
+            for x in members:
+                check_element(self.n, x)
+            obj["connectivity"] = sorted(members)
         return obj
 
     def to_json_line(self) -> str:

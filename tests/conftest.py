@@ -558,6 +558,13 @@ def oracle_canonical(n: int, up, down) -> tuple:
     return n.to_bytes(2, "big") + enc.to_bytes((n * n + 7) // 8, "big"), perm, rows
 
 
+def oracle_degree_table(k: int, up, down) -> list:
+    """``canon.degree_table`` by a scan of the maximal elements for each
+    entry: entry c is the mask of those with |down| > c + 1."""
+    maxima = [(down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a]
+    return [sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)]
+
+
 def oracle_accepted(k1: int, up1, down1):
     """McKay acceptance by a full canonicalization of every candidate: the
     canonicalization when k1-1 lies in the orbit, walked over the

@@ -389,13 +389,47 @@ def test_one_leaf_results_survive_pickling(one_leaf_to_6):
 
 @pytest.mark.parametrize("n", [0, 1, 8, 63, 64, 65, 70])
 def test_relabel_moves_columns_as_the_bits_move(n):
-    # any rows, not only up-rows, and sizes on both sides of a machine word
+    # any rows, not only up-rows, and sizes on both sides of a machine word;
+    # at the stride n the encoding, at a wider one the same rows spaced out
     rng = random.Random(20261026 + n)
     for _ in range(5):
         up = [rng.getrandbits(n) | 1 << v for v in range(n)]
         perm = list(range(n))
         rng.shuffle(perm)
-        assert canon._relabel(n, up, tuple(perm)) == oracle_relabel(n, up, perm)
+        rows, enc = oracle_relabel(n, up, perm)
+        assert canon._relabel(n, up, tuple(perm), n) == enc
+        assert canon._rows_of(n, enc) == rows
+        for stride in (n + 1, n + 7):
+            assert canon._relabel(n, up, tuple(perm), stride) == sum(r << i * stride for i, r in enumerate(rows))
+
+
+@pytest.mark.parametrize("n,stride", [(0, 8), (1, 8), (8, 8), (9, 16), (16, 16), (17, 32), (32, 32), (33, 64),
+                                      (64, 64)])
+def test_packed_rows_round_trip_and_keep_the_encoding_order(n, stride):
+    # any rows below 2^n, packed at the stride, unpack with one call of the
+    # layout and compare as their encodings at the stride n do, also where
+    # the last rows agree
+    assert canon.stride(n) == stride
+    layout = canon.row_struct(n)
+    assert layout.size == n * stride // 8
+    rng = random.Random(20261033 + n)
+    vectors = [tuple(rng.getrandbits(n) for _ in range(n)) for _ in range(20)]
+    vectors += [tuple(rng.getrandbits(n) for _ in range(n - 1)) + v[-1:] for v in vectors[:5]]
+
+    def pack(rows, width):
+        return sum(r << i * width for i, r in enumerate(rows))
+
+    for rows in vectors:
+        assert layout.unpack(pack(rows, stride).to_bytes(layout.size, "little")) == rows
+    assert sorted(vectors, key=lambda rows: pack(rows, stride)) == sorted(vectors, key=lambda rows: pack(rows, n))
+    # both routes of CanonResult.packed: a one-leaf result's relabeling, and
+    # the rows a labeled result holds
+    for up, down in ((tuple(1 << v for v in range(n)),) * 2,
+                     (tuple((1 << n) - (1 << v) for v in range(n)), tuple((2 << v) - 1 for v in range(n)))):
+        result = canon.canonicalize(n, up, down)
+        packed = result.packed(stride)
+        assert layout.unpack(packed.to_bytes(layout.size, "little")) == result.relabeled_up
+        assert result.packed(stride) == packed
 
 
 def test_chain_vs_v_shape():

@@ -28,7 +28,7 @@ from chainmail.poset import (FinitePoset, downset_masks, joins_inside, pair_join
                              reduced_mail_scan, transpose)
 
 from conftest import (brute_force_poset_count, consecutive_twin_swaps, lattices_by_filtering_all_posets,
-                      oracle_accepted, oracle_nodes, oracle_orbit_firsts, twin_cells)
+                      oracle_accepted, oracle_degree_table, oracle_nodes, oracle_orbit_firsts, twin_cells)
 
 POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 CHAINMAIL_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 303}
@@ -445,6 +445,37 @@ class TestChildFilters:
                     assert oracle_accepted(k + 1, up1, down1) is None
                     dropped += 1
         assert dropped
+
+
+class TestPackedEntries:
+    """The one int per class that a worker sends for a catalog (see "Order"
+    in the canon module docstring)."""
+
+    @pytest.mark.parametrize("name,max_k", [("posets", 7), ("completable", 8), ("lattices", 8)])
+    def test_packed_order_is_key_order_and_unpacks_to_the_rows(self, name, max_k):
+        rule = RULES[name]
+        unlabeled = 0
+        for k in range(max_k + 1):
+            stride, layout = canon.stride(k), canon.row_struct(k)
+            entries = []
+            for _up, _down, result in enumeration._nodes(enumeration._ROOT, rule, k):
+                # a one-leaf result packs before its key or rows are built
+                unlabeled += result._rows is None
+                packed = result.packed(stride)
+                assert layout.unpack(packed.to_bytes(layout.size, "little")) == result.relabeled_up
+                # and once they are built, packs them to the same int
+                assert result.packed(stride) == packed
+                entries.append((packed, result.key))
+            assert len({packed for packed, _key in entries}) == len(entries)
+            assert [key for _packed, key in sorted(entries)] == sorted(key for _packed, key in entries)
+        assert unlabeled
+
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_degree_table_matches_the_oracle(self, name):
+        nodes = search_nodes(RULES[name], 7)
+        for up, down, _result in nodes:
+            assert canon.degree_table(len(up), up, down) == oracle_degree_table(len(up), up, down)
+        assert any(canon.degree_table(len(up), up, down)[0] for up, down, _result in nodes)
 
 
 class TestWalk:

@@ -122,10 +122,10 @@ class TestGraphPairs:
             graph_connectivity_pair(Graph.from_edges(6, []))
 
     def test_rejects_self_loop(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^self-loops are not allowed$"):
             Graph.from_edges(2, [(1, 1)])
 
-    @pytest.mark.parametrize("edge", [(0, 2), (-1, 0), (0, True), (0, 1.0)])
+    @pytest.mark.parametrize("edge", [(0, 2), (-1, 0), (0, True), (0, 1.0), (1, True), (2, 2), (True, 1.0)])
     def test_rejects_endpoints_out_of_range(self, edge):
         # a bool or float endpoint is not stored as if it were an integer
         with pytest.raises(FormatError, match=f"^edge {re.escape(str(edge).replace(' ', ''))} out of range$"):
@@ -210,6 +210,15 @@ class TestKConnectivity:
                 is_k_connected_set(g, 0b11, k)
             with pytest.raises(PreconditionError, match="^k must be a positive integer$"):
                 k_connectivity_pair(g, k)
+
+    @pytest.mark.parametrize("vmask", [-1, 0b100, True, 1.5])
+    def test_vertex_mask_outside_the_vertices_is_refused(self, vmask):
+        # -1 would walk its submasks forever, and 0b100 names a third vertex
+        # of a graph with two
+        g = Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(IndexError, match=f"^vertex mask {re.escape(repr(vmask))} out of range$"):
+            is_k_connected_set(g, vmask, 1)
+        assert [is_k_connected_set(g, m, 1) for m in range(4)] == [False, True, True, True]
 
 
 @pytest.mark.parametrize("build,error,message", [

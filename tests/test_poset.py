@@ -542,6 +542,15 @@ class TestJson:
         v = p.validate()
         assert v is not None and v.axiom == "transitivity"
 
+    def test_connectivity_members_are_elements(self):
+        # checked before sorting, with the package's element test; valid
+        # members are written sorted, as before
+        chain = FinitePoset.chain(2)
+        for members, bad in (([5, True], 5), ([True, 1], True), ([0, -1], -1), ([1.0], 1.0)):
+            with pytest.raises(IndexError, match=f"^element {bad} out of range$"):
+                chain.to_json(connectivity=members)
+        assert chain.to_json(connectivity=iter([1, 0])) == {"n": 2, "leq": [[0, 1]], "connectivity": [0, 1]}
+
     def test_bad_shapes(self):
         with pytest.raises(FormatError):
             FinitePoset.from_json([1, 2])
