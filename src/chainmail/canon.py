@@ -51,7 +51,8 @@ twin swaps alone.  Such a result keeps n, the up-rows and the cells, and
 builds each field on first read: ``perm``, the cells flattened; the twin
 groups, the cells of two or more elements; the key and the canonical
 rows, from one relabeling by ``perm``; the generators, the twin swaps.
-A leaf of the enumeration that is only counted reads none of them.
+A leaf of the enumeration that is only counted reads none of them, and
+:func:`accept` packs a catalog leaf's rows from the cells, with no result.
 
 The same holds at a search node, which is equitable, whose every cell of
 two or more elements runs, in order, through consecutive members of one
@@ -98,7 +99,9 @@ refinement and search split P's elements as they do without t, every
 leaf ends in t, and the same automorphisms prune.  Encodings compare
 from the last row down: t's row is the same in every leaf, and each
 other row is P's with one fixed bit set, so encodings over leaves, and
-over posets, are ordered as without t.
+over posets, are ordered as without t.  Packed at a stride s >= n (see
+"Order"), the canonical rows of P + t are P's packed rows ORed with one
+constant, bit n - 1 in each of the n fields, which no row of P touches.
 
 Order.  A catalog entry crosses the worker pool as one int, its canonical
 up-rows packed at a stride of s bits, ``packed = Σ rows[i] << (i·s)``.
@@ -107,18 +110,19 @@ in a fixed number of bytes, so keys compare as their ``enc`` do.  Each row
 is below 2^n and s >= n, so no field overlaps the next, and both ints
 compare the row vectors from the last row down: the highest differing bit
 lies in the field of the last row that differs.  So packed order is key
-order, and equal ints are equal rows.  :func:`stride` takes s as the least
-of 8, 16, 32 and 64 bits that holds n, so that :func:`row_struct` unpacks
-a packed entry's little-endian bytes with one ``struct`` call.  The kinds
-of ``enumeration._KINDS`` cap every walk at 9 elements
-(``config.ENUM_CAPS``: posets and lattices at 9, chainmails at 10, one
-more than their walk), so catalogs use s = 8 and s = 16 alone.
+order, and equal ints are equal rows, and ORing in a top's constant keeps
+both.  :func:`stride` takes s as the least of 8, 16, 32 and 64 bits that
+holds n, so that :func:`row_struct` unpacks a packed entry's
+little-endian bytes with one ``struct`` call.  The kinds of
+``enumeration._KINDS`` cap every catalog at 10 elements
+(``config.ENUM_CAPS``: posets and lattices at 9, chainmails at 10), so
+catalogs use s = 8 and s = 16 alone.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 
 class CanonResult:
@@ -495,12 +499,15 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     return CanonResult(_key(n, enc), leaves[enc], _rows_of(n, enc), generators)
 
 
-def accept(n: int, up: Sequence[int], down: Sequence[int]) -> Optional[CanonResult]:
+def accept(n: int, up: Sequence[int], down: Sequence[int],
+           stride: Optional[int] = None) -> Union[CanonResult, int, None]:
     """McKay acceptance (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998) of a poset whose element n - 1 is maximal, as
     a child of the poset without it: its canonicalization when n - 1 lies
     in the automorphism orbit of the canonical deletion choice, the last
-    maximal element of ``perm``, else None.
+    maximal element of ``perm``, else None.  With a ``stride`` of at least
+    n, a catalog's, the accepted child's canonical up-rows packed at that
+    stride instead, as ``CanonResult.packed`` gives them.
 
     Round one orders the elements by ``(|down|, |up|)`` (see
     :func:`stable_partition`), and only a maximal element has |up| = 1, so
@@ -511,35 +518,53 @@ def accept(n: int, up: Sequence[int], down: Sequence[int]) -> Optional[CanonResu
     cell.  So a new element outside that stable cell is rejected here
     before any labeling, and one with a smaller |down| than another
     maximal element is rejected from the parent alone, by
-    :func:`degree_table`.  A one-leaf result takes ``perm`` from the cells
+    :func:`degree_tables`.  A one-leaf result takes ``perm`` from the cells
     in list order, each ascending, so there the choice is the largest
     member of that cell, n - 1 itself, and the child is accepted with no
-    orbit test.
+    orbit test; with a ``stride``, its rows are packed straight from the
+    cells, with no ``CanonResult``.
+
+    Ties.  The child over a down-set d that passes the degree test is
+    accepted from the parent alone when no maximal element of the parent
+    outside d has |down| = |d| + 1, the new element's.  The maximal
+    elements of the child are the new element x and the parent's maximal
+    elements outside d, with their down-sets, and by the degree test none
+    of those has a larger |down| than x; with none of equal |down|, x is
+    alone in the last round-one cell holding a maximal element.
+    Refinement splits cells in place, so {x} stays the last stable cell
+    holding one, the choice lies in it, and the child is accepted.
     """
     cells, twin = stable_partition(n, up, down)
-    last = next(c for c in reversed(cells) if up[c[0]] == 1 << c[0])
+    for last in reversed(cells):
+        if up[last[0]] == 1 << last[0]:
+            break
     if n - 1 not in last:
         return None
+    if twin and stride:
+        return _relabel(n, up, [v for cell in cells for v in cell], stride)
     result = canonicalize(n, up, down, partition=(cells, twin))
-    if twin:
-        return result
-    best = next(e for e in reversed(result.perm) if up[e] == 1 << e)
-    return result if n - 1 in result.orbit(best) else None
+    if not twin:
+        best = next(e for e in reversed(result.perm) if up[e] == 1 << e)
+        if n - 1 not in result.orbit(best):
+            return None
+    return result.packed(stride) if stride else result
 
 
-def degree_table(k: int, up: Sequence[int], down: Sequence[int]) -> list:
-    """The parent's half of :func:`accept` for a poset on k elements: entry
-    c is the mask of its maximal elements with |down| > c + 1.  The child
+def degree_tables(k: int, up: Sequence[int], down: Sequence[int]) -> tuple:
+    """``(need, tie)``, the parent's half of :func:`accept` for a poset on
+    k elements: ``need[c]`` is the mask of its maximal elements with
+    |down| > c + 1, ``tie[c]`` of those with |down| = c + 1.  The child
     over a down-set d adds an element with |down| = |d| + 1, and keeps the
     parent's maximal elements outside d with their down-sets, so it is
-    rejected when entry |d| does not lie inside d.  A maximal element with
-    |down| = m belongs to entries 0..m - 2: it goes into slot m - 2, and
-    entry c is the OR of the slots from c up."""
-    table = [0] * (k + 1)
+    rejected when ``need[|d|]`` does not lie inside d, and otherwise
+    accepted when ``tie[|d|]`` does (see "Ties" in :func:`accept`).
+    One pass puts each maximal element into ``tie`` at |down| - 1, and
+    ``need[c]`` is the OR of ``tie`` from c + 1 up."""
+    tie = [0] * (k + 1)
     for a in range(k):
-        size = down[a].bit_count()
-        if up[a] == 1 << a and size > 1:
-            table[size - 2] |= 1 << a
+        if up[a] == 1 << a:
+            tie[down[a].bit_count() - 1] |= 1 << a
+    need = [0] * (k + 1)
     for c in range(k - 1, -1, -1):
-        table[c] |= table[c + 1]
-    return table
+        need[c] = need[c + 1] | tie[c + 1]
+    return need, tie

@@ -46,11 +46,21 @@ is when j is in D.  The pairs are listed once per parent
 (poset.pair_joins), so a child costs a few mask tests.
 
 Filters kept by the group.  The join test above, the bottom rule below
-and ``canon.degree_table`` drop down-sets from the parent alone, before
-any child is built.  Each depends on the parent's order alone, so its
-automorphisms keep it, and the filtered list stays closed under the
-group: each orbit passes whole or not at all, and its first down-set is
-the same as in the full list.
+and the degree test of ``canon.degree_tables`` drop down-sets from the
+parent alone, before any child is built.  Each depends on the parent's
+order alone, so its automorphisms keep it, and the filtered list stays
+closed under the group: each orbit passes whole or not at all, and its
+first down-set is the same as in the full list.
+
+The last level.  A node below the last level is kept whole, as (up-rows,
+down-rows, CanonResult), since its automorphisms pick its children's
+down-sets.  Of a class on the target size the walk reads only what the
+run needs.  A count-only run counts a child that the parent's ``tie``
+table accepts (see "Ties" in ``canon.accept``) with no rows built, and
+sends only the rest through ``canon.accept``.  A catalog run asks
+``canon.accept`` for each child's canonical up-rows packed at the
+catalog's stride, which it packs straight from the stable cells when the
+labeling needs no search.
 
 Bijection.  For n >= 1, the mail-connected chainmails on n elements are
 exactly the completable posets on n - 1 elements with a top added, and
@@ -86,7 +96,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from . import canon
 from .config import ENUM_CAPS
@@ -107,27 +117,68 @@ class EnumerationResult:
 # search
 # ---------------------------------------------------------------------------
 
-def _children(up: tuple, down: tuple, parent: canon.CanonResult, completable: bool, bottom: bool):
-    """Accepted children of the parent with these up- and down-rows, as
-    search nodes.  One down-set per orbit of the parent's automorphisms,
-    read off its canonicalization ``parent``, is tried.  ``completable`` keeps
-    the completable children only; ``bottom`` keeps, once the parent has
-    an element, only new elements with a non-empty strict down-set.  These
-    rules and ``canon.degree_table`` run on the down-set list before the
-    orbits are taken (see "Filters kept by the group" in the module
-    docstring)."""
+def _downsets(up: tuple, down: tuple, parent: canon.CanonResult, completable: bool, bottom: bool) -> tuple:
+    """``(tie, down-sets)``: the parent's ``tie`` table from
+    ``canon.degree_tables``, and the down-sets over which a child of the
+    parent with these up- and down-rows is tried, one per orbit of the
+    parent's automorphisms, read off its canonicalization ``parent``.
+    ``completable`` keeps the completable children only; ``bottom`` keeps,
+    once the parent has an element, only new elements with a non-empty
+    strict down-set.  These rules and the degree test run on the down-set
+    list before the orbits are taken (see "Filters kept by the group" in
+    the module docstring)."""
     k = len(up)
-    newbit = 1 << k
-    need = canon.degree_table(k, up, down)
-    joins = pair_joins(up, down) if completable else []
+    need, tie = canon.degree_tables(k, up, down)
+    empty = not (bottom and k)
+    joins = pair_joins(up, down) if completable else None
     masks = [d for d in downset_masks(k, down)
-             if (d or not (bottom and k)) and not need[d.bit_count()] & ~d and joins_inside(d, joins)]
-    for dmask in parent.orbit_firsts(masks):
-        up1 = tuple((up[a] | newbit) if dmask >> a & 1 else up[a] for a in range(k)) + (newbit,)
-        down1 = down + (dmask | newbit,)
-        result = canon.accept(k + 1, up1, down1)
+             if (d or empty) and not need[d.bit_count()] & ~d and (joins is None or joins_inside(d, joins))]
+    return tie, parent.orbit_firsts(masks)
+
+
+def _grow(up: tuple, down: tuple, dmask: int) -> tuple:
+    """(up-rows, down-rows) of the child whose new maximal element has the
+    strict down-set ``dmask``: the new bit goes into the up-row of each
+    member of ``dmask``, taken low bit first."""
+    newbit = 1 << len(up)
+    up1 = list(up)
+    rest = dmask
+    while rest:
+        low = rest & -rest
+        up1[low.bit_length() - 1] |= newbit
+        rest ^= low
+    up1.append(newbit)
+    return tuple(up1), down + (dmask | newbit,)
+
+
+def _children(up: tuple, down: tuple, parent: canon.CanonResult, completable: bool, bottom: bool,
+              stride: Optional[int] = None):
+    """Accepted children of the parent with these up- and down-rows, as
+    search nodes: ``canon.accept`` tries the child over each down-set of
+    :func:`_downsets`.  With a catalog's ``stride``, a child's last field
+    is its canonical up-rows packed at that stride, in place of its
+    canonicalization."""
+    k = len(up)
+    for dmask in _downsets(up, down, parent, completable, bottom)[1]:
+        up1, down1 = _grow(up, down, dmask)
+        result = canon.accept(k + 1, up1, down1, stride)
         if result is not None:
             yield up1, down1, result
+
+
+def _leaf_count(up: tuple, down: tuple, parent: canon.CanonResult, rule: tuple) -> int:
+    """The number of children :func:`_children` yields.  A child that the
+    parent's ``tie`` table accepts is counted with no rows built (see
+    "Ties" in ``canon.accept``); the rest go through ``canon.accept``."""
+    k = len(up)
+    tie, dmasks = _downsets(up, down, parent, *rule)
+    count = 0
+    for dmask in dmasks:
+        if tie[dmask.bit_count()] & ~dmask:
+            count += canon.accept(k + 1, *_grow(up, down, dmask)) is not None
+        else:
+            count += 1
+    return count
 
 
 # a search node is (up-rows, down-rows, CanonResult); the empty poset is the root
@@ -152,30 +203,32 @@ def _nodes(node, rule: tuple, depth: int):
 
 def _worker(payload):
     """(count, packed entries) of the classes on ``target`` elements below
-    the payload's root: each class's canonical up-rows as one int, at
-    ``canon.stride(target)`` bits per row."""
-    rule, target, want_catalog, root = payload
-    stride = canon.stride(target)
+    the payload's root.  The walk stops at their parents and reads of each
+    class only what the run needs: a count-only run (``stride`` 0) counts
+    them with :func:`_leaf_count`, and a catalog run takes each class's
+    canonical up-rows packed at ``stride`` bits per row from
+    :func:`_children`, and ORs in ``top_rows``, the packed rows of an
+    added top (0 without one)."""
+    rule, target, stride, top_rows, root = payload
+    if not target:
+        # the root, the empty poset, is the one class
+        return 1, [top_rows] if stride else []
     count, packed = 0, []
-    for _up, _down, result in _nodes(root, rule, target):
-        count += 1
-        if want_catalog:
-            packed.append(result.packed(stride))
-    return count, packed
+    for up, down, parent in _nodes(root, rule, target - 1):
+        if stride:
+            packed += [entry | top_rows for _up1, _down1, entry in _children(up, down, parent, *rule, stride)]
+        else:
+            count += _leaf_count(up, down, parent, rule)
+    return (len(packed) if stride else count), packed
 
 
-def _with_top(k: int, rows: Sequence[int]) -> tuple:
-    """Up-rows of a k-element poset with a top added as element k; on
-    canonical rows, the canonical rows of the result, in the same key
-    order (see "Top" in the canon module docstring)."""
-    top = 1 << k
-    return tuple(r | top for r in rows) + (top,)
-
-
-def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
+def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int, top: bool = False):
     """(count, packed entries in key order) of the classes on ``target``
     elements, where ``rule`` is the (completable, bottom) pair
-    passed to :func:`_children`.
+    passed to :func:`_children`.  An entry is a class's canonical up-rows,
+    with a top added as element ``target`` when ``top`` is set, packed at
+    ``canon.stride`` of the size with the top: a top's rows are one
+    constant ORed in (see "Top" in the canon module docstring).
 
     The frontier is the walk's nodes on ``target - 3`` elements, each with
     its canonicalization, and ``_worker`` walks each frontier node's subtree
@@ -188,7 +241,9 @@ def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int):
     sorts by key (see "Order" in the canon module docstring), so neither
     the dealing nor the pool size changes the output.
     """
-    payloads = [(rule, target, want_catalog, node) for node in _nodes(_ROOT, rule, max(target - 3, 0))]
+    stride = canon.stride(target + top) if want_catalog else 0
+    top_rows = sum(1 << target << i * stride for i in range(target + 1)) if top and stride else 0
+    payloads = [(rule, target, stride, top_rows, node) for node in _nodes(_ROOT, rule, max(target - 3, 0))]
     processes = min(threads, len(payloads), os.cpu_count() or 1)
     if processes > 1:
         import multiprocessing
@@ -246,12 +301,9 @@ def enumerate_kind(kind: str, n: int, want_catalog: bool = False, threads: int =
     if top and n == 0:
         count, rows = 1, [()]
     else:
-        k = n - top
-        count, packed = _enumerate(rule, k, want_catalog, threads)
-        layout = canon.row_struct(k)
+        count, packed = _enumerate(rule, n - top, want_catalog, threads, top)
+        layout = canon.row_struct(n)
         rows = [layout.unpack(p.to_bytes(layout.size, "little")) for p in packed]
-        if top:
-            rows = [_with_top(k, r) for r in rows]
     catalog = tuple(FinitePoset(n, r) for r in rows) if want_catalog else None
     return EnumerationResult(n, count, catalog, time.perf_counter() - t0)
 

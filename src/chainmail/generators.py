@@ -22,6 +22,15 @@ from .poset import (FinitePoset, bits_of, check_count, component_masks, downset_
                     is_integer, mask_of, submasks)
 
 
+def check_vertex_mask(n: int, vmask: int) -> None:
+    """Refuse a ``vmask`` that is not a non-negative integer below 2^n, the
+    one check of the entries that take a vertex set as a mask: -1 never
+    runs out of submasks, a bit past n names no vertex, and True would be
+    read as {0}."""
+    if not (is_integer(vmask) and 0 <= vmask < 1 << n):
+        raise IndexError(f"vertex mask {vmask!r} out of range")
+
+
 def _points_in_range(n: int, sets: Iterable[Iterable[int]], what: str) -> list:
     """``sets`` as tuples, read once, after a FormatError naming the first
     member outside 0..n-1, before any mask is built."""
@@ -61,6 +70,7 @@ class Graph:
         return adj
 
     def is_connected_set(self, vmask: int) -> bool:
+        check_vertex_mask(self.n, vmask)
         return len(component_masks(self.adjacency(), vmask)) == 1
 
 
@@ -81,6 +91,7 @@ class Hypergraph:
         set covers all of it.  Chains are sequences of hyperedges lying in
         the set in which consecutive edges intersect; so the set is
         connected when those hyperedges cover it and link its vertices."""
+        check_vertex_mask(self.n, vmask)
         adjacency = [0] * self.n
         covered = 0
         for e in map(mask_of, self.hyperedges):
@@ -122,13 +133,12 @@ def is_k_connected_set(g: Graph, vmask: int, k: int) -> bool:
 
     Read literally this admits small sets: a two-vertex edge minus one
     vertex is a non-empty connected singleton, so edges are 2-connected.
-    A ``vmask`` that is not a non-negative integer below 2^n is refused
-    before any subset is walked.
+    ``vmask`` is checked by :func:`check_vertex_mask` before any subset is
+    walked.
     """
     if not (is_integer(k) and k >= 1):
         raise PreconditionError("k must be a positive integer")
-    if not (is_integer(vmask) and 0 <= vmask < 1 << g.n):
-        raise IndexError(f"vertex mask {vmask!r} out of range")
+    check_vertex_mask(g.n, vmask)
     adjacency = g.adjacency()
     return all(len(component_masks(adjacency, vmask & ~removed)) == 1
                for removed in submasks(vmask) if removed.bit_count() < k)

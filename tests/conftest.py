@@ -558,11 +558,22 @@ def oracle_canonical(n: int, up, down) -> tuple:
     return n.to_bytes(2, "big") + enc.to_bytes((n * n + 7) // 8, "big"), perm, rows
 
 
-def oracle_degree_table(k: int, up, down) -> list:
-    """``canon.degree_table`` by a scan of the maximal elements for each
-    entry: entry c is the mask of those with |down| > c + 1."""
+def oracle_degree_tables(k: int, up, down) -> tuple:
+    """``canon.degree_tables`` by a scan of the maximal elements for each
+    entry: entry c of ``need`` is the mask of those with |down| > c + 1,
+    of ``tie`` the mask of those with |down| = c + 1."""
     maxima = [(down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a]
-    return [sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)]
+    return ([sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)],
+            [sum(bit for size, bit in maxima if size == c + 1) for c in range(k + 1)])
+
+
+def oracle_with_top(k: int, rows) -> tuple:
+    """Up-rows of a k-element poset with a top added as element k; on
+    canonical rows, the canonical rows of the result, in the same key
+    order (see "Top" in the canon module docstring).  The route catalogs
+    with a top took before the workers packed the top in."""
+    top = 1 << k
+    return tuple(r | top for r in rows) + (top,)
 
 
 def oracle_accepted(k1: int, up1, down1):

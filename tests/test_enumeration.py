@@ -28,7 +28,8 @@ from chainmail.poset import (FinitePoset, downset_masks, joins_inside, pair_join
                              reduced_mail_scan, transpose)
 
 from conftest import (brute_force_poset_count, consecutive_twin_swaps, lattices_by_filtering_all_posets,
-                      oracle_accepted, oracle_degree_table, oracle_nodes, oracle_orbit_firsts, twin_cells)
+                      oracle_accepted, oracle_degree_tables, oracle_nodes, oracle_orbit_firsts,
+                      oracle_with_top, twin_cells)
 
 POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 CHAINMAIL_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 303}
@@ -113,11 +114,6 @@ class TestChainmailCounts:
             enumerate_connected_chainmails(11, deep=True)
 
 
-def with_top(n: int, rows) -> tuple:
-    top = 1 << n
-    return tuple(r | top for r in rows) + (top,)
-
-
 def completable_classes(corpus, n: int) -> list:
     """Canonical posets on n elements in which every reduced mail with an
     upper bound has a least one, in canonical-key order."""
@@ -135,7 +131,7 @@ class TestTopAddition:
         assert len(completable) == CHAINMAIL_COUNTS[n + 1]
         keys = []
         for p in completable:
-            rows = with_top(n, p.up)
+            rows = oracle_with_top(n, p.up)
             result = canon.canonicalize(n + 1, rows, FinitePoset(n + 1, rows).down)
             assert result.relabeled_up == rows
             keys.append(result.key)
@@ -144,7 +140,7 @@ class TestTopAddition:
     def test_catalog_is_completable_classes_with_a_top(self, poset_corpus):
         for n in range(7):
             catalog = enumerate_connected_chainmails(n + 1, want_catalog=True).catalog
-            assert [p.up for p in catalog] == [with_top(n, p.up)
+            assert [p.up for p in catalog] == [oracle_with_top(n, p.up)
                                                for p in completable_classes(poset_corpus, n)]
 
     def test_n7_catalog_bytes_are_pinned(self):
@@ -267,11 +263,12 @@ def candidates(k: int, up: tuple, rule: tuple):
         yield up1, down1
 
 
-def eager_accepted(k1: int, up1, down1):
+def eager_accepted(k1: int, up1, down1, stride=None):
     """McKay acceptance with every generator list built up front: a full
     canonicalization, whose list is rebuilt as the swaps of consecutive
     twins where the stable cells are twin groups, and the orbit of the
-    deletion choice walked over that list."""
+    deletion choice walked over that list.  With a ``stride``, the
+    accepted child's canonical rows packed at it, from that result."""
     result = canon.canonicalize(k1, up1, down1)
     cells = canon.stable_partition(k1, up1, down1)[0]
     gens = consecutive_twin_swaps(k1, cells) if twin_cells(up1, down1, cells) else result.generators
@@ -279,7 +276,8 @@ def eager_accepted(k1: int, up1, down1):
     best = max((e for e in range(k1) if up1[e] == 1 << e), key=pos.__getitem__)
     if k1 - 1 not in canon._orbit(best, gens):
         return None
-    return canon.CanonResult(result.key, result.perm, result.relabeled_up, gens)
+    eager = canon.CanonResult(result.key, result.perm, result.relabeled_up, gens)
+    return eager.packed(stride) if stride else eager
 
 
 @pytest.fixture(scope="module", params=list(RULES))
@@ -339,12 +337,15 @@ class TestCanonicalAugmentation:
     def test_children_match_an_acceptance_with_eager_generators(self, rule_nodes, monkeypatch):
         # one-leaf children build their generators on first read; the
         # children, and the generators their own children are picked by,
-        # are those of an acceptance that builds every list and walks
+        # are those of an acceptance that builds every list and walks, and
+        # so are the last level's counts and packed entries
         rule, nodes = rule_nodes
 
         def children():
-            return [[(up1, down1, child.key, child.perm, child.relabeled_up, child.generators)
-                     for up1, down1, child in enumeration._children(up, down, parent, *rule)]
+            return [([(up1, down1, child.key, child.perm, child.relabeled_up, child.generators)
+                      for up1, down1, child in enumeration._children(up, down, parent, *rule)],
+                     enumeration._leaf_count(up, down, parent, rule),
+                     [list(enumeration._children(up, down, parent, *rule, stride)) for stride in (8, 16)])
                     for up, down, parent in nodes]
 
         found = children()
@@ -353,10 +354,12 @@ class TestCanonicalAugmentation:
 
     def test_canon_work_of_the_chainmail_catalog_on_8_elements(self, monkeypatch):
         # one stable partition per child that passes the parent's filters,
-        # one canonicalization through the public entry point per accepted
-        # child, one twin test per partition and one more per refinement
-        # round that splits a cell, and one relabeling per leaf a search
-        # records and per one-leaf entry of the catalog
+        # one canonicalization through the public entry point per child
+        # below the last level that passes the cell test and per last-level
+        # child whose labeling searches, one twin test per partition and
+        # one more per refinement round that splits a cell, and one
+        # relabeling per leaf a search records and per one-leaf entry of
+        # the catalog, packed straight from its cells
         counts = Counter()
         for name in ("stable_partition", "canonicalize", "_twin_cells", "_relabel"):
             def counting(*args, _real=getattr(canon, name), _name=name, **kwargs):
@@ -365,7 +368,7 @@ class TestCanonicalAugmentation:
 
             monkeypatch.setattr(canon, name, counting)
         assert enumerate_connected_chainmails(8, want_catalog=True).count == 1842
-        assert counts == {"stable_partition": 2407, "canonicalize": 2231, "_twin_cells": 3712, "_relabel": 2124}
+        assert counts == {"stable_partition": 2407, "canonicalize": 573, "_twin_cells": 3712, "_relabel": 2124}
 
     def test_count_only_runs_relabel_at_search_leaves_alone(self, monkeypatch):
         # a count reads no key and no canonical rows: no one-leaf result is
@@ -386,7 +389,7 @@ def kept_masks(k: int, up: tuple, down: tuple, rule: tuple) -> list:
     """The down-sets of the parent that pass the rule's filters and the
     degree test, ascending: the list ``_children`` picks one per orbit of."""
     completable, bottom = rule
-    need = canon.degree_table(k, up, down)
+    need = canon.degree_tables(k, up, down)[0]
     joins = pair_joins(up, down) if completable else []
     return [d for d in downset_masks(k, down)
             if (d or not (bottom and k)) and not need[d.bit_count()] & ~d and joins_inside(d, joins)]
@@ -439,7 +442,7 @@ class TestChildFilters:
         dropped = 0
         for up, _down, _result in nodes:
             k = len(up)
-            need = canon.degree_table(k, up, transpose(k, up))
+            need = canon.degree_tables(k, up, transpose(k, up))[0]
             for dmask, up1, down1 in children_over_every_downset(k, up):
                 if need[dmask.bit_count()] & ~dmask:
                     assert oracle_accepted(k + 1, up1, down1) is None
@@ -474,8 +477,72 @@ class TestPackedEntries:
     def test_degree_table_matches_the_oracle(self, name):
         nodes = search_nodes(RULES[name], 7)
         for up, down, _result in nodes:
-            assert canon.degree_table(len(up), up, down) == oracle_degree_table(len(up), up, down)
-        assert any(canon.degree_table(len(up), up, down)[0] for up, down, _result in nodes)
+            assert canon.degree_tables(len(up), up, down) == oracle_degree_tables(len(up), up, down)
+        tables = [canon.degree_tables(len(up), up, down) for up, down, _result in nodes]
+        assert any(need[0] for need, _tie in tables)
+        assert any(any(tie[1:]) for _need, tie in tables)
+
+
+def check_last_level(nodes, rule: tuple) -> Counter:
+    """At each node, as a parent of the last level: every child that the
+    tie table accepts is one ``canon.accept`` accepts, the count-only leaf
+    count is the number of children ``_children`` yields, and each child's
+    catalog entry, at strides 8 and 16, is its ``packed`` canonical rows,
+    from ``accept`` with the stride and from ``_children`` with it.
+    Returns how many children the tie table decided and how many went to
+    ``accept``."""
+    decided = Counter()
+    for up, down, parent in nodes:
+        k = len(up)
+        children = list(enumeration._children(up, down, parent, *rule))
+        assert enumeration._leaf_count(up, down, parent, rule) == len(children)
+        tie, dmasks = enumeration._downsets(up, down, parent, *rule)
+        for dmask in dmasks:
+            by_tie = not tie[dmask.bit_count()] & ~dmask
+            decided["tie" if by_tie else "accept"] += 1
+            if by_tie:
+                assert canon.accept(k + 1, *enumeration._grow(up, down, dmask)) is not None
+        for stride in (8, 16):
+            entries = [canon.accept(k + 1, up1, down1).packed(stride) for up1, down1, _child in children]
+            assert [canon.accept(k + 1, up1, down1, stride) for up1, down1, _child in children] == entries
+            assert list(enumeration._children(up, down, parent, *rule, stride)) == \
+                [(up1, down1, entry) for (up1, down1, _child), entry in zip(children, entries)]
+    return decided
+
+
+class TestLastLevel:
+    """The walk's last level reads only what the run needs: a count, or
+    each class's packed canonical rows."""
+
+    def test_tie_table_counts_and_packed_entries(self, rule_nodes):
+        rule, nodes = rule_nodes
+        decided = check_last_level(nodes, rule)
+        assert decided["tie"] and decided["accept"]
+
+    @pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                        reason="set CHM_ACCEPT_DEEP=1 for the search nodes on 7 elements")
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_tie_table_counts_and_packed_entries_on_7_elements(self, name):
+        rule = RULES[name]
+        decided = check_last_level(enumeration._nodes(enumeration._ROOT, rule, 7), rule)
+        assert decided["tie"] and decided["accept"]
+
+    @pytest.mark.parametrize("kind,sizes", [("chainmails", range(1, 9)), ("lattices", range(1, 10))])
+    def test_catalogs_with_a_top_are_the_walks_catalogs_with_a_top_added(self, kind, sizes):
+        rule = enumeration._KINDS[kind][0]
+        for n in sizes:
+            k = n - 1
+            layout = canon.row_struct(k)
+            _count, packed = enumeration._enumerate(rule, k, True, 1)
+            rows = [oracle_with_top(k, layout.unpack(p.to_bytes(layout.size, "little"))) for p in packed]
+            assert [p.up for p in enumeration.enumerate_kind(kind, n, want_catalog=True).catalog] == rows
+
+    @pytest.mark.parametrize("kind,n,expected", [("chainmails", 8, 1842), ("lattices", 9, 1078)])
+    def test_count_only_counts_are_the_same_with_two_workers(self, monkeypatch, kind, n, expected):
+        # a real pool of two processes, on any runner, against one process
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        counts = [enumeration.enumerate_kind(kind, n, threads=threads).count for threads in (1, 2)]
+        assert counts == [expected, expected]
 
 
 class TestWalk:

@@ -220,6 +220,19 @@ class TestKConnectivity:
             is_k_connected_set(g, vmask, 1)
         assert [is_k_connected_set(g, m, 1) for m in range(4)] == [False, True, True, True]
 
+    @pytest.mark.parametrize("vmask", [-1, 0b100, True, 1.5])
+    @pytest.mark.parametrize("graph,connected", [
+        (Graph(2, [(0, 1)]), [False, True, True, True]),
+        (Hypergraph(2, [(0, 1)]), [False, False, False, True]),
+    ], ids=["graph", "hypergraph"])
+    def test_connected_set_tests_refuse_a_vertex_mask_outside_the_vertices(self, graph, connected, vmask):
+        # -1 and 0b100 raised a bare IndexError from the graph's adjacency
+        # list, and a hypergraph read them as not connected; True was read
+        # as {0}, and 1.5 raised a TypeError
+        with pytest.raises(IndexError, match=f"^vertex mask {re.escape(repr(vmask))} out of range$"):
+            graph.is_connected_set(vmask)
+        assert [graph.is_connected_set(m) for m in range(4)] == connected
+
 
 @pytest.mark.parametrize("build,error,message", [
     pytest.param(lambda: FinitePoset.chain(-1), FormatError, "element count must be non-negative", id="chain"),
