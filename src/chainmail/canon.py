@@ -499,8 +499,7 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     return CanonResult(_key(n, enc), leaves[enc], _rows_of(n, enc), generators)
 
 
-def accept(n: int, up: Sequence[int], down: Sequence[int],
-           stride: Optional[int] = None) -> Union[CanonResult, int, None]:
+def accept(n: int, up: Sequence[int], down: Sequence[int], stride: int = 0) -> Union[CanonResult, int, None]:
     """McKay acceptance (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998) of a poset whose element n - 1 is maximal, as
     a child of the poset without it: its canonicalization when n - 1 lies
@@ -516,23 +515,26 @@ def accept(n: int, up: Sequence[int], down: Sequence[int],
     "Bound" in the module docstring, the choice and its orbit lie in the
     last stable cell holding a maximal element, inside that round-one
     cell.  So a new element outside that stable cell is rejected here
-    before any labeling, and one with a smaller |down| than another
-    maximal element is rejected from the parent alone, by
-    :func:`degree_tables`.  A one-leaf result takes ``perm`` from the cells
+    before any labeling.  A one-leaf result takes ``perm`` from the cells
     in list order, each ascending, so there the choice is the largest
     member of that cell, n - 1 itself, and the child is accepted with no
     orbit test; with a ``stride``, its rows are packed straight from the
     cells, with no ``CanonResult``.
 
-    Ties.  The child over a down-set d that passes the degree test is
-    accepted from the parent alone when no maximal element of the parent
-    outside d has |down| = |d| + 1, the new element's.  The maximal
-    elements of the child are the new element x and the parent's maximal
-    elements outside d, with their down-sets, and by the degree test none
-    of those has a larger |down| than x; with none of equal |down|, x is
-    alone in the last round-one cell holding a maximal element.
-    Refinement splits cells in place, so {x} stays the last stable cell
-    holding one, the choice lies in it, and the child is accepted.
+    Ties.  The parent decides the child over a down-set d by |d| alone
+    unless |d| is its :func:`floor`, the size of its largest strict
+    down-set.  The new element x has |down| = |d| + 1, and the child's
+    other maximal elements are the parent's maximal elements outside d,
+    with their down-sets.  An element of d has its down-set inside d, so
+    no element with |down| > |d| lies in d.  When |d| < floor, an element
+    with |down| = floor + 1 therefore lies outside d, and it is maximal,
+    as an element above it would have a larger down-set; it keeps a
+    larger |down| than x, x is not in the last round-one cell holding a
+    maximal element, and the child is rejected.  When |d| > floor, every
+    other maximal element has a smaller |down| than x, so x is alone in
+    that cell; refinement splits cells in place, so {x} stays the last
+    stable cell holding one, the choice lies in it, and the child is
+    accepted.
     """
     cells, twin = stable_partition(n, up, down)
     for last in reversed(cells):
@@ -550,21 +552,9 @@ def accept(n: int, up: Sequence[int], down: Sequence[int],
     return result.packed(stride) if stride else result
 
 
-def degree_tables(k: int, up: Sequence[int], down: Sequence[int]) -> tuple:
-    """``(need, tie)``, the parent's half of :func:`accept` for a poset on
-    k elements: ``need[c]`` is the mask of its maximal elements with
-    |down| > c + 1, ``tie[c]`` of those with |down| = c + 1.  The child
-    over a down-set d adds an element with |down| = |d| + 1, and keeps the
-    parent's maximal elements outside d with their down-sets, so it is
-    rejected when ``need[|d|]`` does not lie inside d, and otherwise
-    accepted when ``tie[|d|]`` does (see "Ties" in :func:`accept`).
-    One pass puts each maximal element into ``tie`` at |down| - 1, and
-    ``need[c]`` is the OR of ``tie`` from c + 1 up."""
-    tie = [0] * (k + 1)
-    for a in range(k):
-        if up[a] == 1 << a:
-            tie[down[a].bit_count() - 1] |= 1 << a
-    need = [0] * (k + 1)
-    for c in range(k - 1, -1, -1):
-        need[c] = need[c + 1] | tie[c + 1]
-    return need, tie
+def floor(down: Sequence[int]) -> int:
+    """The parent's half of :func:`accept` for a poset with these
+    down-rows: the size of its largest strict down-set, -1 for the empty
+    poset.  The child over a down-set d is rejected when |d| < floor and
+    accepted when |d| > floor (see "Ties" in :func:`accept`)."""
+    return max(map(int.bit_count, down), default=0) - 1

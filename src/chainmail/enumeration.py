@@ -46,21 +46,22 @@ is when j is in D.  The pairs are listed once per parent
 (poset.pair_joins), so a child costs a few mask tests.
 
 Filters kept by the group.  The join test above, the bottom rule below
-and the degree test of ``canon.degree_tables`` drop down-sets from the
-parent alone, before any child is built.  Each depends on the parent's
-order alone, so its automorphisms keep it, and the filtered list stays
-closed under the group: each orbit passes whole or not at all, and its
-first down-set is the same as in the full list.
+and the floor test, which drops a down-set smaller than the parent's
+``canon.floor``, drop down-sets from the parent alone, before any child
+is built.  Each depends on the parent's order alone, so its
+automorphisms keep it, and the filtered list stays closed under the
+group: each orbit passes whole or not at all, and its first down-set is
+the same as in the full list.
 
 The last level.  A node below the last level is kept whole, as (up-rows,
 down-rows, CanonResult), since its automorphisms pick its children's
 down-sets.  Of a class on the target size the walk reads only what the
-run needs.  A count-only run counts a child that the parent's ``tie``
-table accepts (see "Ties" in ``canon.accept``) with no rows built, and
-sends only the rest through ``canon.accept``.  A catalog run asks
-``canon.accept`` for each child's canonical up-rows packed at the
-catalog's stride, which it packs straight from the stable cells when the
-labeling needs no search.
+run needs.  A count-only run counts a child over a down-set larger than
+the parent's floor, which is accepted (see "Ties" in ``canon.accept``),
+with no rows built.  Every other child goes through ``canon.accept``,
+which for a catalog run returns its canonical up-rows packed at the
+catalog's stride, straight from the stable cells when the labeling needs
+no search.
 
 Bijection.  For n >= 1, the mail-connected chainmails on n elements are
 exactly the completable posets on n - 1 elements with a top added, and
@@ -118,22 +119,21 @@ class EnumerationResult:
 # ---------------------------------------------------------------------------
 
 def _downsets(up: tuple, down: tuple, parent: canon.CanonResult, completable: bool, bottom: bool) -> tuple:
-    """``(tie, down-sets)``: the parent's ``tie`` table from
-    ``canon.degree_tables``, and the down-sets over which a child of the
-    parent with these up- and down-rows is tried, one per orbit of the
-    parent's automorphisms, read off its canonicalization ``parent``.
-    ``completable`` keeps the completable children only; ``bottom`` keeps,
-    once the parent has an element, only new elements with a non-empty
-    strict down-set.  These rules and the degree test run on the down-set
-    list before the orbits are taken (see "Filters kept by the group" in
-    the module docstring)."""
+    """``(floor, down-sets)``: the parent's ``canon.floor``, and the
+    down-sets over which a child of the parent with these up- and
+    down-rows is tried, one per orbit of the parent's automorphisms, read
+    off its canonicalization ``parent``.  ``completable`` keeps the
+    completable children only; ``bottom`` keeps, once the parent has an
+    element, only new elements with a non-empty strict down-set.  These
+    rules and the floor test run on the down-set list before the orbits
+    are taken (see "Filters kept by the group" in the module docstring)."""
     k = len(up)
-    need, tie = canon.degree_tables(k, up, down)
+    floor = canon.floor(down)
     empty = not (bottom and k)
     joins = pair_joins(up, down) if completable else None
     masks = [d for d in downset_masks(k, down)
-             if (d or empty) and not need[d.bit_count()] & ~d and (joins is None or joins_inside(d, joins))]
-    return tie, parent.orbit_firsts(masks)
+             if (d or empty) and d.bit_count() >= floor and (joins is None or joins_inside(d, joins))]
+    return floor, parent.orbit_firsts(masks)
 
 
 def _grow(up: tuple, down: tuple, dmask: int) -> tuple:
@@ -151,34 +151,16 @@ def _grow(up: tuple, down: tuple, dmask: int) -> tuple:
     return tuple(up1), down + (dmask | newbit,)
 
 
-def _children(up: tuple, down: tuple, parent: canon.CanonResult, completable: bool, bottom: bool,
-              stride: Optional[int] = None):
+def _children(up: tuple, down: tuple, parent: canon.CanonResult, completable: bool, bottom: bool):
     """Accepted children of the parent with these up- and down-rows, as
     search nodes: ``canon.accept`` tries the child over each down-set of
-    :func:`_downsets`.  With a catalog's ``stride``, a child's last field
-    is its canonical up-rows packed at that stride, in place of its
-    canonicalization."""
+    :func:`_downsets`."""
     k = len(up)
     for dmask in _downsets(up, down, parent, completable, bottom)[1]:
         up1, down1 = _grow(up, down, dmask)
-        result = canon.accept(k + 1, up1, down1, stride)
+        result = canon.accept(k + 1, up1, down1)
         if result is not None:
             yield up1, down1, result
-
-
-def _leaf_count(up: tuple, down: tuple, parent: canon.CanonResult, rule: tuple) -> int:
-    """The number of children :func:`_children` yields.  A child that the
-    parent's ``tie`` table accepts is counted with no rows built (see
-    "Ties" in ``canon.accept``); the rest go through ``canon.accept``."""
-    k = len(up)
-    tie, dmasks = _downsets(up, down, parent, *rule)
-    count = 0
-    for dmask in dmasks:
-        if tie[dmask.bit_count()] & ~dmask:
-            count += canon.accept(k + 1, *_grow(up, down, dmask)) is not None
-        else:
-            count += 1
-    return count
 
 
 # a search node is (up-rows, down-rows, CanonResult); the empty poset is the root
@@ -204,22 +186,29 @@ def _nodes(node, rule: tuple, depth: int):
 def _worker(payload):
     """(count, packed entries) of the classes on ``target`` elements below
     the payload's root.  The walk stops at their parents and reads of each
-    class only what the run needs: a count-only run (``stride`` 0) counts
-    them with :func:`_leaf_count`, and a catalog run takes each class's
-    canonical up-rows packed at ``stride`` bits per row from
-    :func:`_children`, and ORs in ``top_rows``, the packed rows of an
-    added top (0 without one)."""
+    class only what the run needs (see "The last level" in the module
+    docstring): a count-only run (``stride`` 0) counts a child over a
+    down-set larger than its parent's floor with no rows built, and a
+    catalog run takes each class's canonical up-rows packed at ``stride``
+    bits per row from ``canon.accept``, and ORs in ``top_rows``, the
+    packed rows of an added top (0 without one)."""
     rule, target, stride, top_rows, root = payload
     if not target:
         # the root, the empty poset, is the one class
         return 1, [top_rows] if stride else []
     count, packed = 0, []
     for up, down, parent in _nodes(root, rule, target - 1):
-        if stride:
-            packed += [entry | top_rows for _up1, _down1, entry in _children(up, down, parent, *rule, stride)]
-        else:
-            count += _leaf_count(up, down, parent, rule)
-    return (len(packed) if stride else count), packed
+        floor, dmasks = _downsets(up, down, parent, *rule)
+        for dmask in dmasks:
+            if not stride and dmask.bit_count() > floor:
+                count += 1
+                continue
+            entry = canon.accept(target, *_grow(up, down, dmask), stride)
+            if entry is not None:
+                count += 1
+                if stride:
+                    packed.append(entry | top_rows)
+    return count, packed
 
 
 def _enumerate(rule: tuple, target: int, want_catalog: bool, threads: int, top: bool = False):

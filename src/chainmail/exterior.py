@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 from .config import DEFAULT_MAX_EXTERIOR_SETS, DEFAULT_MAX_TMD_SETS
 from .connectivity import ConnectivityPair
 from .errors import FormatError, GuardExceeded, PreconditionError
-from .poset import (FinitePoset, checked_mask, component_masks, downset_masks, inclusion_rows, is_integer,
-                    joins_inside, mask_of, pair_joins, set_of, tmd_masks)
+from .poset import (FinitePoset, bits_of, checked_mask, component_masks, downset_masks, inclusion_rows,
+                    is_integer, joins_inside, mask_of, pair_joins, set_of, tmd_masks)
 
 
 def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
@@ -110,9 +110,13 @@ def tmd_to_downset(p: FinitePoset, members: Iterable[int]) -> frozenset:
 
 def downset_to_tmd(p: FinitePoset, members: Iterable[int]) -> frozenset:
     """Joins of the maximal mail-connected subsets of a down-closed
-    subchainmail; the inverse direction of the exterior isomorphism."""
+    subchainmail; the inverse direction of the exterior isomorphism.  A
+    set that is not down-closed, or not closed under the joins of its
+    mails, is refused."""
     _require_chainmail(p)
     x = checked_mask(p.n, members)
+    if any(p.down[a] & ~x for a in bits_of(x)):
+        raise PreconditionError("input is not a down-closed subchainmail: an element below a member escapes it")
     joins = []
     for comp in component_masks(p.mail_mates, x):
         j = p.up_index.get(p.upper_bound_mask(comp))

@@ -104,6 +104,7 @@ class Hypergraph:
 
 def _check_cap(vertices: int, cap: int) -> None:
     check_count(vertices, "vertex count")
+    check_count(cap, "cap")
     if vertices > cap:
         raise GuardExceeded(
             f"{vertices} vertices exceeds the cap of {cap} (the lattice is the powerset)"

@@ -180,8 +180,10 @@ def tmd_masks(p: FinitePoset, within: int, limit: int = DEFAULT_MAX_TMD_SETS) ->
     ~mates[b]`` is the candidate set of ``mask | b``, and the search
     recurses only when it is not empty.  No other set is visited.
     Candidates are taken in increasing order and each set is emitted
-    before its extensions, which is the lexicographic order.
+    before its extensions, which is the lexicographic order.  ``limit``
+    is checked by :func:`check_count` before the search.
     """
+    check_count(limit, "limit")
     up, down = p.up, p.down
     mates = mail_mates(p.n, up, down, within)
     masks, ubs, doms = [0], [p.full_mask], [0]

@@ -559,9 +559,13 @@ def oracle_canonical(n: int, up, down) -> tuple:
 
 
 def oracle_degree_tables(k: int, up, down) -> tuple:
-    """``canon.degree_tables`` by a scan of the maximal elements for each
-    entry: entry c of ``need`` is the mask of those with |down| > c + 1,
-    of ``tie`` the mask of those with |down| = c + 1."""
+    """``(need, tie)``, the parent's half of McKay acceptance as per-size
+    masks, the reference ``canon.floor`` is checked against, by a scan of
+    the maximal elements for each entry: entry c of ``need`` is the mask
+    of those with |down| > c + 1, of ``tie`` the mask of those with
+    |down| = c + 1.  The child over a down-set d is rejected when
+    ``need[|d|]`` does not lie inside d, and otherwise accepted when
+    ``tie[|d|]`` does."""
     maxima = [(down[a].bit_count(), 1 << a) for a in range(k) if up[a] == 1 << a]
     return ([sum(bit for size, bit in maxima if size > c + 1) for c in range(k + 1)],
             [sum(bit for size, bit in maxima if size == c + 1) for c in range(k + 1)])

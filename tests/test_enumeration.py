@@ -263,7 +263,7 @@ def candidates(k: int, up: tuple, rule: tuple):
         yield up1, down1
 
 
-def eager_accepted(k1: int, up1, down1, stride=None):
+def eager_accepted(k1: int, up1, down1, stride=0):
     """McKay acceptance with every generator list built up front: a full
     canonicalization, whose list is rebuilt as the swaps of consecutive
     twins where the stable cells are twin groups, and the orbit of the
@@ -344,8 +344,7 @@ class TestCanonicalAugmentation:
         def children():
             return [([(up1, down1, child.key, child.perm, child.relabeled_up, child.generators)
                       for up1, down1, child in enumeration._children(up, down, parent, *rule)],
-                     enumeration._leaf_count(up, down, parent, rule),
-                     [list(enumeration._children(up, down, parent, *rule, stride)) for stride in (8, 16)])
+                     [enumeration._worker((rule, len(up) + 1, stride, 0, (up, down, parent))) for stride in (0, 8, 16)])
                     for up, down, parent in nodes]
 
         found = children()
@@ -387,12 +386,12 @@ class TestCanonicalAugmentation:
 
 def kept_masks(k: int, up: tuple, down: tuple, rule: tuple) -> list:
     """The down-sets of the parent that pass the rule's filters and the
-    degree test, ascending: the list ``_children`` picks one per orbit of."""
+    floor test, ascending: the list ``_children`` picks one per orbit of."""
     completable, bottom = rule
-    need = canon.degree_tables(k, up, down)[0]
+    floor = canon.floor(down)
     joins = pair_joins(up, down) if completable else []
     return [d for d in downset_masks(k, down)
-            if (d or not (bottom and k)) and not need[d.bit_count()] & ~d and joins_inside(d, joins)]
+            if (d or not (bottom and k)) and d.bit_count() >= floor and joins_inside(d, joins)]
 
 
 class TestOrbitFirsts:
@@ -442,9 +441,9 @@ class TestChildFilters:
         dropped = 0
         for up, _down, _result in nodes:
             k = len(up)
-            need = canon.degree_tables(k, up, transpose(k, up))[0]
+            floor = canon.floor(transpose(k, up))
             for dmask, up1, down1 in children_over_every_downset(k, up):
-                if need[dmask.bit_count()] & ~dmask:
+                if dmask.bit_count() < floor:
                     assert oracle_accepted(k + 1, up1, down1) is None
                     dropped += 1
         assert dropped
@@ -475,38 +474,60 @@ class TestPackedEntries:
 
     @pytest.mark.parametrize("name", list(RULES))
     def test_degree_table_matches_the_oracle(self, name):
-        nodes = search_nodes(RULES[name], 7)
-        for up, down, _result in nodes:
-            assert canon.degree_tables(len(up), up, down) == oracle_degree_tables(len(up), up, down)
-        tables = [canon.degree_tables(len(up), up, down) for up, down, _result in nodes]
-        assert any(need[0] for need, _tie in tables)
-        assert any(any(tie[1:]) for _need, tie in tables)
+        verdicts = check_floor(search_nodes(RULES[name], 7))
+        assert verdicts["reject"] and verdicts["accept"] and verdicts["tie"]
+
+    @pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
+                        reason="set CHM_ACCEPT_DEEP=1 for the search nodes on 8 elements")
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_degree_table_matches_the_oracle_on_8_elements(self, name):
+        check_floor(enumeration._nodes(enumeration._ROOT, RULES[name], 8))
+
+
+def check_floor(nodes) -> Counter:
+    """On every down-set d of every node, the verdict of ``canon.floor``
+    is that of the oracle's tables: rejected from the parent when |d| is
+    below the floor and ``need[|d|]`` leaves d, accepted from the parent
+    when |d| is above it and neither ``need[|d|]`` nor ``tie[|d|]`` does,
+    and left to ``canon.accept`` otherwise.  Returns the verdicts."""
+    verdicts = Counter()
+    for up, down, _result in nodes:
+        k = len(up)
+        floor = canon.floor(down)
+        need, tie = oracle_degree_tables(k, up, down)
+        for d in downset_masks(k, down):
+            size = d.bit_count()
+            by_floor = "reject" if size < floor else "accept" if size > floor else "tie"
+            by_tables = "reject" if need[size] & ~d else "accept" if not tie[size] & ~d else "tie"
+            assert by_floor == by_tables
+            verdicts[by_floor] += 1
+    return verdicts
 
 
 def check_last_level(nodes, rule: tuple) -> Counter:
-    """At each node, as a parent of the last level: every child that the
-    tie table accepts is one ``canon.accept`` accepts, the count-only leaf
-    count is the number of children ``_children`` yields, and each child's
-    catalog entry, at strides 8 and 16, is its ``packed`` canonical rows,
-    from ``accept`` with the stride and from ``_children`` with it.
-    Returns how many children the tie table decided and how many went to
-    ``accept``."""
+    """At each node, as a parent of the last level: every child over a
+    down-set larger than the parent's floor is one ``canon.accept``
+    accepts, a count-only ``_worker`` counts the children ``_children``
+    yields, and a catalog ``_worker``'s entries, at strides 8 and 16, are
+    their ``packed`` canonical rows, as ``accept`` gives them with the
+    stride.  Returns how many children the floor decided and how many went
+    to ``accept``."""
     decided = Counter()
-    for up, down, parent in nodes:
+    for node in nodes:
+        up, down, parent = node
         k = len(up)
         children = list(enumeration._children(up, down, parent, *rule))
-        assert enumeration._leaf_count(up, down, parent, rule) == len(children)
-        tie, dmasks = enumeration._downsets(up, down, parent, *rule)
+        assert enumeration._worker((rule, k + 1, 0, 0, node)) == (len(children), [])
+        floor, dmasks = enumeration._downsets(up, down, parent, *rule)
         for dmask in dmasks:
-            by_tie = not tie[dmask.bit_count()] & ~dmask
-            decided["tie" if by_tie else "accept"] += 1
-            if by_tie:
+            by_floor = dmask.bit_count() > floor
+            decided["floor" if by_floor else "accept"] += 1
+            if by_floor:
                 assert canon.accept(k + 1, *enumeration._grow(up, down, dmask)) is not None
         for stride in (8, 16):
             entries = [canon.accept(k + 1, up1, down1).packed(stride) for up1, down1, _child in children]
             assert [canon.accept(k + 1, up1, down1, stride) for up1, down1, _child in children] == entries
-            assert list(enumeration._children(up, down, parent, *rule, stride)) == \
-                [(up1, down1, entry) for (up1, down1, _child), entry in zip(children, entries)]
+            assert enumeration._worker((rule, k + 1, stride, 0, node)) == (len(children), entries)
     return decided
 
 
@@ -517,7 +538,7 @@ class TestLastLevel:
     def test_tie_table_counts_and_packed_entries(self, rule_nodes):
         rule, nodes = rule_nodes
         decided = check_last_level(nodes, rule)
-        assert decided["tie"] and decided["accept"]
+        assert decided["floor"] and decided["accept"]
 
     @pytest.mark.skipif(os.environ.get("CHM_ACCEPT_DEEP") != "1",
                         reason="set CHM_ACCEPT_DEEP=1 for the search nodes on 7 elements")
@@ -525,7 +546,7 @@ class TestLastLevel:
     def test_tie_table_counts_and_packed_entries_on_7_elements(self, name):
         rule = RULES[name]
         decided = check_last_level(enumeration._nodes(enumeration._ROOT, rule, 7), rule)
-        assert decided["tie"] and decided["accept"]
+        assert decided["floor"] and decided["accept"]
 
     @pytest.mark.parametrize("kind,sizes", [("chainmails", range(1, 9)), ("lattices", range(1, 10))])
     def test_catalogs_with_a_top_are_the_walks_catalogs_with_a_top_added(self, kind, sizes):

@@ -282,6 +282,13 @@ class TestReconstructionMaps:
         diamond = FinitePoset.powerset_lattice(2)
         with pytest.raises(PreconditionError, match="a component join escapes it$"):
             downset_to_tmd(diamond, {0, 1, 2})
+        # sets that are not down-closed: each was mapped to a wrong TMD set,
+        # {1} of the chain to {1}, whose down-set is {0, 1}, and these four
+        # of the diamond to {3}
+        for p, members in [(FinitePoset.chain(2), {1}), (diamond, {3}), (diamond, {1, 3}), (diamond, {2, 3}),
+                           (diamond, {1, 2, 3})]:
+            with pytest.raises(PreconditionError, match="an element below a member escapes it$"):
+                downset_to_tmd(p, members)
 
 
 class TestExteriorAsAbsolute:

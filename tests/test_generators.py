@@ -11,7 +11,7 @@ import pytest
 from chainmail.connectivity import ConnectivityPair, borger_implication_check, classify, is_subchainmail_of
 from chainmail.enumeration import enumerate_kind
 from chainmail.errors import FormatError, GuardExceeded, PreconditionError
-from chainmail.exterior import downclosed_subchainmails
+from chainmail.exterior import downclosed_subchainmails, exterior
 from chainmail.generators import (
     Graph,
     Hypergraph,
@@ -281,6 +281,25 @@ class TestKConnectivity:
                  id="leq-pair-with-1.5"),
     pytest.param(lambda: fixture_description("nope"), FormatError, "unknown fixture 'nope'",
                  id="fixture-description"),
+    # a resource guard is a count too: a TMD limit of True raised "exceeds
+    # True sets", "9" a bare TypeError and -1 fired as a guard; a cap of 2.5
+    # built a pair, and True was read as 1
+    pytest.param(lambda: exterior(FinitePoset.chain(2), limit=True), FormatError,
+                 "limit must be an integer, got True", id="limit-True"),
+    pytest.param(lambda: exterior(FinitePoset.chain(2), limit=2.5), FormatError,
+                 "limit must be an integer, got 2.5", id="limit-2.5"),
+    pytest.param(lambda: exterior(FinitePoset.chain(2), limit="9"), FormatError,
+                 "limit must be an integer, got '9'", id="limit-str-9"),
+    pytest.param(lambda: exterior(FinitePoset.chain(2), limit=-1), FormatError,
+                 "limit must be non-negative", id="limit-minus-1"),
+    pytest.param(lambda: graph_connectivity_pair(Graph(2, [(0, 1)]), cap=True), FormatError,
+                 "cap must be an integer, got True", id="cap-True"),
+    pytest.param(lambda: graph_connectivity_pair(Graph(2, [(0, 1)]), cap=2.5), FormatError,
+                 "cap must be an integer, got 2.5", id="cap-2.5"),
+    pytest.param(lambda: graph_connectivity_pair(Graph(2, [(0, 1)]), cap="9"), FormatError,
+                 "cap must be an integer, got '9'", id="cap-str-9"),
+    pytest.param(lambda: graph_connectivity_pair(Graph(2, [(0, 1)]), cap=-1), FormatError,
+                 "cap must be non-negative", id="cap-minus-1"),
 ])
 def test_negative_sizes_are_refused(build, error, message):
     # refused with the package's error, not a bare ValueError from a
