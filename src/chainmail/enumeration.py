@@ -313,17 +313,18 @@ def enumerate_complete_lattices(max_size: int) -> List[FinitePoset]:
     first, canonical-key order inside a size; none for max_size <= 0.  Each
     size is one catalog of :func:`enumerate_kind`; the size checks are made
     once for max_size, before any search."""
-    # max keeps its first argument on a tie, so a bool is still refused
-    _row("lattices", max(max_size, 0))
+    # a non-integer reaches _row as given, to be refused there
+    _row("lattices", max(max_size, 0) if is_integer(max_size) else max_size)
     return [p for k in range(1, max_size + 1)
             for p in enumerate_kind("lattices", k, want_catalog=True).catalog]
 
 
 def enumerate_connectivity_pairs(max_lattice_size: int) -> Iterator[ConnectivityPair]:
     """Every (complete lattice up to iso, subset) pair, streamed in
-    deterministic order."""
-    if max_lattice_size > 6:
+    deterministic order.  The size is checked and the lattices listed at
+    the call, so a bad size raises before the stream is returned."""
+    if is_integer(max_lattice_size) and max_lattice_size > 6:
         raise GuardExceeded("exhaustive pair corpus is capped at lattice size 6")
-    for lattice in enumerate_complete_lattices(max_lattice_size):
-        for cmask in range(1 << lattice.n):
-            yield ConnectivityPair(lattice, frozenset(bits_of(cmask)))
+    lattices = enumerate_complete_lattices(max_lattice_size)
+    return (ConnectivityPair(lattice, frozenset(bits_of(cmask)))
+            for lattice in lattices for cmask in range(1 << lattice.n))

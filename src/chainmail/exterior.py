@@ -10,14 +10,13 @@ subchainmails of G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_MAX_EXTERIOR_SETS, DEFAULT_MAX_TMD_SETS
 from .connectivity import ConnectivityPair
 from .errors import FormatError, GuardExceeded, PreconditionError
-from .poset import (FinitePoset, bits_of, checked_mask, component_masks, downset_masks, inclusion_rows,
-                    is_integer, joins_inside, mask_of, pair_joins, set_of, tmd_masks)
+from .poset import (FinitePoset, bits_of, cached_attribute, checked_mask, component_masks, downset_masks,
+                    inclusion_rows, is_integer, joins_inside, mask_of, pair_joins, set_of, tmd_masks)
 
 
 def tmd_set_masks(p: FinitePoset, limit: int = DEFAULT_MAX_TMD_SETS) -> tuple:
@@ -35,7 +34,7 @@ class TmdFamily:
     masks: tuple         # bitmasks, in the deterministic enumeration order
     order: FinitePoset   # order.leq(i, j) iff sets[i] <= sets[j] componentwise
 
-    @cached_property
+    @cached_attribute
     def sets(self) -> tuple:
         """The TMD sets as frozensets, in the order of ``masks``; built on
         first read."""

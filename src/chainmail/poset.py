@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_MAX_TMD_SETS, max_n
@@ -37,7 +36,30 @@ def mask_of(members: Iterable[int]) -> int:
     return m
 
 
-def bits_of(mask: int) -> Iterator[int]:
+# _BITS_s[m]: the set bits of m << s, ascending, for each byte m
+_BITS_0, _BITS_8, _BITS_16, _BITS_24 = (
+    tuple(tuple(i + shift for i in range(8) if m >> i & 1) for m in range(256))
+    for shift in (0, 8, 16, 24))
+
+
+def bits_of(mask: int) -> Iterable[int]:
+    """The set bits of a non-negative ``mask``, ascending.
+
+    Most masks of the analysis path are below 2^32, and for those a tuple
+    is read from the byte tables (one entry below 256, four joined below
+    2^32), which costs less than starting a generator.  A wider mask is
+    walked lazily, low bit first, so a loop that stops early (``next``,
+    ``any``, a ``break``) never builds a long sequence.
+    """
+    if mask < 256:
+        return _BITS_0[mask]
+    if mask < 4294967296:
+        return (_BITS_0[mask & 255] + _BITS_8[mask >> 8 & 255]
+                + _BITS_16[mask >> 16 & 255] + _BITS_24[mask >> 24])
+    return _low_bits(mask)
+
+
+def _low_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -394,6 +416,30 @@ def component_masks(adjacency: Sequence[int], within: int) -> list:
     return out
 
 
+class cached_attribute:
+    """A method read as an attribute, computed on the first read and then
+    stored in the instance ``__dict__``, where later reads find it without
+    calling this descriptor.
+
+    Unlike :class:`functools.cached_property` before Python 3.12, no lock
+    is taken: the values cached here are pure functions of the instance,
+    and the package runs in parallel only through processes, so two
+    threads racing on one first read at worst compute the value twice.
+    The store bypasses ``__setattr__``, so frozen dataclasses can use it.
+    """
+
+    def __init__(self, func: Callable):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # FinitePoset
 # ---------------------------------------------------------------------------
@@ -480,15 +526,15 @@ class FinitePoset:
 
     # -- derived tables -----------------------------------------------
 
-    @cached_property
+    @cached_attribute
     def down(self) -> tuple:
         return transpose(self.n, self.up)
 
-    @cached_property
+    @cached_attribute
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @cached_attribute
     def up_index(self) -> dict:
         """{up-row: element}.
 
@@ -504,17 +550,17 @@ class FinitePoset:
         """
         return dict(zip(self.up, range(self.n)))
 
-    @cached_property
+    @cached_attribute
     def down_index(self) -> dict:
         """{down-row: element}, the dual of :attr:`up_index`."""
         return dict(zip(self.down, range(self.n)))
 
-    @cached_property
+    @cached_attribute
     def mail_mates(self) -> tuple:
         """mail_mates[a] = bitmask of b such that {a, b} is a mail."""
         return mail_mates(self.n, self.up, self.down, self.full_mask)
 
-    @cached_property
+    @cached_attribute
     def covers(self) -> tuple:
         """(a, b) pairs where b covers a: the b minimal in a's strict up-set."""
         return tuple((a, b) for a in range(self.n)
@@ -543,7 +589,7 @@ class FinitePoset:
         for a in range(n):
             for b in bits_of(up[a]):
                 if up[b] & ~up[a]:
-                    c = next(bits_of(up[b] & ~up[a]))
+                    c = next(iter(bits_of(up[b] & ~up[a])))
                     return Violation("transitivity", (a, b, c))
         return None
 
@@ -647,7 +693,7 @@ class FinitePoset:
         row lemma of :attr:`up_index`).  Decided once per instance."""
         return self._complete_lattice
 
-    @cached_property
+    @cached_attribute
     def _complete_lattice(self) -> bool:
         if self.bottom() is None:
             return False
@@ -671,7 +717,7 @@ class FinitePoset:
 
     # -- isomorphism -----------------------------------------------------
 
-    @cached_property
+    @cached_attribute
     def canonical(self) -> canon.CanonResult:
         """Canonical key, labeling and automorphisms, searched once."""
         return canon.canonicalize(self.n, self.up, self.down)

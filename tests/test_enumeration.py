@@ -8,6 +8,7 @@ import json
 import multiprocessing
 from collections import Counter
 import os
+import re
 import subprocess
 import sys
 import types
@@ -750,6 +751,8 @@ class TestLatticeCorpus:
         for call, message in [
             (lambda: enumerate_complete_lattices(3.5), "n must be an integer, got 3.5"),
             (lambda: enumerate_complete_lattices(True), "n must be an integer, got True"),
+            (lambda: enumerate_complete_lattices("9"), "n must be an integer, got '9'"),
+            (lambda: enumerate_complete_lattices(None), "n must be an integer, got None"),
             (lambda: enumerate_posets(3.5), "n must be an integer, got 3.5"),
             (lambda: enumerate_posets(True), "n must be an integer, got True"),
             (lambda: enumerate_connected_chainmails(2.0), "n must be an integer, got 2.0"),
@@ -791,11 +794,17 @@ def test_pool_runs_under_spawn():
 
 class TestPairCorpus:
     def test_size_zero_yields_nothing(self):
-        assert list(enumerate_connectivity_pairs(0)) == []
+        assert list(enumerate_connectivity_pairs(0)) == list(enumerate_connectivity_pairs(-1)) == []
 
     def test_sizes_past_six_are_refused(self):
         with pytest.raises(GuardExceeded, match="^exhaustive pair corpus is capped at lattice size 6$"):
-            list(enumerate_connectivity_pairs(7))
+            enumerate_connectivity_pairs(7)
+
+    @pytest.mark.parametrize("size", ["9", None, [1], 2.5, True])
+    def test_sizes_that_are_not_integers_are_refused_at_the_call(self, size):
+        # raised by the call itself, before the stream is iterated
+        with pytest.raises(PreconditionError, match=f"^n must be an integer, got {re.escape(repr(size))}$"):
+            enumerate_connectivity_pairs(size)
 
     def test_size_one(self):
         pairs = [p for p in enumerate_connectivity_pairs(1)]

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
+import pickle
 import random
 
 import pytest
 
+from chainmail import poset
 from chainmail.connectivity import ConnectivityPair, borger_implication_check
 from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import Graph, Hypergraph, named_fixture
 from chainmail.enumeration import enumerate_complete_lattices, enumerate_posets
 from chainmail.exterior import exterior, tmd_to_downset
-from chainmail.poset import (FinitePoset, bits_of, downset_masks, inclusion_rows, mail_mates,
-                             mail_pairs, mask_of, reduced_mail_scan, set_of, tmd_masks)
+from chainmail.poset import (FinitePoset, bits_of, cached_attribute, downset_masks, inclusion_rows,
+                             mail_mates, mail_pairs, mask_of, reduced_mail_scan, set_of, tmd_masks)
 
 from conftest import (
     lex_subsets,
@@ -55,6 +58,18 @@ class TestValidate:
         v = p.validate()
         assert v.axiom == "transitivity"
         assert v.witness == (0, 1, 2)
+
+    @pytest.mark.parametrize("c", [9, 39])
+    def test_transitivity_witness_past_one_byte(self, c):
+        # 1 <= c and 1 <= c + 5 but not 0 <= c: the witness is the least
+        # such c, read from a 16-bit mask or from a mask wider than 32 bits
+        n = c + 6
+        rows = [1 << a for a in range(n)]
+        rows[0] |= 1 << 1
+        rows[1] |= 1 << c | 1 << (c + 5)
+        v = FinitePoset(n, tuple(rows)).validate()
+        assert v.axiom == "transitivity"
+        assert v.witness == (0, 1, c)
 
     def test_reflexivity_violation(self):
         p = FinitePoset(2, (0b01, 0b00))
@@ -403,6 +418,82 @@ class TestInclusionRows:
         assert inclusion_rows([0, 1, 8], []) == (0, 0, 0)
         assert inclusion_rows([8, 9], [1, 3, 7]) == (0, 0)
         assert inclusion_rows([], [1, 3]) == ()
+
+
+def low_bit_loop(mask: int) -> list:
+    """The set bits of ``mask``, ascending, one low bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class TestBitsOf:
+    def test_every_mask_below_4096(self):
+        for mask in range(1 << 12):
+            assert list(bits_of(mask)) == low_bit_loop(mask)
+
+    def test_single_bits(self):
+        for i in range(71):
+            assert list(bits_of(1 << i)) == [i]
+
+    @pytest.mark.parametrize("edge", [1 << 8, 1 << 16, 1 << 24, 1 << 32])
+    def test_masks_that_straddle_a_table_edge(self, edge):
+        rng = random.Random(edge)
+        masks = [edge + d for d in range(-3, 4)] + [edge | edge - 1, edge | edge >> 1 | 1]
+        masks += [edge + rng.randrange(-edge // 2, edge) for _ in range(50)]
+        for mask in masks:
+            assert list(bits_of(mask)) == low_bit_loop(mask)
+
+    @pytest.mark.parametrize("width", [33, 64, 200])
+    def test_random_wide_masks(self, width):
+        rng = random.Random(width)
+        for _ in range(200):
+            mask = rng.getrandbits(width) | 1 << (width - 1)
+            assert list(bits_of(mask)) == low_bit_loop(mask)
+
+    def test_a_wide_mask_is_walked_lazily(self):
+        bits = bits_of(1 << 500 | 1 << 40)
+        assert next(bits) == 40
+        assert list(bits) == [500]
+
+
+class TestCachedTables:
+    def test_down_is_computed_once_per_instance(self, monkeypatch):
+        calls = []
+        transpose = poset.transpose
+
+        def counted(n, rows):
+            calls.append(n)
+            return transpose(n, rows)
+
+        monkeypatch.setattr(poset, "transpose", counted)
+        p = FinitePoset.chain(3)
+        assert p.down == p.down == (0b001, 0b011, 0b111)
+        assert calls == [3]
+        assert FinitePoset.chain(3).down == p.down
+        assert calls == [3, 3]
+
+    def test_reading_the_tables_keeps_the_value(self):
+        p, q = FinitePoset.powerset_lattice(2), FinitePoset.powerset_lattice(2)
+        before = hash(p)
+        for name in ("down", "full_mask", "up_index", "down_index", "mail_mates", "covers",
+                     "_complete_lattice", "canonical"):
+            getattr(p, name)
+        assert p == q and q == p
+        assert hash(p) == before == hash(q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.n = 3
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p == pickle.loads(pickle.dumps(q))
+        assert copy.down == p.down and copy.covers == p.covers
+
+    def test_the_class_attribute_is_the_descriptor(self):
+        assert isinstance(FinitePoset.down, cached_attribute)
+        assert FinitePoset.up_index.__doc__.startswith("{up-row: element}.")
+        assert FinitePoset.covers.__doc__ == FinitePoset.__dict__["covers"].func.__doc__
 
 
 class TestCovers:

@@ -14,8 +14,9 @@ checkout; nothing under it is written by this script.
 One entry in the shape of ``BENCH_enumerate.json`` is printed on stdout:
 per workload and side, the median, the inclusive quartiles, the minimum
 and the maximum of every end-to-end metric, the number of pairs in which
-the change's run was better, and whether every run was correct with no
-failed operation.  Metric names, units and directions come from the
+the change's run was better, whether that is a claimable gain
+(``claim_met``, see :func:`summarize`), and whether every run was correct
+with no failed operation.  Metric names, units and directions come from the
 change checkout's ``BENCHMARK.json``; a workload's class count is the
 ``count`` its ``perfbench/workloads.py`` asserts.  Progress goes to stderr.
 """
@@ -53,7 +54,12 @@ def summarize(pairs: list, seeds: list, counts: dict, metrics: list) -> dict:
     "change": run}``, each run the JSON object that ``perfbench/run.py``
     prints last.  ``metrics`` lists ``(name, unit, better)``, with
     ``better`` either "higher" or "lower"; a metric that some run lacks is
-    left out.  ``counts`` maps each side to its class count."""
+    left out.  ``counts`` maps each side to its class count.
+
+    A metric's ``claim_met`` is the rule for claiming a gain: the change
+    was better in at least nine tenths of the pairs, a tie counting for
+    neither side, and its median is better than the parent's by more than
+    the parent's interquartile range, both read off the recorded spreads."""
     runs = {side: [pair[side] for pair in pairs] for side in SIDES}
     record = {
         "pairs": len(pairs),
@@ -69,8 +75,11 @@ def summarize(pairs: list, seeds: list, counts: dict, metrics: list) -> dict:
         values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in SIDES}
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        record["metrics"][name] = {"unit": unit, **{side: spread(values[side]) for side in SIDES},
-                                   "change_better_in_pairs": wins}
+        stats = {side: spread(values[side]) for side in SIDES}
+        parent = stats["parent"]
+        gap = sign * (stats["change"]["median"] - parent["median"])
+        record["metrics"][name] = {"unit": unit, **stats, "change_better_in_pairs": wins,
+                                   "claim_met": 10 * wins >= 9 * len(pairs) and gap > parent["q3"] - parent["q1"]}
     return record
 
 
