@@ -446,13 +446,19 @@ class cached_attribute:
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """An immutable finite poset on elements ``0..n-1``."""
+    """An immutable finite poset on elements ``0..n-1``.
+
+    ``up`` may be given as any sequence of row masks; it is kept as a
+    tuple, so that the value stays hashable and equal to the same rows
+    given as a tuple."""
 
     n: int
     up: tuple
 
     def __post_init__(self):
         check_count(self.n)
+        if type(self.up) is not tuple:
+            object.__setattr__(self, "up", tuple(self.up))
         if len(self.up) != self.n:
             raise FormatError("up-set table length does not match n")
 

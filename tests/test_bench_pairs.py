@@ -1,21 +1,29 @@
-"""The summary that tools/bench_pairs.py makes of alternating benchmark runs."""
+"""The summary that tools/bench_pairs.py makes of alternating benchmark runs,
+and the record it makes of one console run."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 
 
 def run(items: float, rss: float, failed: int = 0, correct: bool = True) -> dict:
@@ -95,3 +103,59 @@ def test_a_failed_or_incorrect_run_shows(bench_pairs):
 def test_one_seed_is_refused(bench_pairs):
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(["--parent", "a", "--change", "b", "--workload", "w", "--seeds", "1"])
+
+
+def test_the_cases_are_the_recorded_count_only_commands(bench_pairs):
+    assert {name: (" ".join(args), count) for name, (args, count) in bench_pairs.CASES.items()} == {
+        "count-chainmails-9-t1": ("--kind chainmails --n 9 --deep --threads 1", 14073),
+        "count-chainmails-10-t2": ("--kind chainmails --n 10 --deep --threads 2", 134802),
+        "count-posets-9-t2": ("--kind posets --n 9 --threads 2", 183231),
+    }
+
+
+def test_no_case_is_named_as_a_benchmark_workload(bench_pairs):
+    workloads = load("workloads", ROOT / "perfbench" / "workloads.py").WORKLOADS
+    assert workloads and not set(bench_pairs.CASES) & set(workloads)
+
+
+def console_run(bench_pairs, monkeypatch, code=0, count=14073, stderr="elapsed: 0.250s\n") -> tuple:
+    """``run_once`` of count-chainmails-9-t1 in the checkout ``top``, its command
+    stubbed to exit ``code`` after printing ``count`` and ``stderr``."""
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append((argv, kwargs["env"]["PYTHONPATH"]))
+        stdout = json.dumps({"kind": "chainmails", "n": 9, "count": count}) + "\n" if code == 0 else ""
+        return subprocess.CompletedProcess(argv, code, stdout, stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    return bench_pairs.run_once(Path("top"), "count-chainmails-9-t1", 7, 10.0), calls
+
+
+def test_a_console_run_is_recorded_as_a_benchmark_run(bench_pairs, monkeypatch):
+    run, calls = console_run(bench_pairs, monkeypatch)
+    args = bench_pairs.CASES["count-chainmails-9-t1"][0]
+    assert calls == [([sys.executable, "-m", "chainmail", "enumerate", *args], str(Path("top") / "src"))]
+    wall = run["metrics"]["wall_s"]
+    assert run == {"correct": True, "failed": 0, "metrics": {"elapsed_s": {"value": 0.25, "unit": "s"}, "wall_s": wall}}
+    assert wall["unit"] == "s" and wall["value"] >= 0
+    # a faster enumeration is a win, and a claim when every pair wins by more than the spread
+    fast = {**run, "metrics": {**run["metrics"], "elapsed_s": {"value": 0.2, "unit": "s"}}}
+    record = bench_pairs.summarize([{"parent": run, "change": fast}] * 2, [1, 2], {"parent": 1, "change": 1},
+                                   bench_pairs.CASE_METRICS)
+    assert record["metrics"]["elapsed_s"] == {"unit": "s", "change_better_in_pairs": 2, "claim_met": True, **{
+        side: {"median": v, "q1": v, "q3": v, "min": v, "max": v} for side, v in (("parent", 0.25), ("change", 0.2))}}
+    assert (record["metrics"]["wall_s"]["change_better_in_pairs"], record["metrics"]["wall_s"]["claim_met"]) == (0, False)
+
+
+def test_a_wrong_count_or_a_failed_console_run_shows(bench_pairs, monkeypatch):
+    wrong, _ = console_run(bench_pairs, monkeypatch, count=14072)
+    failed, _ = console_run(bench_pairs, monkeypatch, code=1, stderr="chainmail: error\n")
+    assert (wrong["correct"], wrong["failed"]) == (False, 0)
+    assert (failed["correct"], failed["failed"]) == (False, 1)
+    # no elapsed: line, so the wall time stands in for it
+    assert failed["metrics"]["elapsed_s"] == failed["metrics"]["wall_s"]
+    record = bench_pairs.summarize([{"parent": wrong, "change": failed}] * 2, [1, 2],
+                                   {"parent": 1, "change": 1}, bench_pairs.CASE_METRICS)
+    assert record["every_output_correct"] is False
+    assert record["failed_ops"] == {"parent": 0, "change": 2}

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from chainmail import poset
-from chainmail.connectivity import ConnectivityPair, borger_implication_check
+from chainmail.connectivity import ConnectivityPair, borger_implication_check, classify
 from chainmail.errors import FormatError, GuardExceeded
 from chainmail.generators import Graph, Hypergraph, named_fixture
 from chainmail.enumeration import enumerate_complete_lattices, enumerate_posets
@@ -494,6 +494,14 @@ class TestCachedTables:
         assert isinstance(FinitePoset.down, cached_attribute)
         assert FinitePoset.up_index.__doc__.startswith("{up-row: element}.")
         assert FinitePoset.covers.__doc__ == FinitePoset.__dict__["covers"].func.__doc__
+
+    def test_rows_given_as_a_list_are_kept_as_a_tuple(self):
+        # the diamond 0 < 1, 2 < 3, its rows given as a list
+        lat, rows = FinitePoset(4, [15, 10, 12, 8]), FinitePoset(4, (15, 10, 12, 8))
+        assert lat.up == (15, 10, 12, 8) and type(lat.up) is tuple
+        assert lat == rows and hash(lat) == hash(rows)
+        assert lat.is_complete_lattice()
+        assert classify(ConnectivityPair(lat, {1, 2})) == classify(ConnectivityPair(rows, {1, 2}))
 
 
 class TestCovers:
