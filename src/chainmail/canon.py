@@ -51,6 +51,7 @@ twin swaps alone.  Such a result keeps n, the up-rows and the cells, and
 builds each field on first read: ``perm``, the cells flattened; the twin
 groups, the cells of two or more elements; the key and the canonical
 rows, from one relabeling by ``perm``; the generators, the twin swaps.
+A search result keeps its labeling and generators in place of the cells.
 A leaf of the enumeration that is only counted reads none of them, and
 :func:`accept` packs a catalog leaf's rows from the cells, with no result.
 
@@ -127,26 +128,19 @@ from typing import Iterator, Optional, Sequence, Union
 
 class CanonResult:
     """Key, labeling, canonical up-rows and automorphism generators of a
-    poset.  A search result holds all four.  A one-leaf result holds n, the
-    up-rows and the stable cells, builds each field from them on first
-    read, and reads orbit representatives off its twin groups (see "One
+    poset.  Every result keeps n and the up-rows, and either the stable
+    cells of a one-leaf labeling or the labeling and generators its search
+    found; each field is built from those on first read, and a one-leaf
+    result reads orbit representatives off its twin groups (see "One
     leaf" and "Prefix rule" in the module docstring)."""
 
     __slots__ = ("_key", "_perm", "_rows", "_generators", "_n", "_up", "_cells")
 
-    def __init__(self, key: bytes, perm: tuple, relabeled_up: tuple, generators: list):
-        self._key = key
-        self._perm = perm
-        self._rows = relabeled_up
-        self._generators = generators
-        self._cells = None
-
-    @classmethod
-    def _one_leaf(cls, n: int, up: Sequence[int], cells: list) -> "CanonResult":
-        result = cls.__new__(cls)
-        result._key = result._perm = result._rows = result._generators = None
-        result._n, result._up, result._cells = n, up, cells
-        return result
+    def __init__(self, n: int, up: Sequence[int], cells: Optional[list] = None, perm: Optional[tuple] = None,
+                 generators: Optional[list] = None):
+        self._n, self._up, self._cells = n, up, cells
+        self._perm, self._generators = perm, generators
+        self._key = self._rows = None
 
     @property
     def perm(self) -> tuple:
@@ -174,15 +168,9 @@ class CanonResult:
 
     def packed(self, stride: int) -> int:
         """The canonical up-rows with row i at bit i * stride, for a stride
-        of at least n (see "Order" in the module docstring): a one-leaf
-        result not yet labeled moves its columns there at once, with no row
-        tuple and no key."""
-        if self._rows is None:
-            return _relabel(self._n, self._up, self.perm, stride)
-        packed = 0
-        for row in reversed(self._rows):
-            packed = packed << stride | row
-        return packed
+        of at least n (see "Order" in the module docstring): the columns
+        moved there by ``perm`` at once, with no row tuple and no key."""
+        return _relabel(self._n, self._up, self.perm, stride)
 
     @property
     def generators(self) -> list:
@@ -476,14 +464,14 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     has one leaf, the empty labeling, encoded as 0.  ``generators`` opens
     with the swaps of consecutive twins in each cell, and when those cells
     with two or more elements are all twin groups there is no search: the
-    result keeps the cells, the one leaf, and builds the labeling, key,
-    rows and generators, those swaps alone, on first read (see "One leaf"
-    in the module docstring).  A search result takes its key and rows from
-    the leaf record of its least encoding.
+    result keeps the cells, the one leaf, and builds the labeling and
+    generators, those swaps alone, on first read.  A search result keeps
+    the labeling of its least encoding's leaf record.  Either builds its
+    key and rows on first read (see "One leaf" in the module docstring).
     """
     cells, twin = partition or stable_partition(n, up, down)
     if twin:
-        return CanonResult._one_leaf(n, up, cells)
+        return CanonResult(n, up, cells)
     groups = []
     for cell in cells:
         if len(cell) > 1:
@@ -495,8 +483,7 @@ def canonicalize(n: int, up: Sequence[int], down: Sequence[int], *,
     follows = {a: b for group in groups for a, b in zip(group, group[1:])}
     leaves: dict = {}
     _search(n, up, down, cells, (), generators, leaves, follows)
-    enc = min(leaves)
-    return CanonResult(_key(n, enc), leaves[enc], _rows_of(n, enc), generators)
+    return CanonResult(n, up, perm=leaves[min(leaves)], generators=generators)
 
 
 def accept(n: int, up: Sequence[int], down: Sequence[int], stride: int = 0) -> Union[CanonResult, int, None]:

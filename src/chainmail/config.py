@@ -20,7 +20,8 @@ ENUM_CAPS = {"posets": (9, 9), "chainmails": (8, 10), "lattices": (9, 9)}
 
 
 def max_n() -> int:
-    """Element-count cap for posets built from external input."""
+    """Element-count cap for posets built from external input or from
+    pairs (``poset.check_size``)."""
     raw = os.environ.get("CHM_MAX_N")
     if raw is None:
         return DEFAULT_MAX_N

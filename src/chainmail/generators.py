@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Sequence
 
-from .config import DEFAULT_VERTEX_CAP
+from .config import DEFAULT_MAX_EXTERIOR_SETS, DEFAULT_VERTEX_CAP
 from .errors import FormatError, GuardExceeded, PreconditionError
 from .connectivity import ConnectivityPair
 from .exterior import exterior_as_absolute
@@ -206,10 +206,16 @@ def downset_lattice_pair(p: FinitePoset) -> ConnectivityPair:
     down-sets).  For forest posets this pair is a separated Serra
     connectivity, hence absolute.  The converse, that the pair is
     separated, Serra or absolute only for forests, is not proved here; it
-    holds on all 2,450 posets with 1 to 7 elements."""
+    holds on all 2,450 posets with 1 to 7 elements.
+
+    More than ``DEFAULT_MAX_EXTERIOR_SETS`` down-sets are refused once
+    listed, before any lattice row is built: the rows and the lattice test
+    grow with the square of their number, as the exterior's do."""
     if p.n > 20:
         raise GuardExceeded("down-set lattice construction is capped at 2^20 subsets")
     downsets = downset_masks(p.n, p.down)
+    if len(downsets) > DEFAULT_MAX_EXTERIOR_SETS:
+        raise GuardExceeded(f"down-set lattice exceeds {DEFAULT_MAX_EXTERIOR_SETS} down-sets")
     downsets.sort(key=lambda m: (m.bit_count(), tuple(bits_of(m))))
     index = {m: i for i, m in enumerate(downsets)}
     lattice = FinitePoset(len(downsets), inclusion_rows(downsets, downsets))

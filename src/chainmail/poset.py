@@ -94,6 +94,15 @@ def check_count(n: int, what: str = "element count") -> None:
         raise FormatError(f"{what} must be non-negative")
 
 
+def check_size(n: int) -> None:
+    """Refuse a poset of more than ``config.max_n()`` elements
+    (``CHM_MAX_N``, 64 by default) before any row is built: the cap of
+    the JSON path and of the pair constructors."""
+    cap = max_n()
+    if n > cap:
+        raise GuardExceeded(f"poset size {n} exceeds cap {cap} (set CHM_MAX_N to raise)")
+
+
 def checked_mask(n: int, members: Iterable[int]) -> int:
     """The mask of ``members``, refusing any outside 0..n-1 as
     :func:`check_element` does: the one check of the public entries that
@@ -471,9 +480,13 @@ class FinitePoset:
         Reflexive pairs are implied.  With ``close`` the reflexive-transitive
         closure is taken; otherwise the input must already be transitively
         closed (checked by :meth:`validate`, not here).  An end that is not
-        an integer in 0..n-1 is refused with a FormatError.
+        an integer in 0..n-1 is refused with a FormatError, and n above the
+        JSON path's cap with GuardExceeded (see :func:`check_size`), which
+        ``FinitePoset(n, up)``, ``chain``, ``antichain`` and
+        ``powerset_lattice`` do not take.
         """
         check_count(n)
+        check_size(n)
         rows = [1 << a for a in range(n)]
         for a, b in pairs:
             if not (is_integer(a) and is_integer(b)):
@@ -493,7 +506,10 @@ class FinitePoset:
 
     @staticmethod
     def from_cover_pairs(n: int, covers: Iterable[tuple]) -> "FinitePoset":
-        """Build from a Hasse-style cover list (a, b) meaning a < b."""
+        """Build from a Hasse-style cover list (a, b) meaning a < b, under
+        the JSON path's cap on n, as :meth:`from_leq_pairs` is;
+        ``FinitePoset(n, up)``, ``chain``, ``antichain`` and
+        ``powerset_lattice`` take no cap."""
         return FinitePoset.from_leq_pairs(n, covers, close=True)
 
     @staticmethod
@@ -780,9 +796,7 @@ class FinitePoset:
         pairs = obj.get("leq", [])
         if not isinstance(pairs, list):
             raise FormatError('"leq" must be a list of [a, b] pairs')
-        cap = max_n()
-        if n > cap:
-            raise GuardExceeded(f"poset size {n} exceeds cap {cap} (set CHM_MAX_N to raise)")
+        check_size(n)
         close = "closure" in obj
         if close and obj["closure"] != "reflexive-transitive":
             raise FormatError(f'"closure" must be "reflexive-transitive" when present, got {obj["closure"]!r}')

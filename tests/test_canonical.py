@@ -8,6 +8,7 @@ import itertools
 import os
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -387,6 +388,55 @@ def test_one_leaf_results_survive_pickling(one_leaf_to_6):
         assert copy.generators == swaps == result.generators
 
 
+def test_search_results_build_key_and_rows_on_first_read(monkeypatch):
+    # the crowns of test_least_leaf_wins_where_cells_are_not_orbits: the
+    # search relabels its leaves, and the result keeps the winner's
+    # labeling; its key and rows come from one more relabeling when first
+    # read, and the labeling, generators and orbits need neither
+    covers = [(a, b) for a in (0, 1) for b in (5, 6)]
+    covers += [(2, 7), (2, 8), (3, 8), (3, 9), (4, 9), (4, 7)]
+    p = FinitePoset.from_cover_pairs(10, covers)
+    calls = Counter()
+    for name in ("_key", "_rows_of", "_relabel"):
+        def counting(*args, _real=getattr(canon, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(canon, name, counting)
+    result = canon.canonicalize(p.n, p.up, p.down)
+    leaves = calls["_relabel"]
+    assert calls == {"_relabel": leaves}
+    assert result.perm == (2, 3, 4, 0, 1, 5, 6, 9, 7, 8)
+    assert (len(result.generators), result.orbit(0)) == (5, {0, 1})
+    assert calls == {"_relabel": leaves}
+    assert result.key.hex() == "000a08010020040080701a184a0b01"
+    assert calls == {"_relabel": leaves + 1, "_key": 1, "_rows_of": 1}
+    assert (result.key, result.perm, result.relabeled_up) == oracle_canonical(p.n, p.up, p.down)
+    assert calls == {"_relabel": leaves + 1, "_key": 1, "_rows_of": 1}
+
+
+def test_search_results_survive_pickling(poset_corpus):
+    # as test_one_leaf_results_survive_pickling, for the results whose
+    # labeling searches: pickled before the key and rows are read, which
+    # the copy then builds, equal to those of a result never pickled
+    searched = 0
+    for n, posets in poset_corpus.items():
+        masks = list(range(1 << n))
+        for p in posets:
+            result = canon.canonicalize(n, p.up, p.down)
+            if result._cells is not None:
+                continue
+            assert (result._key, result._rows) == (None, None)
+            copy = pickle.loads(pickle.dumps(result))
+            assert (copy.perm, copy.generators) == (result.perm, result.generators)
+            assert (copy.key, copy.relabeled_up) == (result.key, result.relabeled_up)
+            assert copy.packed(canon.stride(n)) == result.packed(canon.stride(n))
+            assert list(copy.orbit_firsts(masks)) == list(result.orbit_firsts(masks))
+            searched += 1
+    # 37 of the 406
+    assert searched == 37
+
+
 @pytest.mark.parametrize("n", [0, 1, 8, 63, 64, 65, 70])
 def test_relabel_moves_columns_as_the_bits_move(n):
     # any rows, not only up-rows, and sizes on both sides of a machine word;
@@ -422,8 +472,9 @@ def test_packed_rows_round_trip_and_keep_the_encoding_order(n, stride):
     for rows in vectors:
         assert layout.unpack(pack(rows, stride).to_bytes(layout.size, "little")) == rows
     assert sorted(vectors, key=lambda rows: pack(rows, stride)) == sorted(vectors, key=lambda rows: pack(rows, n))
-    # both routes of CanonResult.packed: a one-leaf result's relabeling, and
-    # the rows a labeled result holds
+    # the one route of CanonResult.packed, a relabeling by perm, gives the
+    # same int before the rows are read and after, on the antichain and
+    # the chain
     for up, down in ((tuple(1 << v for v in range(n)),) * 2,
                      (tuple((1 << n) - (1 << v) for v in range(n)), tuple((2 << v) - 1 for v in range(n)))):
         result = canon.canonicalize(n, up, down)

@@ -277,7 +277,7 @@ def eager_accepted(k1: int, up1, down1, stride=0):
     best = max((e for e in range(k1) if up1[e] == 1 << e), key=pos.__getitem__)
     if k1 - 1 not in canon._orbit(best, gens):
         return None
-    eager = canon.CanonResult(result.key, result.perm, result.relabeled_up, gens)
+    eager = canon.CanonResult(k1, up1, perm=result.perm, generators=gens)
     return eager.packed(stride) if stride else eager
 
 
@@ -358,8 +358,9 @@ class TestCanonicalAugmentation:
         # below the last level that passes the cell test and per last-level
         # child whose labeling searches, one twin test per partition and
         # one more per refinement round that splits a cell, and one
-        # relabeling per leaf a search records and per one-leaf entry of
-        # the catalog, packed straight from its cells
+        # relabeling per leaf a search records, per one-leaf entry of the
+        # catalog, packed straight from its cells, and per entry whose
+        # labeling searched, packed by that labeling (466 + 1,658 + 184)
         counts = Counter()
         for name in ("stable_partition", "canonicalize", "_twin_cells", "_relabel"):
             def counting(*args, _real=getattr(canon, name), _name=name, **kwargs):
@@ -368,7 +369,7 @@ class TestCanonicalAugmentation:
 
             monkeypatch.setattr(canon, name, counting)
         assert enumerate_connected_chainmails(8, want_catalog=True).count == 1842
-        assert counts == {"stable_partition": 2407, "canonicalize": 573, "_twin_cells": 3712, "_relabel": 2124}
+        assert counts == {"stable_partition": 2407, "canonicalize": 573, "_twin_cells": 3712, "_relabel": 2308}
 
     def test_count_only_runs_relabel_at_search_leaves_alone(self, monkeypatch):
         # a count reads no key and no canonical rows: no one-leaf result is

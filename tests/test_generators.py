@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from chainmail import generators
 from chainmail.connectivity import ConnectivityPair, borger_implication_check, classify, is_subchainmail_of
 from chainmail.enumeration import enumerate_kind
 from chainmail.errors import FormatError, GuardExceeded, PreconditionError
@@ -323,6 +324,20 @@ def test_guards_refuse_21_elements(build, message):
     # 2^21 subsets or sinks: refused before any is listed
     with pytest.raises(GuardExceeded, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_downset_lattice_pair_refuses_more_down_sets_than_the_exterior_cap(monkeypatch):
+    # the 13-element antichain has 2^13 down-sets: refused once they are
+    # listed, before the m x m rows and the lattice test (42 s unguarded);
+    # the 12-element antichain's 2^12 are at the cap and pass the check
+    def refuse(*args):
+        raise AssertionError("inclusion_rows called past the guard")
+
+    monkeypatch.setattr(generators, "inclusion_rows", refuse)
+    with pytest.raises(GuardExceeded, match=r"^down-set lattice exceeds 4096 down-sets$"):
+        downset_lattice_pair(FinitePoset.antichain(13))
+    with pytest.raises(AssertionError, match="past the guard"):
+        downset_lattice_pair(FinitePoset.antichain(12))
 
 
 class TestTopologyPairs:

@@ -665,6 +665,20 @@ class TestJson:
         monkeypatch.delenv("CHM_MAX_N")
         assert FinitePoset.from_json({"n": 5, "leq": []}).n == 5
 
+    def test_pair_constructors_take_the_json_cap(self, monkeypatch):
+        # refused before any row is built: 10^9 rows would not fit, so 65
+        # comes first, which a missing guard lets through cheaply
+        monkeypatch.delenv("CHM_MAX_N", raising=False)
+        with pytest.raises(GuardExceeded, match=r"^poset size 65 exceeds cap 64 "):
+            FinitePoset.from_leq_pairs(65, [])
+        with pytest.raises(GuardExceeded, match=r"^poset size 1000000000 exceeds cap 64 "):
+            FinitePoset.from_leq_pairs(10**9, [])
+        monkeypatch.setenv("CHM_MAX_N", "4")
+        with pytest.raises(GuardExceeded, match=r"^poset size 5 exceeds cap 4 "):
+            FinitePoset.from_cover_pairs(5, [])
+        assert FinitePoset.from_cover_pairs(4, [(0, 1)]).n == 4
+        assert FinitePoset.antichain(5).n == 5
+
 
 class TestInvariants:
     def test_join_ignores_dominated_lower_bound(self, small_poset_corpus):
